@@ -71,23 +71,19 @@ class AssignmentPlan:
         return counts
 
     def validate(self, ds: RatingDataset) -> None:
-        for (doc_id, _system), raters in self.assignments.items():
-            bucket = ds.bucket_of(doc_id)
-            if not raters <= bucket.rater_ids:
+        by_doc: dict[str, frozenset] = {}
+        for (doc_id, system), raters in self.assignments.items():
+            if not raters <= ds.bucket_of(doc_id).rater_ids:
                 raise ValueError(
                     f"raters {sorted(raters)} not eligible for document {doc_id}"
                 )
             if len(raters) != self.ratings_per_item:
                 raise ValueError(
-                    f"item ({doc_id}, {_system}) assigned {len(raters)} raters, "
+                    f"item ({doc_id}, {system}) assigned {len(raters)} raters, "
                     f"expected {self.ratings_per_item}"
                 )
-        if self.grouping is Grouping.PSXS:
-            by_doc: dict[str, frozenset] = {}
-            for (doc_id, _system), raters in self.assignments.items():
-                previous = by_doc.setdefault(doc_id, raters)
-                if previous != raters:
-                    raise ValueError(f"pSxS violated for document {doc_id}")
+            if self.grouping is Grouping.PSXS and by_doc.setdefault(doc_id, raters) != raters:
+                raise ValueError(f"pSxS violated for document {doc_id}")
 
 
 def _shuffled(seq: Iterable, rng) -> list:
@@ -141,93 +137,55 @@ def subsample_documents(ds: RatingDataset, n_target: int, rng) -> frozenset[str]
     return frozenset(chosen)
 
 
-def assign_psxs_balanced(
-    ds: RatingDataset, doc_subset: Iterable[str], rng, ratings_per_item: int = 1
-) -> AssignmentPlan:
-    """Per bucket, shuffle documents and deal them round-robin to the bucket's
-    raters (or rater pairs); every system output of a document shares the
-    assignment."""
-    subset = set(doc_subset)
-    systems = sorted(ds.systems)
-    assignments: dict[tuple[str, str], frozenset[str]] = {}
-    for bucket in _sorted_buckets(ds):
-        docs = _shuffled(sorted(bucket.doc_ids & subset), rng)
-        if not docs:
-            continue
-        alphabet = _shuffled(_bucket_alphabet(bucket, ratings_per_item), rng)
-        for i, doc in enumerate(docs):
-            raters = alphabet[i % len(alphabet)]
-            for system in systems:
-                assignments[(doc, system)] = raters
-    plan = AssignmentPlan(assignments, Grouping.PSXS, LoadBalancing.fully_balanced(), ratings_per_item)
-    plan.validate(ds)
-    return plan
+def _deal(units: list, alphabet: list, rng) -> list[tuple]:
+    """Shuffle the units, shuffle the alphabet, then deal units round-robin."""
+    units = _shuffled(units, rng)
+    alphabet = _shuffled(alphabet, rng)
+    return [(unit, alphabet[i % len(alphabet)]) for i, unit in enumerate(units)]
 
 
-def assign_system_balanced(
-    ds: RatingDataset, doc_subset: Iterable[str], rng, ratings_per_item: int = 1
-) -> AssignmentPlan:
-    """For each (bucket, system), shuffle raters and documents and assign that
-    system's items round-robin, spreading every system evenly over raters
-    without document alignment."""
-    subset = set(doc_subset)
-    systems = sorted(ds.systems)
-    assignments: dict[tuple[str, str], frozenset[str]] = {}
-    for bucket in _sorted_buckets(ds):
-        bucket_docs = sorted(bucket.doc_ids & subset)
-        if not bucket_docs:
-            continue
-        for system in systems:
-            docs = _shuffled(bucket_docs, rng)
-            alphabet = _shuffled(_bucket_alphabet(bucket, ratings_per_item), rng)
-            for i, doc in enumerate(docs):
-                assignments[(doc, system)] = alphabet[i % len(alphabet)]
-    plan = AssignmentPlan(
-        assignments, Grouping.SYSTEM_BALANCED, LoadBalancing.fully_balanced(), ratings_per_item
-    )
-    plan.validate(ds)
-    return plan
-
-
-def assign_no_grouping(
+def assign_balanced(
     ds: RatingDataset,
     doc_subset: Iterable[str],
-    balancing: LoadBalancing,
+    grouping: Grouping,
     rng,
     ratings_per_item: int = 1,
 ) -> AssignmentPlan:
-    """Ungrouped assignment: the unit of assignment is the (doc, system) item."""
-    if balancing.kind == "entropy_target":
-        return assign_entropy_target(
-            ds,
-            doc_subset,
-            balancing.target,
-            tolerance=balancing.tolerance,
-            rng=rng,
-            units="items",
-            ratings_per_item=ratings_per_item,
-        )
+    """Fully balanced assignment: per bucket, shuffle the units and the
+    bucket's raters (or rater pairs), then deal the units round-robin.
+
+    The unit is a document for pSxS (every system output of a document shares
+    its raters), a document within one system for system-balanced grouping
+    (one deal per system, so every system spreads evenly over raters without
+    document alignment), and a (doc, system) item without grouping.
+    """
     subset = set(doc_subset)
     systems = sorted(ds.systems)
     assignments: dict[tuple[str, str], frozenset[str]] = {}
     for bucket in _sorted_buckets(ds):
-        items = [(d, s) for d in sorted(bucket.doc_ids & subset) for s in systems]
-        if not items:
+        docs = sorted(bucket.doc_ids & subset)
+        if not docs:
             continue
-        items = _shuffled(items, rng)
-        alphabet = _shuffled(_bucket_alphabet(bucket, ratings_per_item), rng)
-        for i, item in enumerate(items):
-            assignments[item] = alphabet[i % len(alphabet)]
-    plan = AssignmentPlan(assignments, Grouping.NO_GROUPING, balancing, ratings_per_item)
+        alphabet = _bucket_alphabet(bucket, ratings_per_item)
+        if grouping is Grouping.PSXS:
+            for doc, raters in _deal(docs, alphabet, rng):
+                assignments.update(((doc, system), raters) for system in systems)
+        elif grouping is Grouping.SYSTEM_BALANCED:
+            for system in systems:
+                for doc, raters in _deal(docs, alphabet, rng):
+                    assignments[(doc, system)] = raters
+        else:
+            assignments.update(_deal([(d, s) for d in docs for s in systems], alphabet, rng))
+    plan = AssignmentPlan(assignments, grouping, LoadBalancing.fully_balanced(), ratings_per_item)
     plan.validate(ds)
     return plan
 
 
 def _entropy_pool(ds: RatingDataset, ratings_per_item: int) -> list:
-    """Workload alphabet over the whole dataset: raters, or rater pairs when
-    double-rated (entropy is then computed over pair workloads)."""
+    """Workload alphabet over the whole dataset: one-rater sets, or rater pairs
+    when double-rated (entropy is then computed over pair workloads)."""
     if ratings_per_item == 1:
-        return sorted(ds.raters)
+        return [frozenset((r,)) for r in sorted(ds.raters)]
     symbols = set()
     for bucket in _sorted_buckets(ds):
         symbols.update(_bucket_alphabet(bucket, ratings_per_item))
@@ -274,10 +232,7 @@ def assign_entropy_target(
     for unit in unit_list:
         doc = unit if units == "documents" else unit[0]
         alphabet = _bucket_alphabet(ds.bucket_of(doc), ratings_per_item)
-        if ratings_per_item == 1:
-            eligible[unit] = [symbol_pos[next(iter(a))] for a in alphabet]
-        else:
-            eligible[unit] = [symbol_pos[a] for a in alphabet]
+        eligible[unit] = [symbol_pos[a] for a in alphabet]
 
     log_pool = np.log(pool_size)
 
@@ -309,13 +264,10 @@ def assign_entropy_target(
         if abs(entropy(counts) - target) <= tolerance:
             assignments: dict[tuple[str, str], frozenset[str]] = {}
             for unit, pick in chosen.items():
-                symbol = symbols[pick]
-                raters = frozenset((symbol,)) if ratings_per_item == 1 else symbol
                 if units == "documents":
-                    for system in systems:
-                        assignments[(unit, system)] = raters
+                    assignments.update(((unit, system), symbols[pick]) for system in systems)
                 else:
-                    assignments[unit] = raters
+                    assignments[unit] = symbols[pick]
             grouping = Grouping.PSXS if units == "documents" else Grouping.NO_GROUPING
             plan = AssignmentPlan(
                 assignments,
@@ -365,22 +317,16 @@ def build_plan(
     rng,
 ) -> AssignmentPlan:
     """Dispatch to the procedure implied by (grouping, balancing)."""
-    if grouping is Grouping.PSXS:
-        if balancing.kind == "fully_balanced":
-            return assign_psxs_balanced(ds, doc_subset, rng, ratings_per_item)
-        return assign_entropy_target(
-            ds,
-            doc_subset,
-            balancing.target,
-            tolerance=balancing.tolerance,
-            rng=rng,
-            units="documents",
-            ratings_per_item=ratings_per_item,
-        )
+    if balancing.kind == "fully_balanced":
+        return assign_balanced(ds, doc_subset, grouping, rng, ratings_per_item)
     if grouping is Grouping.SYSTEM_BALANCED:
-        if balancing.kind != "fully_balanced":
-            raise ValueError("system-balanced grouping is only defined with full balancing")
-        return assign_system_balanced(ds, doc_subset, rng, ratings_per_item)
-    if grouping is Grouping.NO_GROUPING:
-        return assign_no_grouping(ds, doc_subset, balancing, rng, ratings_per_item)
-    raise ValueError(f"unknown grouping {grouping!r}")
+        raise ValueError("system-balanced grouping is only defined with full balancing")
+    return assign_entropy_target(
+        ds,
+        doc_subset,
+        balancing.target,
+        tolerance=balancing.tolerance,
+        rng=rng,
+        units="documents" if grouping is Grouping.PSXS else "items",
+        ratings_per_item=ratings_per_item,
+    )

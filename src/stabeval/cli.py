@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -137,8 +137,6 @@ def cmd_simulate(args) -> int:
     ds = _load_dataset(args)
     config = load_study_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, master_seed=args.seed)
     _, ranking = simulate_study(ds, config, config.master_seed)
     matrix = ranking.matrix
@@ -162,8 +160,6 @@ def cmd_sweep(args) -> int:
     ds = _load_dataset(args)
     configs, grid = load_sweep_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         configs = [replace(c, master_seed=args.seed) for c in configs]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,9 +12,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     IncompleteRatings,
@@ -114,7 +117,13 @@ class DatasetStats:
 
 @dataclass
 class RatingDataset:
-    """All annotations for one language pair, validated and immutable in use."""
+    """All annotations for one language pair, validated and immutable in use.
+
+    ``scores`` and ``n_errors`` hold the ratings as dense arrays indexed
+    (system, doc, seg, rater) over the sorted ids in ``system_axis``,
+    ``doc_axis`` and ``rater_axis``.  Unrated cells are NaN, and so are the
+    error counts of score-only ratings.
+    """
 
     language_pair: str
     documents: dict[str, int]  # doc_id -> number of segments
@@ -128,6 +137,29 @@ class RatingDataset:
         for bucket in self.buckets:
             for doc in bucket.doc_ids:
                 self._doc_bucket[doc] = bucket
+        self.system_axis = tuple(sorted(self.systems))
+        self.doc_axis = tuple(sorted(self.documents))
+        self.rater_axis = tuple(sorted(self.raters.union(*(b.rater_ids for b in self.buckets))))
+        self.system_pos = {s: i for i, s in enumerate(self.system_axis)}
+        self.doc_pos = {d: i for i, d in enumerate(self.doc_axis)}
+        self.rater_pos = {r: i for i, r in enumerate(self.rater_axis)}
+        self.seg_counts = np.array([self.documents[d] for d in self.doc_axis], dtype=np.intp)
+        shape = (
+            len(self.system_axis),
+            len(self.doc_axis),
+            self.seg_counts.max(initial=0),
+            len(self.rater_axis),
+        )
+        self.scores = np.full(shape, np.nan)
+        self.n_errors = np.full(shape, np.nan)
+        # Ratings outside the declared ids or segment ranges get no cell;
+        # validate() reports them through its row count.
+        for (doc, seg, system, rater), rating in self.ratings.items():
+            s, d, r = self.system_pos.get(system), self.doc_pos.get(doc), self.rater_pos.get(rater)
+            if None not in (s, d, r) and 0 <= seg < self.documents[doc]:
+                self.scores[s, d, seg, r] = rating.score
+                n_errors = rating.n_errors
+                self.n_errors[s, d, seg, r] = np.nan if n_errors is None else n_errors
 
     def bucket_of(self, doc_id: str) -> Bucket:
         return self._doc_bucket[doc_id]
@@ -158,22 +190,25 @@ class RatingDataset:
                 f"buckets do not partition the document set "
                 f"(unbucketed={sorted(missing)[:5]}, unknown={sorted(extra)[:5]})"
             )
+        member = np.zeros((len(self.doc_axis), len(self.rater_axis)), dtype=bool)
+        for bucket in self.buckets:
+            docs = [self.doc_pos[d] for d in bucket.doc_ids]
+            member[np.ix_(docs, [self.rater_pos[r] for r in bucket.rater_ids])] = True
+        in_doc = np.arange(self.scores.shape[2]) < self.seg_counts[:, None]
+        required = in_doc[None, :, :, None] & member[None, :, None, :]
+        holes = np.isnan(self.scores) & required
         for doc_id, n_segs in self.documents.items():
             if n_segs < 1:
                 raise InconsistentBuckets(f"document {doc_id} has no segments")
-            bucket = self.bucket_of(doc_id)
-            for system_id in sorted(self.systems):
-                for rater_id in sorted(bucket.rater_ids):
-                    for seg in range(n_segs):
-                        if (doc_id, seg, system_id, rater_id) not in self.ratings:
-                            raise IncompleteRatings(
-                                f"missing rating for doc={doc_id} seg={seg} "
-                                f"system={system_id} rater={rater_id}"
-                            )
-        expected = sum(
-            n * len(self.systems) * len(self.bucket_of(d).rater_ids)
-            for d, n in self.documents.items()
-        )
+            # The document's holes in (system, rater, seg) order.
+            doc_holes = holes[:, self.doc_pos[doc_id]].transpose(0, 2, 1)
+            if doc_holes.any():
+                s, r, seg = np.unravel_index(np.argmax(doc_holes), doc_holes.shape)
+                raise IncompleteRatings(
+                    f"missing rating for doc={doc_id} seg={seg} "
+                    f"system={self.system_axis[s]} rater={self.rater_axis[r]}"
+                )
+        expected = len(self.systems) * int(required.sum())
         if len(self.ratings) != expected:
             raise InconsistentBuckets(
                 f"unexpected ratings present ({len(self.ratings)} rows, expected {expected})"
@@ -311,9 +346,12 @@ def ingest_lines(lines: Iterable[str], mapping=None, weights=None) -> RatingData
         score_text = get(row, "score")
         if score_text != "":
             try:
-                state["scores"].append(float(score_text))
+                score = float(score_text)
             except ValueError:
-                raise ParseError(f"invalid score: {score_text!r}", line=lineno) from None
+                score = math.nan
+            if math.isnan(score):  # NaN marks unrated cells in the score array
+                raise ParseError(f"invalid score: {score_text!r}", line=lineno)
+            state["scores"].append(score)
         if severity_text != "":
             try:
                 severity = Severity.parse(severity_text)

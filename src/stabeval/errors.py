@@ -65,10 +65,6 @@ class UnknownRater(StabevalError):
     pass
 
 
-class NoSharedDocuments(StabevalError):
-    pass
-
-
 class TargetUnreachable(StabevalError):
     pass
 

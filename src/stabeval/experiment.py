@@ -60,6 +60,16 @@ class StudyConfig:
             raise ConfigError("ratings_per_item must be 1 or 2")
         if self.doc_resampling not in (Resampling.PER_STUDY, Resampling.PER_50):
             raise ConfigError(f"unknown doc_resampling {self.doc_resampling!r}")
+        if self.n_permutations < 1:
+            raise ConfigError("n_permutations must be >= 1")
+        if 1.0 / (1 + self.n_permutations) > self.alpha:
+            # The smallest attainable p-value is 1 / (1 + n_permutations): no pair
+            # could ever be significant, so SRP would be vacuously 1.
+            raise ConfigError(
+                f"n_permutations={self.n_permutations} can never reach alpha={self.alpha:g}"
+            )
+        if self.grouping is Grouping.SYSTEM_BALANCED and self.balancing.kind != "fully_balanced":
+            raise ConfigError("system_balanced grouping is only defined with fully_balanced")
 
     @property
     def effective_documents(self) -> int:
@@ -83,17 +93,34 @@ class RankingResult:
 
 
 def select_ratings(ds: RatingDataset, plan: AssignmentPlan) -> ScoredStudy:
-    """Pull the real ratings selected by an assignment plan into a study."""
-    entries = []
-    for (doc_id, system_id), raters in plan.assignments.items():
-        n_segs = ds.documents[doc_id]
-        for rater_id in sorted(raters):
-            for seg in range(n_segs):
-                rating = ds.ratings[(doc_id, seg, system_id, rater_id)]
-                entries.append(
-                    (doc_id, seg, system_id, rater_id, rating.score, rating.n_errors)
-                )
-    return ScoredStudy.from_entries(entries)
+    """Pull the real ratings selected by an assignment plan into a study.
+
+    Entries come out in (system, doc, seg, rater) order over sorted ids, the
+    order ``ScoredStudy.from_entries`` sorts into.
+    """
+    cells = [
+        (ds.system_pos[system_id], ds.doc_pos[doc_id], ds.rater_pos[rater_id])
+        for (doc_id, system_id), raters in plan.assignments.items()
+        for rater_id in raters
+    ]
+    chosen = np.zeros(ds.scores.shape[:2] + ds.scores.shape[3:], dtype=bool)
+    chosen[tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T)] = True
+    mask = chosen[:, :, None, :] & ~np.isnan(ds.scores)
+    sys_ix, doc_ix, seg_ix, rater_ix = np.nonzero(mask)
+    systems, sys_ix = np.unique(sys_ix, return_inverse=True)
+    docs, doc_ix = np.unique(doc_ix, return_inverse=True)
+    raters, rater_ix = np.unique(rater_ix, return_inverse=True)
+    return ScoredStudy(
+        [ds.system_axis[i] for i in systems],
+        [ds.rater_axis[i] for i in raters],
+        [ds.doc_axis[i] for i in docs],
+        sys_ix,
+        rater_ix,
+        doc_ix,
+        seg_ix,
+        ds.scores[mask],
+        ds.n_errors[mask],
+    )
 
 
 def simulate_study(
@@ -128,7 +155,7 @@ class SweepPoint:
     n_documents: int
     srp: float
     n_pairs: int
-    wall_time: float
+    wall_time: float  # progress lines only; sweep.json stays free of timings
     study_means: list[dict[str, float]]
     matrices: Optional[list[SignificanceMatrix]] = None
 
@@ -198,7 +225,6 @@ class SweepResult:
                 "n_documents": point.n_documents,
                 "srp": point.srp,
                 "n_pairs": point.n_pairs,
-                "wall_time_s": point.wall_time,
                 "study_means": point.study_means,
             }
             if include_matrices and point.matrices is not None:
@@ -247,31 +273,36 @@ def run_sweep(
     """
     if doc_count_grid is None:
         doc_count_grid = [n for n in DEFAULT_DOC_GRID if n <= len(ds.documents)]
+    for config in configs:
+        for n_docs in doc_count_grid:
+            n_effective = replace(config, n_documents=n_docs).effective_documents
+            if n_effective > len(ds.documents):
+                raise ConfigError(
+                    f"doc_counts entry {n_docs} needs {n_effective} documents per study; "
+                    f"the dataset has {len(ds.documents)}"
+                )
     points: list[SweepPoint] = []
     for ci, config in enumerate(configs):
         for gi, n_docs in enumerate(doc_count_grid):
             config_point = replace(config, n_documents=n_docs)
             start = time.perf_counter()
-            tasks = []
+            seed, n_sims = config.master_seed, config_point.n_simulations
             if config_point.doc_resampling == Resampling.PER_50:
-                for si in range(config_point.n_simulations):
-                    di = si // 50
-                    tasks.append((config_point, (config.master_seed, ci, gi, di, si), di))
-                docsets = {}
-                for di in {t[2] for t in tasks}:
-                    docset_rng = np.random.default_rng(
-                        np.random.SeedSequence((config.master_seed, ci, gi, di))
+                docsets = [
+                    subsample_documents(
+                        ds,
+                        config_point.effective_documents,
+                        np.random.default_rng(np.random.SeedSequence((seed, ci, gi, di))),
                     )
-                    docsets[di] = subsample_documents(
-                        ds, config_point.effective_documents, docset_rng
-                    )
-                tasks = [(cfg, key, docsets[di]) for cfg, key, di in tasks]
+                    for di in range((n_sims + 49) // 50)
+                ]
+                tasks = [
+                    (config_point, (seed, ci, gi, si // 50, si), docsets[si // 50])
+                    for si in range(n_sims)
+                ]
                 pair_filter = same_documents
             else:
-                tasks = [
-                    (config_point, (config.master_seed, ci, gi, si, si), None)
-                    for si in range(config_point.n_simulations)
-                ]
+                tasks = [(config_point, (seed, ci, gi, si, si), None) for si in range(n_sims)]
                 pair_filter = None
 
             if threads > 1:
@@ -418,10 +449,9 @@ def _parse_balancing(value: str, tolerance: float) -> LoadBalancing:
         return LoadBalancing.fully_balanced()
     if value.startswith("entropy_target:"):
         try:
-            target = float(value.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"invalid load_balancing value {value!r}") from None
-        return LoadBalancing.entropy_target(target, tolerance)
+            return LoadBalancing.entropy_target(float(value.split(":", 1)[1]), tolerance)
+        except ValueError as exc:
+            raise ConfigError(f"invalid load_balancing value {value!r}: {exc}") from None
     raise ConfigError(f"invalid load_balancing value {value!r}")
 
 
@@ -436,13 +466,12 @@ def _study_from_section(section, defaults: dict, label: str) -> StudyConfig:
         normalization = NormalizationScheme(values.get("normalization", "unnormalized"))
     except ValueError:
         raise ConfigError(f"invalid normalization {values.get('normalization')!r}") from None
-    tolerance = float(values.get("entropy_tolerance", 0.03))
-    balancing = _parse_balancing(values.get("load_balancing", "fully_balanced"), tolerance)
     try:
+        tolerance = float(values.get("entropy_tolerance", 0.03))
         return StudyConfig(
             n_documents=int(values.get("num_documents", 1)),
             grouping=grouping,
-            balancing=balancing,
+            balancing=_parse_balancing(values.get("load_balancing", "fully_balanced"), tolerance),
             normalization=normalization,
             ratings_per_item=int(values.get("ratings_per_item", 1)),
             doc_resampling=values.get("doc_resampling", Resampling.PER_50),

@@ -226,25 +226,22 @@ def rater_agreement(ds: RatingDataset, granularity: str) -> AgreementReport:
     """
     if granularity not in ("single_document", "all_shared"):
         raise ValueError(f"unknown granularity {granularity!r}")
-    systems = sorted(ds.systems)
     raters = sorted(ds.raters)
-    # (rater, doc) -> per-system [sum, count] accumulators
-    acc: dict[tuple[str, str], np.ndarray] = {}
-    sys_pos = {s: i for i, s in enumerate(systems)}
-    for (doc_id, _seg, system_id, rater_id), rating in ds.ratings.items():
-        key = (rater_id, doc_id)
-        if key not in acc:
-            acc[key] = np.zeros((2, len(systems)))
-        a = acc[key]
-        a[0, sys_pos[system_id]] += rating.score
-        a[1, sys_pos[system_id]] += 1
+    # Per-(system, doc, rater) score sums, accumulated in segment order.
+    rated = ~np.isnan(ds.scores)
+    sums = np.zeros(rated.shape[:2] + rated.shape[3:])
+    for seg in range(rated.shape[2]):
+        sums += np.where(rated[:, :, seg], ds.scores[:, :, seg], 0.0)
+    counts = rated.sum(axis=2)
 
-    shared_docs: dict[tuple[str, str], list[str]] = {}
+    shared_docs: dict[tuple[str, str], list[int]] = {}
     for bucket in ds.buckets:
         bucket_raters = sorted(bucket.rater_ids)
         for i, r1 in enumerate(bucket_raters):
             for r2 in bucket_raters[i + 1 :]:
-                shared_docs.setdefault((r1, r2), []).extend(sorted(bucket.doc_ids))
+                shared_docs.setdefault((r1, r2), []).extend(
+                    ds.doc_pos[d] for d in sorted(bucket.doc_ids)
+                )
 
     per_pair: dict[tuple[str, str], float] = {}
     skipped: list[tuple[str, str]] = []
@@ -254,28 +251,23 @@ def rater_agreement(ds: RatingDataset, granularity: str) -> AgreementReport:
             if not docs:
                 skipped.append((r1, r2))
                 continue
+            pair = [ds.rater_pos[r1], ds.rater_pos[r2]]
             if granularity == "single_document":
                 taus = []
-                for doc in docs:
-                    m1 = acc[(r1, doc)][0] / acc[(r1, doc)][1]
-                    m2 = acc[(r2, doc)][0] / acc[(r2, doc)][1]
-                    tau = kendalltau(m1, m2).statistic
+                for d in docs:
+                    means = sums[:, d, pair] / counts[:, d, pair]
+                    tau = kendalltau(means[:, 0], means[:, 1]).statistic
                     if not np.isnan(tau):
                         taus.append(tau)
                 per_pair[(r1, r2)] = float(np.mean(taus)) if taus else float("nan")
             else:
-                sums1 = np.zeros(len(systems))
-                sums2 = np.zeros(len(systems))
-                counts1 = np.zeros(len(systems))
-                counts2 = np.zeros(len(systems))
-                for doc in docs:
-                    sums1 += acc[(r1, doc)][0]
-                    counts1 += acc[(r1, doc)][1]
-                    sums2 += acc[(r2, doc)][0]
-                    counts2 += acc[(r2, doc)][1]
-                per_pair[(r1, r2)] = float(
-                    kendalltau(sums1 / counts1, sums2 / counts2).statistic
-                )
+                total = np.zeros((len(ds.system_axis), 2))
+                n = np.zeros((len(ds.system_axis), 2))
+                for d in docs:
+                    total += sums[:, d, pair]
+                    n += counts[:, d, pair]
+                means = total / n
+                per_pair[(r1, r2)] = float(kendalltau(means[:, 0], means[:, 1]).statistic)
     values = [v for v in per_pair.values() if not np.isnan(v)]
     grand = float(np.mean(values)) if values else float("nan")
     return AgreementReport(per_pair, grand, skipped)

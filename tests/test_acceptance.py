@@ -298,16 +298,16 @@ def test_6_sweep_determinism(tmp_path):
         out = tmp_path / name
         code = main(
             ["sweep", "--dataset", str(dataset), "--config", str(sweep_cfg),
-             "--out", str(out), "--threads", threads]
+             "--out", str(out), "--threads", threads, "--matrices"]
         )
         assert code == 0
-        outputs.append((out / "sweep.csv").read_bytes())
+        outputs.append(((out / "sweep.csv").read_bytes(), (out / "sweep.json").read_bytes()))
     elapsed = time.perf_counter() - start
 
     ok = outputs[0] == outputs[1] and elapsed < 120.0
     report(
-        6, "byte-identical sweep output across runs and thread counts", ok,
-        f"{len(outputs[0])} bytes, {elapsed:.1f}s",
+        6, "byte-identical sweep.csv and sweep.json across runs and thread counts", ok,
+        f"{len(outputs[0][0])} + {len(outputs[0][1])} bytes, {elapsed:.1f}s",
     )
 
 

@@ -6,10 +6,8 @@ import pytest
 from stabeval.assignment import (
     Grouping,
     LoadBalancing,
+    assign_balanced,
     assign_entropy_target,
-    assign_no_grouping,
-    assign_psxs_balanced,
-    assign_system_balanced,
     build_plan,
     min_instantiable_entropy,
     subsample_documents,
@@ -41,17 +39,17 @@ def full_workload(plan, ds):
 class TestPsxsBalanced:
     def test_divisible_bucket(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=3)
-        plan = assign_psxs_balanced(ds, ds.documents, rng)
+        plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng)
         assert sorted(doc_counts(plan).values()) == [2, 2, 2]
 
     def test_pigeonhole_bucket(self, rng):
         ds = make_layout_dataset([7], [("r1", "r2", "r3")], n_systems=2)
-        plan = assign_psxs_balanced(ds, ds.documents, rng)
+        plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng)
         assert sorted(doc_counts(plan).values()) == [2, 2, 3]
 
     def test_document_grouping_invariant(self, rng):
         ds = make_layout_dataset([5, 5], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=4)
-        plan = assign_psxs_balanced(ds, ds.documents, rng)
+        plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng)
         by_doc = {}
         for (doc, _sys), raters in plan.assignments.items():
             by_doc.setdefault(doc, set()).add(raters)
@@ -59,7 +57,7 @@ class TestPsxsBalanced:
 
     def test_rotation_layout_near_uniform_entropy(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
-        plan = assign_psxs_balanced(ds, ds.documents, rng)
+        plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng)
         entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
         assert entropy >= 0.99
 
@@ -67,7 +65,7 @@ class TestPsxsBalanced:
 class TestSystemBalanced:
     def test_divisible_counts(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=3)
-        plan = assign_system_balanced(ds, ds.documents, rng)
+        plan = assign_balanced(ds, ds.documents, Grouping.SYSTEM_BALANCED, rng)
         per_rater_system = Counter(
             (r, sys) for (_doc, sys), raters in plan.assignments.items() for r in raters
         )
@@ -75,7 +73,7 @@ class TestSystemBalanced:
 
     def test_spread_bound_on_uneven_layout(self, rng):
         ds = make_layout_dataset([7, 4], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=5)
-        plan = assign_system_balanced(ds, ds.documents, rng)
+        plan = assign_balanced(ds, ds.documents, Grouping.SYSTEM_BALANCED, rng)
         for bucket in ds.buckets:
             for system in ds.systems:
                 counts = Counter()
@@ -91,7 +89,7 @@ class TestSystemBalanced:
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=4)
         split_seen = False
         for seed in range(10):
-            plan = assign_system_balanced(ds, ds.documents, np.random.default_rng(seed))
+            plan = assign_balanced(ds, ds.documents, Grouping.SYSTEM_BALANCED, np.random.default_rng(seed))
             for doc in ds.documents:
                 raters = {plan.assignments[(doc, s)] for s in sorted(ds.systems)}
                 if len(raters) > 1:
@@ -102,15 +100,15 @@ class TestSystemBalanced:
 class TestNoGrouping:
     def test_item_pigeonhole(self, rng):
         ds = make_layout_dataset([1], [("r1", "r2", "r3")], n_systems=4)
-        plan = assign_no_grouping(ds, ds.documents, LoadBalancing.fully_balanced(), rng)
+        plan = assign_balanced(ds, ds.documents, Grouping.NO_GROUPING, rng)
         assert sorted(plan.workload().values()) == [1, 1, 2]
 
     def test_breaks_document_grouping(self):
         ds = make_layout_dataset([1], [("r1", "r2", "r3")], n_systems=4)
         split_seen = False
         for seed in range(10):
-            plan = assign_no_grouping(
-                ds, ds.documents, LoadBalancing.fully_balanced(), np.random.default_rng(seed)
+            plan = assign_balanced(
+                ds, ds.documents, Grouping.NO_GROUPING, np.random.default_rng(seed)
             )
             if len(set(plan.assignments.values())) > 1:
                 split_seen = True
@@ -118,8 +116,8 @@ class TestNoGrouping:
 
     def test_entropy_zero_single_bucket(self, rng):
         ds = make_layout_dataset([4], [("r1", "r2", "r3")], n_systems=3)
-        plan = assign_no_grouping(
-            ds, ds.documents, LoadBalancing.entropy_target(0.0), rng
+        plan = build_plan(
+            ds, ds.documents, Grouping.NO_GROUPING, LoadBalancing.entropy_target(0.0), 1, rng
         )
         assert len({r for raters in plan.assignments.values() for r in raters}) == 1
 
@@ -168,20 +166,20 @@ class TestMinInstantiableEntropy:
 class TestPairAssignment:
     def test_pair_round_robin(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=2)
-        plan = assign_psxs_balanced(ds, ds.documents, rng, ratings_per_item=2)
+        plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng, ratings_per_item=2)
         assert all(len(raters) == 2 for raters in plan.assignments.values())
         assert sorted(plan.pair_workload().values()) == [4, 4, 4]  # 2 docs x 2 systems
         assert sorted(doc_counts(plan).values()) == [4, 4, 4]  # each rater in 2 of 3 pairs
 
     def test_pair_entropy_over_pair_workload(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=2)
-        plan = assign_psxs_balanced(ds, ds.documents, rng, ratings_per_item=2)
+        plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng, ratings_per_item=2)
         assert normalized_entropy(plan.pair_workload(), 3) == pytest.approx(1.0)
 
     def test_wrong_arity_rejected(self, rng):
         ds = make_layout_dataset([4], [("r1", "r2")], n_systems=2)
         with pytest.raises(BucketArityUnsupported):
-            assign_psxs_balanced(ds, ds.documents, rng, ratings_per_item=2)
+            assign_balanced(ds, ds.documents, Grouping.PSXS, rng, ratings_per_item=2)
 
 
 class TestSubsampleDocuments:

@@ -148,3 +148,39 @@ def test_usage_error_exit_code():
 
 def test_missing_file_exit_code(tmp_path):
     assert main(["validate", "--dataset", str(tmp_path / "missing.tsv")]) == 3
+
+
+@pytest.mark.parametrize(
+    "study, doc_counts",
+    [
+        ("load_balancing = entropy_target:1.5\n", "6"),
+        ("item_grouping = system_balanced\nload_balancing = entropy_target:0.5\n", "6"),
+        ("item_grouping = psxs\n", "6 24"),
+        ("n_permutations = 0\n", "6"),
+        ("n_permutations = 5\n", "6"),
+        ("entropy_tolerance = wide\n", "6"),
+    ],
+    ids=[
+        "entropy_target_above_one",
+        "system_balanced_with_entropy_target",
+        "doc_count_above_pool",
+        "zero_permutations",
+        "permutations_cannot_reach_alpha",
+        "entropy_tolerance_not_a_number",
+    ],
+)
+def test_sweep_config_error_exit_code(synth_tsv, tmp_path, capsys, study, doc_counts):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        f"[sweep]\ndoc_counts = {doc_counts}\nseed = 3\nn_simulations = 4\n"
+        f"n_permutations = 50\n[study:bad]\n{study}"
+    )
+    code = main(
+        ["sweep", "--dataset", str(synth_tsv), "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--threads", "2"]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert "srp=" not in err  # rejected before any sweep point ran

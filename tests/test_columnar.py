@@ -1,0 +1,177 @@
+"""Identity checks for the dense rating arrays and the round-robin dealer.
+
+``select_ratings`` reads the dataset's (system, doc, seg, rater) score array;
+``select_ratings_oracle`` below is the per-rating dict lookup it replaced,
+kept as the reference it must match bit for bit.
+"""
+
+import hashlib
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from stabeval.assignment import Grouping, LoadBalancing, build_plan, subsample_documents
+from stabeval.corpus import Bucket, ErrorAnnotation, RatingDataset, SegmentRating, Severity
+from stabeval.errors import StabevalError
+from stabeval.experiment import (
+    GeneratorSpec,
+    Resampling,
+    StudyConfig,
+    generate_synthetic,
+    run_sweep,
+    select_ratings,
+)
+from stabeval.scoring import NormalizationScheme, ScoredStudy, normalize
+
+# Overlapping rater triples, so a study's rater set depends on its documents.
+BUCKET_RATERS = (("A", "B", "C"), ("B", "C", "D"), ("D", "E", "F"))
+DOCS_PER_BUCKET = 4
+
+
+def select_ratings_oracle(ds, plan) -> ScoredStudy:
+    entries = []
+    for (doc_id, system_id), raters in plan.assignments.items():
+        n_segs = ds.documents[doc_id]
+        for rater_id in sorted(raters):
+            for seg in range(n_segs):
+                rating = ds.ratings[(doc_id, seg, system_id, rater_id)]
+                entries.append(
+                    (doc_id, seg, system_id, rater_id, rating.score, rating.n_errors)
+                )
+    return ScoredStudy.from_entries(entries)
+
+
+def annotated_dataset(seed: int, score_only: bool) -> RatingDataset:
+    """Three buckets, 1-4 segments per document, 0-3 errors per rating.
+
+    Document ids are inserted in shuffled order, so sorted-id order differs
+    from insertion order.
+    """
+    rng = np.random.default_rng(seed)
+    names = [f"d{i:02d}" for i in rng.permutation(len(BUCKET_RATERS) * DOCS_PER_BUCKET)]
+    systems = ["sysB", "sysA", "sysD", "sysC"]
+    documents, buckets, ratings = {}, [], {}
+    for b, raters in enumerate(BUCKET_RATERS):
+        docs = names[b * DOCS_PER_BUCKET : (b + 1) * DOCS_PER_BUCKET]
+        buckets.append(Bucket(f"b{b}", frozenset(docs), frozenset(raters)))
+        for doc in docs:
+            documents[doc] = int(rng.integers(1, 5))
+            for seg in range(documents[doc]):
+                for system in systems:
+                    for rater in raters:
+                        n = int(rng.integers(0, 4))
+                        annotations = None if score_only else (
+                            (ErrorAnnotation("Accuracy", Severity.MINOR),) * n
+                        )
+                        ratings[(doc, seg, system, rater)] = SegmentRating(
+                            doc, seg, system, rater, annotations, n + float(rng.random())
+                        )
+    ds = RatingDataset(
+        "xx-yy", documents, frozenset(systems),
+        frozenset(r for raters in BUCKET_RATERS for r in raters), tuple(buckets), ratings,
+    )
+    ds.validate()
+    return ds
+
+
+def assert_same_study(got: ScoredStudy, want: ScoredStudy) -> None:
+    assert (got.systems, got.raters, got.docs) == (want.systems, want.raters, want.docs)
+    for name in ("sys_ix", "rater_ix", "doc_ix", "seg_ix", "scores", "n_errors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=True), name
+
+
+def normalized_or_error(study, scheme):
+    try:
+        return normalize(study, scheme)
+    except StabevalError as exc:
+        return type(exc)
+
+
+balancings = st.one_of(
+    st.just(LoadBalancing.fully_balanced()),
+    # A tolerance of 1 accepts the first greedy pass, so every target is reachable.
+    st.floats(0.0, 1.0).map(lambda t: LoadBalancing.entropy_target(t, tolerance=1.0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grouping=st.sampled_from(list(Grouping)),
+    balancing=balancings,
+    ratings_per_item=st.sampled_from([1, 2]),
+    n_docs=st.integers(1, len(BUCKET_RATERS) * DOCS_PER_BUCKET),
+    score_only=st.booleans(),
+)
+def test_select_ratings_matches_dict_oracle(
+    seed, grouping, balancing, ratings_per_item, n_docs, score_only
+):
+    if grouping is Grouping.SYSTEM_BALANCED:
+        balancing = LoadBalancing.fully_balanced()
+    ds = annotated_dataset(seed % 1000, score_only)
+    rng = np.random.default_rng(seed)
+    subset = subsample_documents(ds, n_docs, rng)
+    plan = build_plan(ds, subset, grouping, balancing, ratings_per_item, rng)
+    got, want = select_ratings(ds, plan), select_ratings_oracle(ds, plan)
+    assert_same_study(got, want)
+    for scheme in NormalizationScheme:
+        got_n, want_n = normalized_or_error(got, scheme), normalized_or_error(want, scheme)
+        if isinstance(want_n, ScoredStudy):
+            assert_same_study(got_n, want_n)
+        else:
+            assert got_n is want_n
+
+
+def test_dataset_arrays_hold_every_rating():
+    ds = annotated_dataset(3, score_only=False)
+    assert np.count_nonzero(~np.isnan(ds.scores)) == len(ds.ratings)
+    for (doc, seg, system, rater), rating in ds.ratings.items():
+        cell = (ds.system_pos[system], ds.doc_pos[doc], seg, ds.rater_pos[rater])
+        assert ds.scores[cell] == rating.score
+        assert ds.n_errors[cell] == rating.n_errors
+
+
+# sweep.csv of golden_sweep() as produced by the per-rating dict selection and
+# the three separate round-robin dealers that the arrays and _deal replaced.
+GOLDEN_SWEEP_SHA256 = "4556ea7716ab1b5f71772fd3cafc2daebe840dd465da12b924d6835487454a34"
+
+
+def golden_sweep() -> str:
+    ds = generate_synthetic(
+        GeneratorSpec(
+            n_documents=24, segments_per_doc=3, n_systems=5, harshness=(0.5, 1.0, 2.0),
+            quality_range=(0.0, 1.0), item_noise_sigma=1.0, rater_noise_sigma=0.5,
+            doc_preference_sigma=0.5,
+        ),
+        np.random.default_rng(2024),
+    )
+    common = dict(
+        n_documents=24, n_simulations=12, n_permutations=50, master_seed=17,
+        doc_resampling=Resampling.PER_STUDY,
+    )
+    per_50 = {**common, "doc_resampling": Resampling.PER_50}
+    N = NormalizationScheme
+    configs = [
+        StudyConfig(**{**per_50, "n_simulations": 60}, label="psxs"),
+        StudyConfig(**common, grouping=Grouping.SYSTEM_BALANCED, normalization=N.MEAN,
+                    label="sysbal"),
+        StudyConfig(**common, grouping=Grouping.NO_GROUPING, normalization=N.ZSCORE,
+                    label="nogroup"),
+        StudyConfig(**common, balancing=LoadBalancing.entropy_target(0.87),
+                    label="psxs_entropy"),
+        StudyConfig(**common, grouping=Grouping.NO_GROUPING,
+                    balancing=LoadBalancing.entropy_target(0.6), normalization=N.ZSCORE,
+                    label="nogroup_entropy"),
+        StudyConfig(**per_50, ratings_per_item=2, label="double"),
+        StudyConfig(**common, grouping=Grouping.SYSTEM_BALANCED, ratings_per_item=2,
+                    label="double_sysbal"),
+    ]
+    return run_sweep(ds, configs, doc_count_grid=[8, 24]).to_csv()
+
+
+def test_golden_sweep_csv():
+    text = golden_sweep()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SWEEP_SHA256, text
+

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,7 @@ from stabeval.errors import (
     ScoreMismatch,
 )
 
-from conftest import tiny_tsv_rows
+from conftest import make_layout_dataset, tiny_tsv_rows
 
 
 def test_ingest_tiny_fixture(tiny_tsv):
@@ -58,6 +59,38 @@ def test_severity_error_carries_line_number():
 def test_incomplete_ratings_detected():
     rows = [r for r in tiny_tsv_rows() if "\tdoc2\t0\tsysB\tr3\t" not in r]
     with pytest.raises(IncompleteRatings, match="doc2"):
+        ingest_lines(io.StringIO("\n".join(rows)))
+
+
+def test_incomplete_ratings_names_first_hole_in_document_order():
+    ds = make_layout_dataset(
+        [2, 2], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=3, segs_per_doc=2
+    )
+    holes = {("d001", 0, "s01", "r2"), ("d001", 1, "s01", "r1"), ("d001", 0, "s02", "r1"),
+             ("d003", 0, "s00", "r4"), ("d003", 1, "s00", "r4")}
+    ratings = {k: v for k, v in ds.ratings.items() if k not in holes}
+    with pytest.raises(IncompleteRatings) as exc:
+        replace(ds, ratings=ratings).validate()
+    # documents in insertion order, then system, rater, segment
+    assert str(exc.value) == "missing rating for doc=d001 seg=1 system=s01 rater=r1"
+    reordered = dict(reversed(list(ds.documents.items())))
+    with pytest.raises(IncompleteRatings) as exc:
+        replace(ds, documents=reordered, ratings=ratings).validate()
+    assert str(exc.value) == "missing rating for doc=d003 seg=0 system=s00 rater=r4"
+
+
+def test_rating_outside_document_segments_rejected():
+    ds = make_layout_dataset([2], [("r1", "r2", "r3")], segs_per_doc=2)
+    extra = dict(ds.ratings)
+    extra[("d000", 2, "s00", "r1")] = corpus.SegmentRating("d000", 2, "s00", "r1", None, 1.0)
+    with pytest.raises(InconsistentBuckets, match="unexpected ratings"):
+        replace(ds, ratings=extra).validate()
+
+
+def test_nan_score_rejected():
+    rows = tiny_tsv_rows()
+    rows[4] = rows[4].replace("\t\t\t\t\t\t", "\t\t\t\t\tnan\t")
+    with pytest.raises(ParseError, match="line 5: invalid score"):
         ingest_lines(io.StringIO("\n".join(rows)))
 
 
