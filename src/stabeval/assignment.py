@@ -49,60 +49,47 @@ class LoadBalancing:
 
 @dataclass
 class AssignmentPlan:
-    """Item -> rater-set assignment for one simulated study."""
+    """Rater assignment for one simulated study: ``chosen[s, d, r]`` is True iff
+    rater r rates system s's output of document d, over the dataset's
+    ``system_axis``, ``doc_axis`` and ``rater_axis``."""
 
-    assignments: dict[tuple[str, str], frozenset[str]]  # (doc_id, system_id) -> raters
+    chosen: np.ndarray  # bool, (system, doc, rater)
+    raters: tuple[str, ...]  # the dataset's rater_axis
     grouping: Grouping
     balancing: LoadBalancing
     ratings_per_item: int
 
     def workload(self) -> dict[str, int]:
-        """Item-rating counts per individual rater."""
-        counts: dict[str, int] = {}
-        for raters in self.assignments.values():
-            for r in raters:
-                counts[r] = counts.get(r, 0) + 1
-        return counts
-
-    def pair_workload(self) -> dict[frozenset, int]:
-        counts: dict[frozenset, int] = {}
-        for raters in self.assignments.values():
-            counts[raters] = counts.get(raters, 0) + 1
-        return counts
+        """Item-rating counts per rater, for raters with at least one item."""
+        counts = self.chosen.sum(axis=(0, 1))
+        return {self.raters[r]: int(counts[r]) for r in np.flatnonzero(counts)}
 
     def validate(self, ds: RatingDataset) -> None:
-        by_doc: dict[str, frozenset] = {}
-        for (doc_id, system), raters in self.assignments.items():
-            if not raters <= ds.bucket_of(doc_id).rater_ids:
-                raise ValueError(
-                    f"raters {sorted(raters)} not eligible for document {doc_id}"
-                )
-            if len(raters) != self.ratings_per_item:
-                raise ValueError(
-                    f"item ({doc_id}, {system}) assigned {len(raters)} raters, "
-                    f"expected {self.ratings_per_item}"
-                )
-            if self.grouping is Grouping.PSXS and by_doc.setdefault(doc_id, raters) != raters:
-                raise ValueError(f"pSxS violated for document {doc_id}")
+        """Every rater is eligible, every item of a covered document has
+        ``ratings_per_item`` raters, and pSxS documents share them."""
+        per_item = self.chosen.sum(axis=2)
+        if (self.chosen & ~ds.eligible).any():
+            raise ValueError("a rater is assigned outside its document's bucket")
+        if (per_item[:, per_item.any(axis=0)] != self.ratings_per_item).any():
+            raise ValueError(f"an item is not assigned exactly {self.ratings_per_item} raters")
+        if self.grouping is Grouping.PSXS and (self.chosen != self.chosen[:1]).any():
+            raise ValueError("pSxS violated: a document's systems have different raters")
 
 
-def _shuffled(seq: Iterable, rng) -> list:
-    items = list(seq)
-    order = rng.permutation(len(items))
-    return [items[i] for i in order]
-
-
-def _bucket_alphabet(bucket: Bucket, ratings_per_item: int) -> list[frozenset[str]]:
-    raters = sorted(bucket.rater_ids)
+def _bucket_alphabet(
+    ds: RatingDataset, bucket: Bucket, ratings_per_item: int
+) -> list[tuple[int, ...]]:
+    """The bucket's raters (or rater pairs) as sorted rater-position tuples."""
+    raters = sorted(ds.rater_pos[r] for r in bucket.rater_ids)
     if ratings_per_item == 1:
-        return [frozenset((r,)) for r in raters]
+        return [(r,) for r in raters]
     if ratings_per_item == 2:
         if len(raters) != 3:
             raise BucketArityUnsupported(
                 f"double-rating requires buckets of exactly 3 raters; "
                 f"bucket {bucket.bucket_id} has {len(raters)}"
             )
-        return [frozenset(pair) for pair in itertools.combinations(raters, 2)]
+        return list(itertools.combinations(raters, 2))
     raise BucketArityUnsupported(f"unsupported ratings_per_item={ratings_per_item}")
 
 
@@ -137,11 +124,25 @@ def subsample_documents(ds: RatingDataset, n_target: int, rng) -> frozenset[str]
     return frozenset(chosen)
 
 
-def _deal(units: list, alphabet: list, rng) -> list[tuple]:
-    """Shuffle the units, shuffle the alphabet, then deal units round-robin."""
-    units = _shuffled(units, rng)
-    alphabet = _shuffled(alphabet, rng)
-    return [(unit, alphabet[i % len(alphabet)]) for i, unit in enumerate(units)]
+def _deal(n_units: int, alphabet: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffle the units, shuffle the alphabet, then deal units round-robin.
+
+    Returns the unit indices in dealing order and each one's alphabet row.
+    """
+    units = rng.permutation(n_units)
+    alphabet = alphabet[rng.permutation(len(alphabet))]
+    return units, alphabet[np.arange(n_units) % len(alphabet)]
+
+
+def _mark(chosen: np.ndarray, grouping: Grouping, docs: np.ndarray, units, slots) -> None:
+    """Set each unit's rater slots in ``chosen``.  Under pSxS a unit indexes
+    ``docs`` and covers every system; otherwise it indexes the (doc, system)
+    items over ``docs`` in doc-major order."""
+    if grouping is Grouping.PSXS:
+        chosen[:, docs[units, None], slots] = True
+    else:
+        n_systems = chosen.shape[0]
+        chosen[units[:, None] % n_systems, docs[units // n_systems, None], slots] = True
 
 
 def assign_balanced(
@@ -160,36 +161,36 @@ def assign_balanced(
     document alignment), and a (doc, system) item without grouping.
     """
     subset = set(doc_subset)
-    systems = sorted(ds.systems)
-    assignments: dict[tuple[str, str], frozenset[str]] = {}
+    n_systems = len(ds.system_axis)
+    chosen = np.zeros((n_systems, *ds.eligible.shape), dtype=bool)
     for bucket in _sorted_buckets(ds):
-        docs = sorted(bucket.doc_ids & subset)
-        if not docs:
+        docs = np.array(sorted(ds.doc_pos[d] for d in bucket.doc_ids & subset), dtype=np.intp)
+        if not len(docs):
             continue
-        alphabet = _bucket_alphabet(bucket, ratings_per_item)
-        if grouping is Grouping.PSXS:
-            for doc, raters in _deal(docs, alphabet, rng):
-                assignments.update(((doc, system), raters) for system in systems)
-        elif grouping is Grouping.SYSTEM_BALANCED:
-            for system in systems:
-                for doc, raters in _deal(docs, alphabet, rng):
-                    assignments[(doc, system)] = raters
+        alphabet = np.array(_bucket_alphabet(ds, bucket, ratings_per_item))
+        if grouping is Grouping.SYSTEM_BALANCED:
+            for s in range(n_systems):
+                units, slots = _deal(len(docs), alphabet, rng)
+                chosen[s, docs[units, None], slots] = True
         else:
-            assignments.update(_deal([(d, s) for d in docs for s in systems], alphabet, rng))
-    plan = AssignmentPlan(assignments, grouping, LoadBalancing.fully_balanced(), ratings_per_item)
+            n_units = len(docs) * (1 if grouping is Grouping.PSXS else n_systems)
+            _mark(chosen, grouping, docs, *_deal(n_units, alphabet, rng))
+    plan = AssignmentPlan(
+        chosen, ds.rater_axis, grouping, LoadBalancing.fully_balanced(), ratings_per_item
+    )
     plan.validate(ds)
     return plan
 
 
-def _entropy_pool(ds: RatingDataset, ratings_per_item: int) -> list:
-    """Workload alphabet over the whole dataset: one-rater sets, or rater pairs
+def _entropy_pool(ds: RatingDataset, ratings_per_item: int) -> list[tuple[int, ...]]:
+    """Workload alphabet over the whole dataset: single raters, or rater pairs
     when double-rated (entropy is then computed over pair workloads)."""
     if ratings_per_item == 1:
-        return [frozenset((r,)) for r in sorted(ds.raters)]
+        return [(ds.rater_pos[r],) for r in sorted(ds.raters)]
     symbols = set()
     for bucket in _sorted_buckets(ds):
-        symbols.update(_bucket_alphabet(bucket, ratings_per_item))
-    return sorted(symbols, key=sorted)
+        symbols.update(_bucket_alphabet(ds, bucket, ratings_per_item))
+    return sorted(symbols)
 
 
 def assign_entropy_target(
@@ -199,7 +200,7 @@ def assign_entropy_target(
     tolerance: float = 0.03,
     rng=None,
     max_retries: int = 1000,
-    units: str = "documents",
+    grouping: Grouping = Grouping.PSXS,
     ratings_per_item: int = 1,
 ) -> AssignmentPlan:
     """Entropy-targeted assignment.
@@ -209,30 +210,25 @@ def assign_entropy_target(
     rater that brings the overall normalized workload entropy closest to the
     target (random tie-break).  The attempt is accepted iff the final entropy
     is within the tolerance of the target; otherwise both the initial
-    assignment and the visit order are resampled.
+    assignment and the visit order are resampled.  The unit is a document
+    under pSxS and a (doc, system) item without grouping.
     """
     if not (0.0 <= target <= 1.0):
         raise ValueError(f"target must be in [0, 1], got {target}")
-    subset = set(doc_subset)
-    systems = sorted(ds.systems)
+    if grouping is Grouping.SYSTEM_BALANCED:
+        raise ValueError("system-balanced grouping is only defined with full balancing")
     symbols = _entropy_pool(ds, ratings_per_item)
     pool_size = len(symbols)
     symbol_pos = {s: i for i, s in enumerate(symbols)}
-
-    if units == "documents":
-        unit_list = sorted(subset)
-        weights = {u: len(systems) for u in unit_list}
-    elif units == "items":
-        unit_list = [(d, s) for d in sorted(subset) for s in systems]
-        weights = {u: 1 for u in unit_list}
-    else:
-        raise ValueError(f"unknown unit kind {units!r}")
-
-    eligible: dict = {}
-    for unit in unit_list:
-        doc = unit if units == "documents" else unit[0]
-        alphabet = _bucket_alphabet(ds.bucket_of(doc), ratings_per_item)
-        eligible[unit] = [symbol_pos[a] for a in alphabet]
+    docs = np.array(sorted(ds.doc_pos[d] for d in doc_subset), dtype=np.intp)
+    psxs = grouping is Grouping.PSXS
+    n_systems = len(ds.system_axis)
+    weight = n_systems if psxs else 1  # items per unit
+    eligible = []  # per unit: the symbol indices of its bucket's alphabet
+    for d in docs:
+        alphabet = _bucket_alphabet(ds, ds.bucket_of(ds.doc_axis[d]), ratings_per_item)
+        eligible += [[symbol_pos[a] for a in alphabet]] * (1 if psxs else n_systems)
+    n_units = len(eligible)
 
     log_pool = np.log(pool_size)
 
@@ -242,35 +238,25 @@ def assign_entropy_target(
         return float(-(p * np.log(p)).sum() / log_pool)
 
     for _attempt in range(max_retries):
-        counts = np.zeros(pool_size)
-        chosen: dict = {}
-        for unit in unit_list:
-            pick = eligible[unit][rng.integers(len(eligible[unit]))]
-            chosen[unit] = pick
-            counts[pick] += weights[unit]
-        for unit in _shuffled(unit_list, rng):
-            w = weights[unit]
-            counts[chosen[unit]] -= w
-            candidates = eligible[unit]
+        picks = [candidates[rng.integers(len(candidates))] for candidates in eligible]
+        counts = np.bincount(picks, minlength=pool_size) * float(weight)
+        for u in rng.permutation(n_units):
+            counts[picks[u]] -= weight
+            candidates = eligible[u]
             gaps = np.empty(len(candidates))
             for k, cand in enumerate(candidates):
-                counts[cand] += w
+                counts[cand] += weight
                 gaps[k] = abs(entropy(counts) - target)
-                counts[cand] -= w
+                counts[cand] -= weight
             best = np.flatnonzero(gaps <= gaps.min() + 1e-12)
-            pick = candidates[best[rng.integers(len(best))]]
-            chosen[unit] = pick
-            counts[pick] += w
+            picks[u] = candidates[best[rng.integers(len(best))]]
+            counts[picks[u]] += weight
         if abs(entropy(counts) - target) <= tolerance:
-            assignments: dict[tuple[str, str], frozenset[str]] = {}
-            for unit, pick in chosen.items():
-                if units == "documents":
-                    assignments.update(((unit, system), symbols[pick]) for system in systems)
-                else:
-                    assignments[unit] = symbols[pick]
-            grouping = Grouping.PSXS if units == "documents" else Grouping.NO_GROUPING
+            chosen = np.zeros((n_systems, *ds.eligible.shape), dtype=bool)
+            _mark(chosen, grouping, docs, np.arange(n_units), np.array(symbols)[picks])
             plan = AssignmentPlan(
-                assignments,
+                chosen,
+                ds.rater_axis,
                 grouping,
                 LoadBalancing.entropy_target(target, tolerance),
                 ratings_per_item,
@@ -319,14 +305,12 @@ def build_plan(
     """Dispatch to the procedure implied by (grouping, balancing)."""
     if balancing.kind == "fully_balanced":
         return assign_balanced(ds, doc_subset, grouping, rng, ratings_per_item)
-    if grouping is Grouping.SYSTEM_BALANCED:
-        raise ValueError("system-balanced grouping is only defined with full balancing")
     return assign_entropy_target(
         ds,
         doc_subset,
         balancing.target,
         tolerance=balancing.tolerance,
         rng=rng,
-        units="documents" if grouping is Grouping.PSXS else "items",
+        grouping=grouping,
         ratings_per_item=ratings_per_item,
     )

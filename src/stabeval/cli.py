@@ -105,7 +105,7 @@ def cmd_agreement(args) -> int:
         for pair in single.skipped_pairs:
             writer.writerow([pair[0], pair[1], "no_shared_documents", "no_shared_documents"])
 
-    max_score = max(r.score for r in ds.ratings.values())
+    max_score = np.nanmax(ds.scores)
     edges = np.arange(0.0, np.floor(max_score) + 2.0)
     with open(out_dir / "rater_histograms.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -195,6 +195,13 @@ def _add_dataset_args(parser) -> None:
     parser.add_argument("--weights", help="weight-table config file")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabeval",
@@ -233,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="sweep config file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--matrices", action="store_true", help="include per-study matrices in JSON")
     p.set_defaults(func=cmd_sweep)
 

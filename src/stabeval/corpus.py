@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     IncompleteRatings,
     InconsistentBuckets,
     MissingColumn,
@@ -122,7 +123,8 @@ class RatingDataset:
     ``scores`` and ``n_errors`` hold the ratings as dense arrays indexed
     (system, doc, seg, rater) over the sorted ids in ``system_axis``,
     ``doc_axis`` and ``rater_axis``.  Unrated cells are NaN, and so are the
-    error counts of score-only ratings.
+    error counts of score-only ratings.  ``eligible`` is the (doc, rater)
+    bucket membership matrix.
     """
 
     language_pair: str
@@ -133,16 +135,20 @@ class RatingDataset:
     ratings: dict[tuple[str, int, str, str], SegmentRating]
 
     def __post_init__(self):
-        self._doc_bucket = {}
-        for bucket in self.buckets:
-            for doc in bucket.doc_ids:
-                self._doc_bucket[doc] = bucket
         self.system_axis = tuple(sorted(self.systems))
         self.doc_axis = tuple(sorted(self.documents))
         self.rater_axis = tuple(sorted(self.raters.union(*(b.rater_ids for b in self.buckets))))
         self.system_pos = {s: i for i, s in enumerate(self.system_axis)}
         self.doc_pos = {d: i for i, d in enumerate(self.doc_axis)}
         self.rater_pos = {r: i for i, r in enumerate(self.rater_axis)}
+        # eligible[d, r]: rater r belongs to document d's bucket.
+        self._doc_bucket = {}
+        self.eligible = np.zeros((len(self.doc_axis), len(self.rater_axis)), dtype=bool)
+        for bucket in self.buckets:
+            for doc in bucket.doc_ids:
+                self._doc_bucket[doc] = bucket
+            docs = [self.doc_pos[d] for d in bucket.doc_ids if d in self.doc_pos]
+            self.eligible[np.ix_(docs, [self.rater_pos[r] for r in bucket.rater_ids])] = True
         self.seg_counts = np.array([self.documents[d] for d in self.doc_axis], dtype=np.intp)
         shape = (
             len(self.system_axis),
@@ -190,12 +196,8 @@ class RatingDataset:
                 f"buckets do not partition the document set "
                 f"(unbucketed={sorted(missing)[:5]}, unknown={sorted(extra)[:5]})"
             )
-        member = np.zeros((len(self.doc_axis), len(self.rater_axis)), dtype=bool)
-        for bucket in self.buckets:
-            docs = [self.doc_pos[d] for d in bucket.doc_ids]
-            member[np.ix_(docs, [self.rater_pos[r] for r in bucket.rater_ids])] = True
         in_doc = np.arange(self.scores.shape[2]) < self.seg_counts[:, None]
-        required = in_doc[None, :, :, None] & member[None, :, None, :]
+        required = in_doc[None, :, :, None] & self.eligible[None, :, None, :]
         holes = np.isnan(self.scores) & required
         for doc_id, n_segs in self.documents.items():
             if n_segs < 1:
@@ -215,6 +217,20 @@ class RatingDataset:
             )
 
 
+def read_config(path, case_sensitive: bool = False, **options) -> dict[str, dict[str, str]]:
+    """Read a sectioned key-value config file into {section: {key: value}},
+    ``DEFAULT`` included; a syntax or encoding error becomes a ConfigError."""
+    parser = configparser.ConfigParser(**options)
+    if case_sensitive:
+        parser.optionxform = str
+    with open(path, encoding="utf-8") as handle:
+        try:
+            parser.read_file(handle)
+            return {name: dict(parser.items(name)) for name in ["DEFAULT", *parser.sections()]}
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+
+
 @dataclass
 class ColumnMapping:
     """Maps canonical column names to the columns of a concrete file."""
@@ -232,12 +248,8 @@ class ColumnMapping:
 
     @classmethod
     def from_file(cls, path) -> "ColumnMapping":
-        parser = configparser.ConfigParser()
-        parser.optionxform = str  # column names are case-sensitive
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
-        section = "columns" if parser.has_section("columns") else parser.default_section
-        return cls(dict(parser.items(section)))
+        sections = read_config(path, case_sensitive=True)  # column names are case-sensitive
+        return cls(sections.get("columns", sections["DEFAULT"]))
 
     def resolve(self, header: Sequence[str]) -> dict[str, int]:
         """Return canonical name -> column index for the columns present."""

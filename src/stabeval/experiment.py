@@ -3,7 +3,6 @@ sweep stability over document counts, and generate synthetic datasets."""
 
 from __future__ import annotations
 
-import configparser
 import csv
 import io
 import time
@@ -20,7 +19,7 @@ from .assignment import (
     build_plan,
     subsample_documents,
 )
-from .corpus import Bucket, RatingDataset, SegmentRating
+from .corpus import Bucket, RatingDataset, SegmentRating, read_config
 from .errors import ConfigError, InvalidSpec
 from .scoring import NormalizationScheme, ScoredStudy, normalize
 from .stats import SignificanceMatrix, same_documents, significance_matrix, srp
@@ -98,14 +97,7 @@ def select_ratings(ds: RatingDataset, plan: AssignmentPlan) -> ScoredStudy:
     Entries come out in (system, doc, seg, rater) order over sorted ids, the
     order ``ScoredStudy.from_entries`` sorts into.
     """
-    cells = [
-        (ds.system_pos[system_id], ds.doc_pos[doc_id], ds.rater_pos[rater_id])
-        for (doc_id, system_id), raters in plan.assignments.items()
-        for rater_id in raters
-    ]
-    chosen = np.zeros(ds.scores.shape[:2] + ds.scores.shape[3:], dtype=bool)
-    chosen[tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T)] = True
-    mask = chosen[:, :, None, :] & ~np.isnan(ds.scores)
+    mask = plan.chosen[:, :, None, :] & ~np.isnan(ds.scores)
     sys_ix, doc_ix, seg_ix, rater_ix = np.nonzero(mask)
     systems, sys_ix = np.unique(sys_ix, return_inverse=True)
     docs, doc_ix = np.unique(doc_ix, return_inverse=True)
@@ -123,6 +115,14 @@ def select_ratings(ds: RatingDataset, plan: AssignmentPlan) -> ScoredStudy:
     )
 
 
+def _check_pool_size(ds: RatingDataset, config: StudyConfig) -> None:
+    if config.effective_documents > len(ds.documents):
+        raise ConfigError(
+            f"{config.n_documents} documents per study need {config.effective_documents} "
+            f"from the pool; the dataset has {len(ds.documents)}"
+        )
+
+
 def simulate_study(
     ds: RatingDataset,
     config: StudyConfig,
@@ -136,6 +136,7 @@ def simulate_study(
     """
     rng = np.random.default_rng(seed)
     if doc_subset is None:
+        _check_pool_size(ds, config)
         doc_subset = subsample_documents(ds, config.effective_documents, rng)
     plan = build_plan(
         ds, doc_subset, config.grouping, config.balancing, config.ratings_per_item, rng
@@ -275,12 +276,7 @@ def run_sweep(
         doc_count_grid = [n for n in DEFAULT_DOC_GRID if n <= len(ds.documents)]
     for config in configs:
         for n_docs in doc_count_grid:
-            n_effective = replace(config, n_documents=n_docs).effective_documents
-            if n_effective > len(ds.documents):
-                raise ConfigError(
-                    f"doc_counts entry {n_docs} needs {n_effective} documents per study; "
-                    f"the dataset has {len(ds.documents)}"
-                )
+            _check_pool_size(ds, replace(config, n_documents=n_docs))
     points: list[SweepPoint] = []
     for ci, config in enumerate(configs):
         for gi, n_docs in enumerate(doc_count_grid):
@@ -488,10 +484,8 @@ def _study_from_section(section, defaults: dict, label: str) -> StudyConfig:
 def load_sweep_config(path) -> tuple[list[StudyConfig], Optional[list[int]]]:
     """Parse a sweep config: a [sweep] section with shared defaults and the
     document-count grid, plus one [study:NAME] section per methodology."""
-    parser = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as handle:
-        parser.read_file(handle)
-    defaults = dict(parser.items("sweep")) if parser.has_section("sweep") else {}
+    sections = read_config(path)
+    defaults = dict(sections.get("sweep", {}))
     grid = None
     if "doc_counts" in defaults:
         try:
@@ -499,14 +493,14 @@ def load_sweep_config(path) -> tuple[list[StudyConfig], Optional[list[int]]]:
         except ValueError:
             raise ConfigError("invalid doc_counts list") from None
     configs = []
-    for name in parser.sections():
+    for name, section in sections.items():
         if name == "study":
             label = "study"
         elif name.startswith("study:"):
             label = name.split(":", 1)[1]
         else:
             continue
-        configs.append(_study_from_section(dict(parser.items(name)), defaults, label))
+        configs.append(_study_from_section(section, defaults, label))
     if not configs:
         raise ConfigError("no [study:NAME] sections found")
     return configs, grid
@@ -519,12 +513,9 @@ def load_study_config(path) -> StudyConfig:
 
 
 def load_generator_spec(path) -> GeneratorSpec:
-    parser = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as handle:
-        parser.read_file(handle)
-    if not parser.has_section("generator"):
+    values = read_config(path).get("generator")
+    if values is None:
         raise ConfigError("generator spec needs a [generator] section")
-    values = dict(parser.items("generator"))
 
     def get_float_pair(key, default):
         if key not in values:

@@ -8,14 +8,13 @@ configurable with the de-facto MQM convention as default.
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import ErrorAnnotation, Severity
+from .corpus import ErrorAnnotation, Severity, read_config
 from .errors import ConfigError, DegenerateRater, MissingErrorCounts
 
 WILDCARD_SEVERITY = "*"
@@ -68,13 +67,10 @@ class WeightTable:
 
     @classmethod
     def from_file(cls, path) -> "WeightTable":
-        parser = configparser.ConfigParser(delimiters=("=",))
-        parser.optionxform = str  # category prefixes are case-sensitive
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
-        section = "weights" if parser.has_section("weights") else parser.default_section
+        # Keys are case-sensitive 'severity:prefix' pairs, so only '=' ends a key.
+        sections = read_config(path, case_sensitive=True, delimiters=("=",))
         entries = []
-        for key, value in parser.items(section):
+        for key, value in sections.get("weights", sections["DEFAULT"]).items():
             severity, _, prefix = key.partition(":")
             severity = severity.strip()
             try:

@@ -113,7 +113,7 @@ def significance_matrix(
     """Run the grouped permutation test for every system pair of a study."""
     n_sys = len(study.systems)
     if n_sys < 2:
-        raise ValueError("need at least 2 systems")
+        raise NoAdmissiblePairs(f"need at least 2 systems to rank, the study has {n_sys}")
     eff_sys, eff_doc, _, eff = study.effective_scores()
     n_docs = len(study.docs)
     sums = np.zeros((n_sys, n_docs))
@@ -288,9 +288,10 @@ def rater_distribution(
     """Histogram of one rater's segment-level scores."""
     if rater_id not in ds.raters:
         raise UnknownRater(f"unknown rater {rater_id!r}")
-    scores = np.array(
-        [r.score for r in ds.ratings.values() if r.rater_id == rater_id], dtype=np.float64
-    )
+    # (doc, seg, system) order is the sorted-key order of ingested ratings, so
+    # the mean sums in the order a scan of ``ds.ratings`` would.
+    scores = ds.scores[..., ds.rater_pos[rater_id]].transpose(1, 2, 0).ravel()
+    scores = scores[~np.isnan(scores)]
     edges = np.asarray(bin_edges, dtype=np.float64)
     counts, edges = np.histogram(scores, bins=edges)
     return ScoreHistogram(edges, counts, float(scores.mean()), float(np.median(scores)), len(scores))

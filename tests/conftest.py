@@ -71,6 +71,13 @@ def make_layout_dataset(
     return ds
 
 
+def plan_items(plan, ds):
+    """Yield (doc_id, system_id, frozenset of rater ids) per item of a plan."""
+    for s, d in np.argwhere(plan.chosen.any(axis=2)):
+        raters = frozenset(ds.rater_axis[r] for r in np.flatnonzero(plan.chosen[s, d]))
+        yield ds.doc_axis[d], ds.system_axis[s], raters
+
+
 TINY_HEADER = (
     "lang_pair\tbucket_id\tdoc_id\tseg_index\tsystem_id\trater_id\t"
     "severity\tcategory\tspan_start\tspan_end\tscore\ttarget_text"

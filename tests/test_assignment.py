@@ -19,16 +19,21 @@ from stabeval.errors import (
 )
 from stabeval.stats import normalized_entropy
 
-from conftest import DISJOINT_LAYOUT, ROTATION_LAYOUT, make_layout_dataset
+from conftest import DISJOINT_LAYOUT, ROTATION_LAYOUT, make_layout_dataset, plan_items
 
 
-def doc_counts(plan):
+def doc_counts(plan, ds):
     """Documents per rater, counting each (doc, rater) once."""
     seen = set()
-    for (doc, _sys), raters in plan.assignments.items():
+    for doc, _sys, raters in plan_items(plan, ds):
         for r in raters:
             seen.add((doc, r))
     return Counter(r for _doc, r in seen)
+
+
+def pair_workload(plan, ds):
+    """Items per rater set."""
+    return Counter(raters for _doc, _sys, raters in plan_items(plan, ds))
 
 
 def full_workload(plan, ds):
@@ -40,18 +45,18 @@ class TestPsxsBalanced:
     def test_divisible_bucket(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=3)
         plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng)
-        assert sorted(doc_counts(plan).values()) == [2, 2, 2]
+        assert sorted(doc_counts(plan, ds).values()) == [2, 2, 2]
 
     def test_pigeonhole_bucket(self, rng):
         ds = make_layout_dataset([7], [("r1", "r2", "r3")], n_systems=2)
         plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng)
-        assert sorted(doc_counts(plan).values()) == [2, 2, 3]
+        assert sorted(doc_counts(plan, ds).values()) == [2, 2, 3]
 
     def test_document_grouping_invariant(self, rng):
         ds = make_layout_dataset([5, 5], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=4)
         plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng)
         by_doc = {}
-        for (doc, _sys), raters in plan.assignments.items():
+        for doc, _sys, raters in plan_items(plan, ds):
             by_doc.setdefault(doc, set()).add(raters)
         assert all(len(rater_sets) == 1 for rater_sets in by_doc.values())
 
@@ -67,7 +72,7 @@ class TestSystemBalanced:
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=3)
         plan = assign_balanced(ds, ds.documents, Grouping.SYSTEM_BALANCED, rng)
         per_rater_system = Counter(
-            (r, sys) for (_doc, sys), raters in plan.assignments.items() for r in raters
+            (r, sys) for _doc, sys, raters in plan_items(plan, ds) for r in raters
         )
         assert all(count == 2 for count in per_rater_system.values())
 
@@ -77,7 +82,7 @@ class TestSystemBalanced:
         for bucket in ds.buckets:
             for system in ds.systems:
                 counts = Counter()
-                for (doc, sys), raters in plan.assignments.items():
+                for doc, sys, raters in plan_items(plan, ds):
                     if sys == system and doc in bucket.doc_ids:
                         for r in raters:
                             counts[r] += 1
@@ -90,8 +95,9 @@ class TestSystemBalanced:
         split_seen = False
         for seed in range(10):
             plan = assign_balanced(ds, ds.documents, Grouping.SYSTEM_BALANCED, np.random.default_rng(seed))
+            assignments = {(doc, sys): raters for doc, sys, raters in plan_items(plan, ds)}
             for doc in ds.documents:
-                raters = {plan.assignments[(doc, s)] for s in sorted(ds.systems)}
+                raters = {assignments[(doc, s)] for s in sorted(ds.systems)}
                 if len(raters) > 1:
                     split_seen = True
         assert split_seen
@@ -110,7 +116,7 @@ class TestNoGrouping:
             plan = assign_balanced(
                 ds, ds.documents, Grouping.NO_GROUPING, np.random.default_rng(seed)
             )
-            if len(set(plan.assignments.values())) > 1:
+            if len({raters for _doc, _sys, raters in plan_items(plan, ds)}) > 1:
                 split_seen = True
         assert split_seen
 
@@ -119,7 +125,7 @@ class TestNoGrouping:
         plan = build_plan(
             ds, ds.documents, Grouping.NO_GROUPING, LoadBalancing.entropy_target(0.0), 1, rng
         )
-        assert len({r for raters in plan.assignments.values() for r in raters}) == 1
+        assert len({r for _doc, _sys, raters in plan_items(plan, ds) for r in raters}) == 1
 
 
 class TestEntropyTarget:
@@ -167,14 +173,14 @@ class TestPairAssignment:
     def test_pair_round_robin(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=2)
         plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng, ratings_per_item=2)
-        assert all(len(raters) == 2 for raters in plan.assignments.values())
-        assert sorted(plan.pair_workload().values()) == [4, 4, 4]  # 2 docs x 2 systems
-        assert sorted(doc_counts(plan).values()) == [4, 4, 4]  # each rater in 2 of 3 pairs
+        assert all(len(raters) == 2 for _doc, _sys, raters in plan_items(plan, ds))
+        assert sorted(pair_workload(plan, ds).values()) == [4, 4, 4]  # 2 docs x 2 systems
+        assert sorted(doc_counts(plan, ds).values()) == [4, 4, 4]  # each rater in 2 of 3 pairs
 
     def test_pair_entropy_over_pair_workload(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=2)
         plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng, ratings_per_item=2)
-        assert normalized_entropy(plan.pair_workload(), 3) == pytest.approx(1.0)
+        assert normalized_entropy(pair_workload(plan, ds), 3) == pytest.approx(1.0)
 
     def test_wrong_arity_rejected(self, rng):
         ds = make_layout_dataset([4], [("r1", "r2")], n_systems=2)
@@ -214,7 +220,7 @@ class TestBuildPlan:
     def test_eligibility_invariant(self, grouping, rng):
         ds = make_layout_dataset([4, 5], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=3)
         plan = build_plan(ds, ds.documents, grouping, LoadBalancing.fully_balanced(), 1, rng)
-        for (doc, _sys), raters in plan.assignments.items():
+        for doc, _sys, raters in plan_items(plan, ds):
             assert raters <= ds.bucket_of(doc).rater_ids
 
     def test_seed_determinism(self):
@@ -228,7 +234,7 @@ class TestBuildPlan:
                 ds, ds.documents, grouping, LoadBalancing.fully_balanced(), 1,
                 np.random.default_rng(11),
             )
-            assert p1.assignments == p2.assignments
+            assert np.array_equal(p1.chosen, p2.chosen)
 
     def test_system_balanced_rejects_entropy_target(self, rng):
         ds = make_layout_dataset([4], [("r1", "r2", "r3")])
@@ -245,3 +251,30 @@ class TestBuildPlan:
         )
         entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
         assert entropy >= 1.0 - 0.01
+
+
+class TestPlanValidate:
+    def plan(self, grouping, ratings_per_item=1):
+        ds = make_layout_dataset([3, 3], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=2)
+        rng = np.random.default_rng(0)
+        return ds, assign_balanced(ds, ds.documents, grouping, rng, ratings_per_item)
+
+    def test_ineligible_rater(self):
+        ds, plan = self.plan(Grouping.PSXS)
+        plan.chosen[:, ds.doc_pos["d000"]] = False
+        plan.chosen[:, ds.doc_pos["d000"], ds.rater_pos["r4"]] = True
+        with pytest.raises(ValueError, match="outside its document's bucket"):
+            plan.validate(ds)
+
+    def test_wrong_rater_count(self):
+        ds, plan = self.plan(Grouping.NO_GROUPING, ratings_per_item=2)
+        plan.chosen[1, ds.doc_pos["d004"], ds.rater_pos["r4"]:] = True
+        with pytest.raises(ValueError, match="not assigned exactly 2 raters"):
+            plan.validate(ds)
+
+    def test_psxs_violation(self):
+        ds, plan = self.plan(Grouping.PSXS)
+        d = ds.doc_pos["d001"]
+        plan.chosen[1, d, :3] = np.roll(plan.chosen[1, d, :3], 1)  # r1..r3 of d001's bucket
+        with pytest.raises(ValueError, match="pSxS violated"):
+            plan.validate(ds)

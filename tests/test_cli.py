@@ -144,6 +144,9 @@ def test_agreement_outputs(synth_tsv, tmp_path):
 def test_usage_error_exit_code():
     assert main(["sweep", "--dataset", "x.tsv"]) == 2  # missing required args
     assert main(["no-such-command"]) == 2
+    sweep = ["sweep", "--dataset", "x.tsv", "--config", "s.cfg", "--out", "o"]
+    assert main(sweep + ["--threads", "0"]) == 2
+    assert main(sweep + ["--threads", "-3"]) == 2
 
 
 def test_missing_file_exit_code(tmp_path):
@@ -159,6 +162,9 @@ def test_missing_file_exit_code(tmp_path):
         ("n_permutations = 0\n", "6"),
         ("n_permutations = 5\n", "6"),
         ("entropy_tolerance = wide\n", "6"),
+        ("item_grouping = psxs\nitem_grouping = psxs\n", "6"),
+        ("", "6\ndoc_counts = 12"),
+        ("alpha = 5%\n", "6"),
     ],
     ids=[
         "entropy_target_above_one",
@@ -167,6 +173,9 @@ def test_missing_file_exit_code(tmp_path):
         "zero_permutations",
         "permutations_cannot_reach_alpha",
         "entropy_tolerance_not_a_number",
+        "duplicate_key_in_study",
+        "duplicate_key_in_sweep",
+        "percent_in_value",
     ],
 )
 def test_sweep_config_error_exit_code(synth_tsv, tmp_path, capsys, study, doc_counts):
@@ -184,3 +193,54 @@ def test_sweep_config_error_exit_code(synth_tsv, tmp_path, capsys, study, doc_co
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert "srp=" not in err  # rejected before any sweep point ran
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--weights", "[weights]\nMajor = 5\nMajor = 6\n"),
+        ("--weights", "Major = 5\n"),
+        ("--mapping", "[columns]\ndoc_id = doc\ndoc_id = document\n"),
+        ("--config", "[generator]\nn_documents = 12\nn_documents = 14\n"),
+        ("--config", "[generator]\nlanguage_pair = caf\xe9\n".encode("latin-1")),
+    ],
+    ids=["weights_duplicate_key", "weights_no_section_header", "mapping_duplicate_key",
+         "generator_duplicate_key", "generator_not_utf8"],
+)
+def test_config_file_syntax_error_exit_code(tiny_tsv, tmp_path, capsys, option, text):
+    cfg = tmp_path / "file.cfg"
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if option == "--config":
+        argv = ["gen", "--config", str(cfg), "--out", str(tmp_path / "synth.tsv")]
+    else:
+        argv = ["stats", "--dataset", str(tiny_tsv), option, str(cfg)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_simulate_documents_above_pool_exit_code(synth_tsv, tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(STUDY_CFG.replace("num_documents = 8", "num_documents = 500"))
+    code = main(["simulate", "--dataset", str(synth_tsv), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "the dataset has 12" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_single_system_dataset_exit_code(tmp_path, capsys, command):
+    tsv = tmp_path / "one_system.tsv"
+    tsv.write_text("\n".join(r for r in tiny_tsv_rows() if "\tsysB\t" not in r) + "\n")
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("[sweep]\ndoc_counts = 2\n[study]\nnum_documents = 2\nn_simulations = 2\n"
+                   "n_permutations = 50\n")
+    argv = [command, "--dataset", str(tsv), "--config", str(cfg)]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "out")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: need at least 2 systems")

@@ -1,8 +1,9 @@
-"""Identity checks for the dense rating arrays and the round-robin dealer.
+"""Identity checks for the dense rating arrays, the round-robin dealer and
+the (system, doc, rater) plan mask.
 
 ``select_ratings`` reads the dataset's (system, doc, seg, rater) score array;
-``select_ratings_oracle`` below is the per-rating dict lookup it replaced,
-kept as the reference it must match bit for bit.
+``select_ratings_oracle`` below walks the plan's cells back to ids and looks
+each rating up in ``ds.ratings``, the reference it must match bit for bit.
 """
 
 import hashlib
@@ -23,6 +24,8 @@ from stabeval.experiment import (
 )
 from stabeval.scoring import NormalizationScheme, ScoredStudy, normalize
 
+from conftest import DISJOINT_LAYOUT, ROTATION_LAYOUT, make_layout_dataset
+
 # Overlapping rater triples, so a study's rater set depends on its documents.
 BUCKET_RATERS = (("A", "B", "C"), ("B", "C", "D"), ("D", "E", "F"))
 DOCS_PER_BUCKET = 4
@@ -30,14 +33,11 @@ DOCS_PER_BUCKET = 4
 
 def select_ratings_oracle(ds, plan) -> ScoredStudy:
     entries = []
-    for (doc_id, system_id), raters in plan.assignments.items():
-        n_segs = ds.documents[doc_id]
-        for rater_id in sorted(raters):
-            for seg in range(n_segs):
-                rating = ds.ratings[(doc_id, seg, system_id, rater_id)]
-                entries.append(
-                    (doc_id, seg, system_id, rater_id, rating.score, rating.n_errors)
-                )
+    for s, d, r in np.argwhere(plan.chosen):
+        doc_id, system_id, rater_id = ds.doc_axis[d], ds.system_axis[s], ds.rater_axis[r]
+        for seg in range(ds.documents[doc_id]):
+            rating = ds.ratings[(doc_id, seg, system_id, rater_id)]
+            entries.append((doc_id, seg, system_id, rater_id, rating.score, rating.n_errors))
     return ScoredStudy.from_entries(entries)
 
 
@@ -175,3 +175,35 @@ def test_golden_sweep_csv():
     text = golden_sweep()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SWEEP_SHA256, text
 
+
+
+# Concatenated np.packbits(plan.chosen) over golden_plans(), computed from the
+# (doc, system) -> rater-set dict plans that the mask replaced.
+GOLDEN_PLAN_SHA256 = "53c346e807d859eeacda81605d10f79aa9d639aeff2f1d7ea8c9a3d8f1899eab"
+
+
+def golden_plans():
+    balancings = (
+        LoadBalancing.fully_balanced(),
+        LoadBalancing.entropy_target(0.7, 0.05),
+        LoadBalancing.entropy_target(0.85, 0.05),
+    )
+    for layout in (ROTATION_LAYOUT, DISJOINT_LAYOUT):
+        ds = make_layout_dataset(*layout, n_systems=3)
+        for seed in range(4):
+            for n_docs in (10, 28):
+                for grouping in Grouping:
+                    for balancing in balancings:
+                        if grouping is Grouping.SYSTEM_BALANCED and balancing.target is not None:
+                            continue
+                        for ratings_per_item in (1, 2):
+                            rng = np.random.default_rng(seed)
+                            subset = subsample_documents(ds, n_docs, rng)
+                            yield build_plan(ds, subset, grouping, balancing, ratings_per_item, rng)
+
+
+def test_golden_plans():
+    digest = hashlib.sha256()
+    for plan in golden_plans():
+        digest.update(np.packbits(plan.chosen).tobytes())
+    assert digest.hexdigest() == GOLDEN_PLAN_SHA256

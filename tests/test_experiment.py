@@ -16,6 +16,8 @@ from stabeval.experiment import (
 from stabeval.scoring import NormalizationScheme
 from stabeval.stats import same_documents, srp
 
+from conftest import plan_items
+
 
 def small_dataset(seed=5, **kwargs):
     spec = GeneratorSpec(
@@ -34,7 +36,7 @@ class TestSimulateStudy:
         config = StudyConfig(n_documents=12, n_permutations=100)
         sim, ranking = simulate_study(ds, config, 1)
         assert sim.doc_subset == frozenset(ds.documents)
-        for (doc, _sys), raters in sim.plan.assignments.items():
+        for doc, _sys, raters in plan_items(sim.plan, ds):
             assert raters <= ds.bucket_of(doc).rater_ids
         assert all(np.isfinite(v) for v in ranking.means.values())
 
@@ -52,7 +54,7 @@ class TestSimulateStudy:
         config = StudyConfig(n_documents=20, ratings_per_item=2, n_permutations=50)
         sim, _ = simulate_study(ds, config, 3)
         assert len(sim.doc_subset) == 10
-        assert all(len(raters) == 2 for raters in sim.plan.assignments.values())
+        assert all(len(raters) == 2 for _doc, _sys, raters in plan_items(sim.plan, ds))
 
     def test_fixed_budget_accounting(self):
         ds = small_dataset(n_documents=20)
@@ -60,8 +62,8 @@ class TestSimulateStudy:
         double = StudyConfig(n_documents=20, ratings_per_item=2, n_permutations=50)
         sim_s, _ = simulate_study(ds, single, 3)
         sim_d, _ = simulate_study(ds, double, 3)
-        ratings_s = sum(len(r) for r in sim_s.plan.assignments.values())
-        ratings_d = sum(len(r) for r in sim_d.plan.assignments.values())
+        ratings_s = sum(len(r) for _doc, _sys, r in plan_items(sim_s.plan, ds))
+        ratings_d = sum(len(r) for _doc, _sys, r in plan_items(sim_d.plan, ds))
         assert ratings_s == ratings_d  # even budget halves exactly
 
 
