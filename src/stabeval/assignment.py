@@ -4,6 +4,7 @@ ratings-per-item procedures, plus per-bucket document subsampling."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -237,21 +238,38 @@ def assign_entropy_target(
         p = counts[counts > 0] / total
         return float(-(p * np.log(p)).sum() / log_pool)
 
+    def xlogx(c: float) -> float:
+        return c * math.log(c) if c > 0 else 0.0
+
     for _attempt in range(max_retries):
         picks = [candidates[rng.integers(len(candidates))] for candidates in eligible]
-        counts = np.bincount(picks, minlength=pool_size) * float(weight)
+        counts = (np.bincount(picks, minlength=pool_size) * float(weight)).tolist()
+        # The total never changes, so a candidate's entropy is
+        # (log T - S / T) / log(pool) with S = sum of c log c, in which moving
+        # one unit changes only the two counts it leaves and joins.
+        total = sum(counts)
+        log_total = math.log(total)
+        s = sum(xlogx(c) for c in counts)
         for u in rng.permutation(n_units):
-            counts[picks[u]] -= weight
+            old = counts[picks[u]]
+            s += xlogx(old - weight) - xlogx(old)
+            counts[picks[u]] = old - weight
             candidates = eligible[u]
-            gaps = np.empty(len(candidates))
-            for k, cand in enumerate(candidates):
-                counts[cand] += weight
-                gaps[k] = abs(entropy(counts) - target)
-                counts[cand] -= weight
-            best = np.flatnonzero(gaps <= gaps.min() + 1e-12)
+            gaps = [
+                abs(
+                    (log_total - (s - xlogx(counts[c]) + xlogx(counts[c] + weight)) / total)
+                    / log_pool
+                    - target
+                )
+                for c in candidates
+            ]
+            least = min(gaps) + 1e-12
+            best = [k for k, gap in enumerate(gaps) if gap <= least]
             picks[u] = candidates[best[rng.integers(len(best))]]
-            counts[picks[u]] += weight
-        if abs(entropy(counts) - target) <= tolerance:
+            new = counts[picks[u]]
+            s += xlogx(new + weight) - xlogx(new)
+            counts[picks[u]] = new + weight
+        if abs(entropy(np.array(counts)) - target) <= tolerance:
             chosen = np.zeros((n_systems, *ds.eligible.shape), dtype=bool)
             _mark(chosen, grouping, docs, np.arange(n_units), np.array(symbols)[picks])
             plan = AssignmentPlan(

@@ -287,7 +287,12 @@ def ingest(path, mapping: Optional[ColumnMapping] = None, weights=None) -> Ratin
 
         weights = WeightTable.default()
     with open(path, encoding="utf-8") as handle:
-        return ingest_lines(handle, mapping=mapping, weights=weights)
+        try:
+            return ingest_lines(handle, mapping=mapping, weights=weights)
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+            ) from None
 
 
 def ingest_lines(lines: Iterable[str], mapping=None, weights=None) -> RatingDataset:

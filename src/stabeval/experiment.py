@@ -3,6 +3,7 @@ sweep stability over document counts, and generate synthetic datasets."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import time
@@ -250,12 +251,33 @@ def _init_worker(ds: RatingDataset) -> None:
     _WORKER_DS = ds
 
 
-def _run_one(args):
-    config, seed_key, doc_subset = args
-    _, ranking = simulate_study(
-        _WORKER_DS, config, np.random.SeedSequence(seed_key), doc_subset
-    )
-    return ranking
+def _rank(ds: RatingDataset, config: StudyConfig, seed_key, doc_subset) -> RankingResult:
+    return simulate_study(ds, config, np.random.SeedSequence(seed_key), doc_subset)[1]
+
+
+def _run_one(task) -> RankingResult:
+    return _rank(_WORKER_DS, *task)
+
+
+def _point_tasks(ds: RatingDataset, config: StudyConfig, ci: int, gi: int):
+    """One sweep point's (config, seed key, fixed doc set) tasks and its srp filter.
+
+    Per-study RNG streams are derived from (master_seed, config index, grid
+    index, document-set index, study index).
+    """
+    seed, n_sims = config.master_seed, config.n_simulations
+    if config.doc_resampling == Resampling.PER_50:
+        docsets = [
+            subsample_documents(
+                ds,
+                config.effective_documents,
+                np.random.default_rng(np.random.SeedSequence((seed, ci, gi, di))),
+            )
+            for di in range((n_sims + 49) // 50)
+        ]
+        tasks = [(config, (seed, ci, gi, si // 50, si), docsets[si // 50]) for si in range(n_sims)]
+        return tasks, same_documents
+    return [(config, (seed, ci, gi, si, si), None) for si in range(n_sims)], None
 
 
 def run_sweep(
@@ -268,67 +290,52 @@ def run_sweep(
 ) -> SweepResult:
     """Run every config at every document count and score SRP per point.
 
-    Per-study RNG streams are derived from (master_seed, config index, grid
-    index, document-set index, study index), so output is identical for any
-    worker count.
+    Each study's RNG stream depends only on its place in the sweep (see
+    ``_point_tasks``), so output is identical for any worker count.
     """
     if doc_count_grid is None:
         doc_count_grid = [n for n in DEFAULT_DOC_GRID if n <= len(ds.documents)]
     for config in configs:
         for n_docs in doc_count_grid:
             _check_pool_size(ds, replace(config, n_documents=n_docs))
+    # One pool serves every point; the with block shuts it down on any error.
+    # Only workers set _WORKER_DS, so a serial sweep pins nothing after it returns.
+    pool = (
+        ProcessPoolExecutor(max_workers=threads, initializer=_init_worker, initargs=(ds,))
+        if threads > 1
+        else None
+    )
     points: list[SweepPoint] = []
-    for ci, config in enumerate(configs):
-        for gi, n_docs in enumerate(doc_count_grid):
-            config_point = replace(config, n_documents=n_docs)
-            start = time.perf_counter()
-            seed, n_sims = config.master_seed, config_point.n_simulations
-            if config_point.doc_resampling == Resampling.PER_50:
-                docsets = [
-                    subsample_documents(
-                        ds,
-                        config_point.effective_documents,
-                        np.random.default_rng(np.random.SeedSequence((seed, ci, gi, di))),
-                    )
-                    for di in range((n_sims + 49) // 50)
-                ]
-                tasks = [
-                    (config_point, (seed, ci, gi, si // 50, si), docsets[si // 50])
-                    for si in range(n_sims)
-                ]
-                pair_filter = same_documents
-            else:
-                tasks = [(config_point, (seed, ci, gi, si, si), None) for si in range(n_sims)]
-                pair_filter = None
-
-            if threads > 1:
-                with ProcessPoolExecutor(
-                    max_workers=threads, initializer=_init_worker, initargs=(ds,)
-                ) as pool:
+    with pool or contextlib.nullcontext():
+        for ci, config in enumerate(configs):
+            for gi, n_docs in enumerate(doc_count_grid):
+                config_point = replace(config, n_documents=n_docs)
+                start = time.perf_counter()
+                tasks, pair_filter = _point_tasks(ds, config_point, ci, gi)
+                if pool is not None:
                     rankings = list(pool.map(_run_one, tasks, chunksize=8))
-            else:
-                _init_worker(ds)
-                rankings = [_run_one(task) for task in tasks]
+                else:
+                    rankings = [_rank(ds, *task) for task in tasks]
 
-            matrices = [r.matrix for r in rankings]
-            value, n_pairs = srp(matrices, pair_filter)
-            points.append(
-                SweepPoint(
-                    label=config.label or f"config{ci}",
-                    config=config_point,
-                    n_documents=n_docs,
-                    srp=value,
-                    n_pairs=n_pairs,
-                    wall_time=time.perf_counter() - start,
-                    study_means=[r.means for r in rankings],
-                    matrices=matrices if keep_matrices else None,
+                matrices = [r.matrix for r in rankings]
+                value, n_pairs = srp(matrices, pair_filter)
+                points.append(
+                    SweepPoint(
+                        label=config.label or f"config{ci}",
+                        config=config_point,
+                        n_documents=n_docs,
+                        srp=value,
+                        n_pairs=n_pairs,
+                        wall_time=time.perf_counter() - start,
+                        study_means=[r.means for r in rankings],
+                        matrices=matrices if keep_matrices else None,
+                    )
                 )
-            )
-            if progress is not None:
-                progress(
-                    f"{points[-1].label} n_docs={n_docs} srp={value:.4f} "
-                    f"pairs={n_pairs} ({points[-1].wall_time:.1f}s)"
-                )
+                if progress is not None:
+                    progress(
+                        f"{points[-1].label} n_docs={n_docs} srp={value:.4f} "
+                        f"pairs={n_pairs} ({points[-1].wall_time:.1f}s)"
+                    )
     return SweepResult(points)
 
 

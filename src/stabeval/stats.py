@@ -110,7 +110,16 @@ def permutation_test(
 def significance_matrix(
     study: ScoredStudy, alpha: float, n_perm: int, rng, doc_set: Optional[frozenset] = None
 ) -> SignificanceMatrix:
-    """Run the grouped permutation test for every system pair of a study."""
+    """Run the grouped permutation test for every system pair of a study.
+
+    Each row of pairs (i, j > i) takes its sign flips in one draw and its
+    statistics in one batched product.  The draws are the 32-bit words that
+    ``_sign_flip_p`` would consume pair by pair, and each pair's product is
+    the float64 ``(2*s - 1) @ d`` as there, so every p-value and the RNG state
+    after the call are the same as a loop of ``_sign_flip_p`` calls in (i, j)
+    order.  One draw per row rather than per study bounds the transient
+    memory to one row's signs.
+    """
     n_sys = len(study.systems)
     if n_sys < 2:
         raise NoAdmissiblePairs(f"need at least 2 systems to rank, the study has {n_sys}")
@@ -125,20 +134,25 @@ def significance_matrix(
 
     sig = np.zeros((n_sys, n_sys), dtype=bool)
     better = np.zeros((n_sys, n_sys), dtype=bool)
-    for i in range(n_sys):
-        for j in range(i + 1, n_sys):
-            if not np.array_equal(counts[i], counts[j]):
-                raise MismatchedDocuments(
-                    f"systems {study.systems[i]} and {study.systems[j]} cover "
-                    "different segments"
-                )
-            p = _sign_flip_p(sums[i] - sums[j], int(totals[i]), n_perm, rng)
-            if means[i] < means[j]:
-                better[i, j] = True
-                sig[i, j] = p <= alpha
-            elif means[j] < means[i]:
-                better[j, i] = True
-                sig[j, i] = p <= alpha
+    for i in range(n_sys - 1):
+        mismatched = np.flatnonzero((counts[i + 1 :] != counts[i]).any(axis=1))
+        if len(mismatched):
+            raise MismatchedDocuments(
+                f"systems {study.systems[i]} and {study.systems[i + 1 + mismatched[0]]} "
+                "cover different segments"
+            )
+        diffs = sums[i] - sums[i + 1 :]
+        observed = np.abs(diffs.sum(axis=1)) / totals[i]
+        signs = rng.integers(0, 2, size=(n_sys - 1 - i, n_perm, n_docs), dtype=np.int32)
+        signs = signs.astype(np.float64)  # cheaper than matmul's cast of an int operand
+        signs *= 2
+        signs -= 1
+        stats = np.abs(np.matmul(signs, diffs[:, :, None])[:, :, 0]) / totals[i]
+        hits = np.sum(stats >= (observed - _REL_TOL * (1.0 + observed))[:, None], axis=1)
+        reached = (1 + hits) / (1 + n_perm) <= alpha
+        lower, higher = means[i] < means[i + 1 :], means[i + 1 :] < means[i]
+        better[i, i + 1 :], sig[i, i + 1 :] = lower, lower & reached
+        better[i + 1 :, i], sig[i + 1 :, i] = higher, higher & reached
     return SignificanceMatrix(
         study.systems, means, sig, better, alpha, n_perm,
         doc_set if doc_set is not None else frozenset(study.docs),
@@ -158,7 +172,41 @@ def srp(
     studies: Sequence[SignificanceMatrix],
     pair_filter: Optional[Callable[[SignificanceMatrix, SignificanceMatrix], bool]] = None,
 ) -> tuple[float, int]:
-    """Mean of sr over admissible ordered study pairs; returns (value, n_pairs)."""
+    """Mean of sr over admissible ordered study pairs; returns (value, n_pairs).
+
+    Every ordered pair of distinct studies is admissible; ``pair_filter`` may
+    be ``same_documents``, which admits only pairs that share a document set.
+    All studies must rank the same systems.  One boolean product gives the
+    whole grid of sr values: sr(e1, e2) is 0 iff some significant pair of e1
+    is not ``better`` in e2.  ``srp_pairs`` is the pair-loop reference.
+    """
+    if len(studies) < 2:
+        raise NoAdmissiblePairs("need at least 2 studies")
+    if pair_filter not in (None, same_documents):
+        raise ValueError("srp filters pairs only by same_documents")
+    systems = studies[0].systems
+    aligned = [m.align_to(systems) for m in studies]
+    sig = np.stack([m.sig.ravel() for m in aligned])
+    broken = np.stack([~m.better.ravel() for m in aligned])
+    admitted = ~np.eye(len(studies), dtype=bool)
+    if pair_filter is same_documents:
+        groups: dict[frozenset, int] = {}
+        group = np.array(
+            [-1 if m.doc_set is None else groups.setdefault(m.doc_set, len(groups)) for m in studies]
+        )
+        admitted &= (group[:, None] == group) & (group[:, None] >= 0)
+    n_pairs = int(admitted.sum())
+    if n_pairs == 0:
+        raise NoAdmissiblePairs("no ordered study pair passes the filter")
+    violated = sig @ broken.T
+    return int((admitted & ~violated).sum()) / n_pairs, n_pairs
+
+
+def srp_pairs(
+    studies: Sequence[SignificanceMatrix],
+    pair_filter: Optional[Callable[[SignificanceMatrix, SignificanceMatrix], bool]] = None,
+) -> tuple[float, int]:
+    """Reference for ``srp``: the mean of ``sr`` over a loop of ordered pairs."""
     if len(studies) < 2:
         raise NoAdmissiblePairs("need at least 2 studies")
     total = 0

@@ -154,6 +154,24 @@ def test_missing_file_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, prefix",
+    [("validate", "INVALID: "), ("stats", "error: "), ("sweep", "error: ")],
+)
+def test_dataset_not_utf8_exit_code(tmp_path, capsys, command, prefix):
+    tsv = tmp_path / "latin1.tsv"
+    tsv.write_bytes(b"d\xe9")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    argv = [command, "--dataset", str(tsv)]
+    if command == "sweep":
+        argv += ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(prefix) and "not UTF-8" in err and "0xe9" in err
+
+
+@pytest.mark.parametrize(
     "study, doc_counts",
     [
         ("load_balancing = entropy_target:1.5\n", "6"),

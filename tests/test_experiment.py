@@ -1,8 +1,12 @@
+import gc
+import multiprocessing
+import weakref
+
 import numpy as np
 import pytest
 
 from stabeval.assignment import Grouping
-from stabeval.errors import InvalidSpec
+from stabeval.errors import InvalidSpec, QuotaExceedsBucket
 from stabeval.experiment import (
     GeneratorSpec,
     Resampling,
@@ -16,7 +20,7 @@ from stabeval.experiment import (
 from stabeval.scoring import NormalizationScheme
 from stabeval.stats import same_documents, srp
 
-from conftest import plan_items
+from conftest import make_layout_dataset, plan_items
 
 
 def small_dataset(seed=5, **kwargs):
@@ -113,6 +117,28 @@ class TestRunSweep:
         a = run_sweep(ds, [config], doc_count_grid=[6, 8], threads=1)
         b = run_sweep(ds, [config], doc_count_grid=[6, 8], threads=2)
         assert a.to_csv() == b.to_csv()
+
+    def test_serial_sweep_does_not_pin_dataset(self):
+        ds = small_dataset()
+        config = StudyConfig(n_documents=6, n_simulations=4, n_permutations=50)
+        run_sweep(ds, [config], doc_count_grid=[6], threads=1)
+        ref = weakref.ref(ds)
+        del ds
+        gc.collect()
+        assert ref() is None
+
+    def test_worker_error_reaches_caller_and_pool_shuts_down(self):
+        # A 5-document study over buckets of 2 and 3 documents exceeds the
+        # smaller bucket's quota whenever the extra document lands there; the
+        # per-study mode subsamples inside the workers.
+        ds = make_layout_dataset([2, 3], [("A", "B", "C"), ("D", "E", "F")], n_systems=3)
+        config = StudyConfig(
+            n_documents=5, n_simulations=40, n_permutations=50,
+            doc_resampling=Resampling.PER_STUDY,
+        )
+        with pytest.raises(QuotaExceedsBucket):
+            run_sweep(ds, [config], doc_count_grid=[2, 5], threads=2)
+        assert multiprocessing.active_children() == []
 
     def test_zero_rater_effects_srp_non_decreasing(self):
         # only item-level noise: stability improves with more documents

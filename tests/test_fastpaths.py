@@ -1,0 +1,252 @@
+"""Differential tests: each vectorized path against the loop it replaced.
+
+- ``significance_matrix`` (one sign draw and one batched product per row of
+  pairs) against a loop of ``_sign_flip_p`` calls, one per pair.
+- ``srp`` (one boolean product over all study pairs) against ``srp_pairs``.
+- ``assign_entropy_target`` (candidates scored from a running sum of c log c)
+  against ``entropy_target_oracle`` below, which recomputes the full entropy
+  for every candidate.
+
+Each pair must agree exactly, including the RNG state afterwards.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stabeval.assignment import (
+    Grouping,
+    _bucket_alphabet,
+    _entropy_pool,
+    _mark,
+    assign_entropy_target,
+    subsample_documents,
+)
+from stabeval.errors import MismatchedDocuments, StabevalError, SystemSetMismatch, TargetUnreachable
+from stabeval.scoring import ScoredStudy
+from stabeval.stats import (
+    SignificanceMatrix,
+    _sign_flip_p,
+    same_documents,
+    significance_matrix,
+    srp,
+    srp_pairs,
+)
+
+from conftest import DISJOINT_LAYOUT, ROTATION_LAYOUT, make_layout_dataset
+
+
+def significance_oracle(study: ScoredStudy, alpha: float, n_perm: int, rng):
+    """(means, sig, better) from one ``_sign_flip_p`` call per pair, in (i, j) order."""
+    n_sys, n_docs = len(study.systems), len(study.docs)
+    eff_sys, eff_doc, _, eff = study.effective_scores()
+    sums = np.zeros((n_sys, n_docs))
+    counts = np.zeros((n_sys, n_docs), dtype=np.intp)
+    np.add.at(sums, (eff_sys, eff_doc), eff)
+    np.add.at(counts, (eff_sys, eff_doc), 1)
+    totals = counts.sum(axis=1)
+    means = sums.sum(axis=1) / totals
+    sig = np.zeros((n_sys, n_sys), dtype=bool)
+    better = np.zeros((n_sys, n_sys), dtype=bool)
+    for i in range(n_sys):
+        for j in range(i + 1, n_sys):
+            p = _sign_flip_p(sums[i] - sums[j], int(totals[i]), n_perm, rng)
+            if means[i] < means[j]:
+                better[i, j], sig[i, j] = True, p <= alpha
+            elif means[j] < means[i]:
+                better[j, i], sig[j, i] = True, p <= alpha
+    return means, sig, better
+
+
+@st.composite
+def scored_studies(draw):
+    """A study of 2-15 systems over 1-40 documents of 1-3 segments.
+
+    Scores are small integers plus optional per-system offsets, so many
+    documents tie between systems and many statistics tie with the observed
+    one.
+    """
+    n_sys = draw(st.integers(2, 15))
+    n_docs = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    segs = rng.integers(1, 4, size=n_docs)
+    base = rng.integers(0, 3, size=(n_docs, 3)).astype(float)
+    offset = rng.choice([0.0, 0.0, 0.5, 1.0], size=n_sys)
+    noisy = draw(st.booleans())
+    entries = []
+    for s in range(n_sys):
+        for d in range(n_docs):
+            for g in range(segs[d]):
+                score = base[d, g] + offset[s] * rng.integers(0, 2)
+                if noisy:
+                    score += rng.normal()
+                entries.append((f"d{d:02d}", g, f"s{s:02d}", "r", float(score), None))
+    return ScoredStudy.from_entries(entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    study=scored_studies(),
+    n_perm=st.integers(1, 500),
+    alpha=st.sampled_from([0.05, 0.2, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+    predraw=st.integers(0, 3),
+)
+def test_significance_matrix_matches_pair_loop(study, n_perm, alpha, seed, predraw):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    # An odd number of earlier 32-bit draws leaves half a 64-bit word buffered.
+    for rng in (fast, slow):
+        rng.integers(0, 2, size=predraw, dtype=np.int32)
+    matrix = significance_matrix(study, alpha, n_perm, fast)
+    means, sig, better = significance_oracle(study, alpha, n_perm, slow)
+    assert np.array_equal(matrix.means, means)
+    assert np.array_equal(matrix.sig, sig)
+    assert np.array_equal(matrix.better, better)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_significance_matrix_names_first_mismatched_pair():
+    entries = [(d, 0, s, "r", 1.0, None) for s in ("a", "b", "c", "d") for d in ("x", "y")]
+    entries = [e for e in entries if (e[0], e[2]) not in {("y", "c"), ("y", "d")}]
+    with pytest.raises(MismatchedDocuments, match="systems a and c cover different segments"):
+        significance_matrix(ScoredStudy.from_entries(entries), 0.05, 10, np.random.default_rng(0))
+
+
+@st.composite
+def matrix_sets(draw):
+    """2-12 significance matrices over one system set, each in its own
+    (possibly permuted) system order, with doc sets drawn from a few shared
+    sets and None."""
+    n_studies = draw(st.integers(2, 12))
+    n_sys = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    systems = [f"s{i}" for i in range(n_sys)]
+    doc_sets = [None, frozenset({"a"}), frozenset({"a", "b"}), frozenset({"c"})]
+    out = []
+    for _ in range(n_studies):
+        order = list(rng.permutation(n_sys)) if draw(st.booleans()) else list(range(n_sys))
+        means = rng.integers(0, 3, size=n_sys).astype(float)
+        better = means[:, None] < means[None, :]
+        sig = better & (rng.random((n_sys, n_sys)) < draw(st.sampled_from([0.0, 0.3, 1.0])))
+        doc_set = doc_sets[draw(st.integers(0, len(doc_sets) - 1))]
+        perm = np.ix_(order, order)
+        out.append(
+            SignificanceMatrix(
+                tuple(systems[i] for i in order), means[order], sig[perm], better[perm],
+                0.05, 100, doc_set,
+            )
+        )
+    return out
+
+
+def srp_or_error(fn, studies, pair_filter):
+    try:
+        return fn(studies, pair_filter)
+    except StabevalError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(studies=matrix_sets(), pair_filter=st.sampled_from([None, same_documents]))
+def test_srp_matches_pair_loop(studies, pair_filter):
+    got = srp_or_error(srp, studies, pair_filter)
+    want = srp_or_error(srp_pairs, studies, pair_filter)
+    assert got == want
+
+
+def test_srp_requires_one_system_set():
+    """Stricter than the pair loop, which checks only the pairs it admits."""
+    one = SignificanceMatrix(("a", "b"), np.zeros(2), np.zeros((2, 2), bool),
+                             np.zeros((2, 2), bool), 0.05, 100, frozenset({"x"}))
+    other = SignificanceMatrix(("a", "c"), np.zeros(2), np.zeros((2, 2), bool),
+                               np.zeros((2, 2), bool), 0.05, 100, frozenset({"y"}))
+    assert srp_pairs([one, one, other], same_documents) == (1.0, 2)
+    with pytest.raises(SystemSetMismatch):
+        srp([one, one, other], same_documents)
+
+
+def test_srp_rejects_other_filters():
+    e = SignificanceMatrix(("a", "b"), np.zeros(2), np.zeros((2, 2), bool),
+                           np.zeros((2, 2), bool), 0.05, 100)
+    with pytest.raises(ValueError):
+        srp([e, e], lambda e1, e2: True)
+
+
+def entropy_target_oracle(ds, doc_subset, target, tolerance, rng, max_retries, grouping,
+                          ratings_per_item):
+    """``assign_entropy_target``'s greedy loop with the full entropy recomputed
+    for every candidate; returns the plan's ``chosen`` mask."""
+    symbols = _entropy_pool(ds, ratings_per_item)
+    symbol_pos = {s: i for i, s in enumerate(symbols)}
+    docs = np.array(sorted(ds.doc_pos[d] for d in doc_subset), dtype=np.intp)
+    psxs = grouping is Grouping.PSXS
+    n_systems = len(ds.system_axis)
+    weight = n_systems if psxs else 1
+    eligible = []
+    for d in docs:
+        alphabet = _bucket_alphabet(ds, ds.bucket_of(ds.doc_axis[d]), ratings_per_item)
+        eligible += [[symbol_pos[a] for a in alphabet]] * (1 if psxs else n_systems)
+    log_pool = np.log(len(symbols))
+
+    def entropy(counts):
+        p = counts[counts > 0] / counts.sum()
+        return float(-(p * np.log(p)).sum() / log_pool)
+
+    for _ in range(max_retries):
+        picks = [candidates[rng.integers(len(candidates))] for candidates in eligible]
+        counts = np.bincount(picks, minlength=len(symbols)) * float(weight)
+        for u in rng.permutation(len(eligible)):
+            counts[picks[u]] -= weight
+            gaps = np.empty(len(eligible[u]))
+            for k, cand in enumerate(eligible[u]):
+                counts[cand] += weight
+                gaps[k] = abs(entropy(counts) - target)
+                counts[cand] -= weight
+            best = np.flatnonzero(gaps <= gaps.min() + 1e-12)
+            picks[u] = eligible[u][best[rng.integers(len(best))]]
+            counts[picks[u]] += weight
+        if abs(entropy(counts) - target) <= tolerance:
+            chosen = np.zeros((n_systems, *ds.eligible.shape), dtype=bool)
+            _mark(chosen, grouping, docs, np.arange(len(eligible)), np.array(symbols)[picks])
+            return chosen
+    raise TargetUnreachable("no attempt reached the target")
+
+
+LAYOUT_DATASETS = {
+    name: make_layout_dataset(*layout, n_systems=3)
+    for name, layout in (("rotation", ROTATION_LAYOUT), ("disjoint", DISJOINT_LAYOUT))
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(LAYOUT_DATASETS)),
+    grouping=st.sampled_from([Grouping.PSXS, Grouping.NO_GROUPING]),
+    ratings_per_item=st.sampled_from([1, 2]),
+    n_docs=st.integers(1, 30),
+    target=st.one_of(st.sampled_from([0.5, 0.7, 0.85, 1.0]), st.floats(0.0, 1.0)),
+    tolerance=st.sampled_from([0.01, 0.03, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_entropy_delta_matches_full_recompute(
+    layout, grouping, ratings_per_item, n_docs, target, tolerance, seed
+):
+    ds = LAYOUT_DATASETS[layout]
+    subset = subsample_documents(ds, n_docs, np.random.default_rng(seed))
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        got = assign_entropy_target(ds, subset, target, tolerance, fast, 5, grouping,
+                                    ratings_per_item).chosen
+    except TargetUnreachable:
+        got = TargetUnreachable
+    try:
+        want = entropy_target_oracle(ds, subset, target, tolerance, slow, 5, grouping,
+                                     ratings_per_item)
+    except TargetUnreachable:
+        want = TargetUnreachable
+    if got is TargetUnreachable or want is TargetUnreachable:
+        assert got is want
+    else:
+        assert np.array_equal(got, want)
+    assert fast.bit_generator.state == slow.bit_generator.state
