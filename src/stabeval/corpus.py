@@ -9,13 +9,14 @@ rewriting files.
 
 from __future__ import annotations
 
+import bisect
 import configparser
 import hashlib
-import io
-import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +48,7 @@ CANONICAL_COLUMNS = (
 REQUIRED_COLUMNS = ("doc_id", "seg_index", "system_id", "rater_id")
 
 SCORE_TOLERANCE = 1e-9
+_BLOCK_ROWS = 8192  # rows that ingest splits into cells at a time
 
 
 class Severity(str, Enum):
@@ -59,6 +61,9 @@ class Severity(str, Enum):
             if member.value == text:
                 return member
         raise ValueError(f"invalid severity {text!r} (expected Major or Minor)")
+
+
+SEVERITIES = tuple(Severity)  # RatingTable.ann_severity indexes this
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,130 @@ class SegmentRating:
         return None if self.annotations is None else len(self.annotations)
 
 
+def _factorize(values: Sequence) -> tuple[tuple, np.ndarray]:
+    """The sorted distinct values and each value's index into them."""
+    axis = tuple(sorted(set(values)))
+    pos = {value: i for i, value in enumerate(axis)}
+    return axis, np.fromiter(map(pos.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+def _position(axis: tuple, value) -> int:
+    """The index of ``value`` in the sorted ``axis``, or -1 if it is absent."""
+    i = bisect.bisect_left(axis, value)
+    return i if axis[i:i + 1] == (value,) else -1
+
+
+@dataclass(frozen=True, eq=False)
+class RatingTable(Mapping):
+    """A dataset's ratings as columns: one row per rating, sorted by its
+    (doc_id, seg_index, system_id, rater_id) key, and one row per error
+    annotation.
+
+    ``doc``, ``system`` and ``rater`` index the sorted id tuples ``docs``,
+    ``systems`` and ``raters``.  ``n_errors`` is NaN for a score-only rating.
+    Annotation rows are grouped by their ``ann_owner`` rating in rating order,
+    each group in file order; ``ann_severity`` indexes ``SEVERITIES``,
+    ``ann_category`` indexes ``categories``, and ``ann_start`` and ``ann_end``
+    are -1 for an annotation without a span.
+
+    As a read-only mapping from rating keys to ``SegmentRating`` it builds
+    each rating only when it is indexed or iterated.
+    """
+
+    docs: tuple[str, ...]
+    systems: tuple[str, ...]
+    raters: tuple[str, ...]
+    doc: np.ndarray
+    seg: np.ndarray
+    system: np.ndarray
+    rater: np.ndarray
+    score: np.ndarray
+    n_errors: np.ndarray
+    categories: tuple[str, ...]
+    ann_owner: np.ndarray
+    ann_severity: np.ndarray
+    ann_category: np.ndarray
+    ann_start: np.ndarray
+    ann_end: np.ndarray
+
+    @classmethod
+    def from_ratings(cls, ratings: Mapping[tuple, SegmentRating]) -> "RatingTable":
+        keys = sorted(ratings)
+        (docs, doc), (systems, system), (raters, rater) = (
+            _factorize([key[i] for key in keys]) for i in (0, 2, 3)
+        )
+        values = [ratings[key] for key in keys]
+        owned = [(row, a) for row, v in enumerate(values) for a in v.annotations or ()]
+        categories, category = _factorize([a.category for _, a in owned])
+        spans = np.array([a.span or (-1, -1) for _, a in owned], dtype=np.int64).reshape(-1, 2)
+        return cls(
+            docs, systems, raters, doc,
+            np.array([key[1] for key in keys], dtype=np.int64), system, rater,
+            np.array([v.score for v in values], dtype=np.float64),
+            np.array([np.nan if v.annotations is None else len(v.annotations) for v in values]),
+            categories,
+            np.array([row for row, _ in owned], dtype=np.intp),
+            np.array([SEVERITIES.index(a.severity) for _, a in owned], dtype=np.intp),
+            category, spans[:, 0], spans[:, 1],
+        )
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __iter__(self):
+        return zip(
+            map(self.docs.__getitem__, self.doc.tolist()),
+            self.seg.tolist(),
+            map(self.systems.__getitem__, self.system.tolist()),
+            map(self.raters.__getitem__, self.rater.tolist()),
+        )
+
+    def __getitem__(self, key) -> SegmentRating:
+        doc_id, seg_index, system_id, rater_id = key
+        d, s, r = map(
+            _position, (self.docs, self.systems, self.raters), (doc_id, system_id, rater_id)
+        )
+        lo, hi = np.searchsorted(self.doc, (d, d + 1))
+        hit = np.flatnonzero(
+            (self.seg[lo:hi] == seg_index) & (self.system[lo:hi] == s) & (self.rater[lo:hi] == r)
+        )
+        if not hit.size:
+            raise KeyError(key)
+        return self._rating(lo + hit[0])
+
+    def values(self):
+        return _TableValues(self)
+
+    def items(self):
+        return _TableItems(self)
+
+    def _rating(self, row: int) -> SegmentRating:
+        annotations = None
+        if not np.isnan(self.n_errors[row]):
+            lo, hi = np.searchsorted(self.ann_owner, (row, row + 1))
+            annotations = tuple(
+                ErrorAnnotation(self.categories[c], SEVERITIES[s], None if a < 0 else (a, b))
+                for s, c, a, b in zip(
+                    self.ann_severity[lo:hi].tolist(), self.ann_category[lo:hi].tolist(),
+                    self.ann_start[lo:hi].tolist(), self.ann_end[lo:hi].tolist(),
+                )
+            )
+        return SegmentRating(
+            self.docs[self.doc[row]], int(self.seg[row]), self.systems[self.system[row]],
+            self.raters[self.rater[row]], annotations, float(self.score[row]),
+        )
+
+
+class _TableValues(ValuesView):
+    def __iter__(self):
+        return map(self._mapping._rating, range(len(self._mapping)))
+
+
+class _TableItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.values())
+
+
 @dataclass(frozen=True)
 class Bucket:
     """A set of documents whose items were all rated by the same fixed rater set."""
@@ -124,7 +253,8 @@ class RatingDataset:
     (system, doc, seg, rater) over the sorted ids in ``system_axis``,
     ``doc_axis`` and ``rater_axis``.  Unrated cells are NaN, and so are the
     error counts of score-only ratings.  ``eligible`` is the (doc, rater)
-    bucket membership matrix.
+    bucket membership matrix.  ``ratings`` is the read-only RatingTable the
+    arrays are filled from.
     """
 
     language_pair: str
@@ -132,7 +262,9 @@ class RatingDataset:
     systems: frozenset[str]
     raters: frozenset[str]
     buckets: tuple[Bucket, ...]
-    ratings: dict[tuple[str, int, str, str], SegmentRating]
+    # Any mapping of (doc_id, seg_index, system_id, rater_id) keys to ratings;
+    # __post_init__ stores it as a RatingTable.
+    ratings: Mapping[tuple[str, int, str, str], SegmentRating]
 
     def __post_init__(self):
         self.system_axis = tuple(sorted(self.systems))
@@ -158,14 +290,24 @@ class RatingDataset:
         )
         self.scores = np.full(shape, np.nan)
         self.n_errors = np.full(shape, np.nan)
+        if not isinstance(self.ratings, RatingTable):
+            self.ratings = RatingTable.from_ratings(self.ratings)
+        table = self.ratings
+        s, d, r = (
+            np.array([pos.get(x, -1) for x in axis], dtype=np.intp)[codes]
+            for axis, pos, codes in (
+                (table.systems, self.system_pos, table.system),
+                (table.docs, self.doc_pos, table.doc),
+                (table.raters, self.rater_pos, table.rater),
+            )
+        )
         # Ratings outside the declared ids or segment ranges get no cell;
         # validate() reports them through its row count.
-        for (doc, seg, system, rater), rating in self.ratings.items():
-            s, d, r = self.system_pos.get(system), self.doc_pos.get(doc), self.rater_pos.get(rater)
-            if None not in (s, d, r) and 0 <= seg < self.documents[doc]:
-                self.scores[s, d, seg, r] = rating.score
-                n_errors = rating.n_errors
-                self.n_errors[s, d, seg, r] = np.nan if n_errors is None else n_errors
+        has_cell = (s >= 0) & (d >= 0) & (r >= 0) & (table.seg >= 0)
+        has_cell[has_cell] = table.seg[has_cell] < self.seg_counts[d[has_cell]]
+        cells = (s[has_cell], d[has_cell], table.seg[has_cell], r[has_cell])
+        self.scores[cells] = table.score[has_cell]
+        self.n_errors[cells] = table.n_errors[has_cell]
 
     def bucket_of(self, doc_id: str) -> Bucket:
         return self._doc_bucket[doc_id]
@@ -267,190 +409,267 @@ class ColumnMapping:
         return index
 
 
-def _parse_optional_int(value: str, name: str, line: int) -> Optional[int]:
-    if value == "":
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"invalid integer for {name}: {value!r}", line=line) from None
-
-
 def ingest(path, mapping: Optional[ColumnMapping] = None, weights=None) -> RatingDataset:
     """Read a TSV rating file and return a validated RatingDataset.
 
     ``weights`` (a scoring.WeightTable) is used to materialize scores from
-    annotations where absent and to cross-check precomputed scores.
+    annotations where absent and to cross-check precomputed scores.  A
+    leading UTF-8 byte order mark is dropped, and CRLF or CR line ends read
+    as LF.
     """
-    if weights is None:
-        from .scoring import WeightTable
-
-        weights = WeightTable.default()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
-            return ingest_lines(handle, mapping=mapping, weights=weights)
+            text = handle.read()
         except UnicodeDecodeError as exc:
             raise ParseError(
                 f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
             ) from None
+    return _ingest_text(text, mapping, weights)
 
 
 def ingest_lines(lines: Iterable[str], mapping=None, weights=None) -> RatingDataset:
-    from .scoring import WeightTable, segment_score
+    """``ingest`` for lines as a text file yields them, each ending in a newline
+    except perhaps the last."""
+    return _ingest_text("".join(lines), mapping, weights)
+
+
+def _ingest_text(text: str, mapping, weights) -> RatingDataset:
+    from .scoring import WeightTable
 
     if weights is None:
         weights = WeightTable.default()
     if mapping is None:
         mapping = ColumnMapping.identity()
+    if not text:
+        raise ParseError("empty file", line=1)
+    lineno, axes, codes = _split_columns(text, mapping)
+    n_rows = len(lineno)
+    langs = [lang for lang in axes["lang_pair"] if lang]
+    target_len = np.array([len(t) for t in axes["target_text"]], dtype=np.int64)[
+        codes["target_text"]
+    ]
 
-    iterator = iter(lines)
-    try:
-        header_line = next(iterator)
-    except StopIteration:
-        raise ParseError("empty file", line=1) from None
-    header = header_line.rstrip("\n").split("\t")
-    index = mapping.resolve(header)
+    def cell(name, i):
+        return axes[name][codes[name][i]]
 
-    def get(row, canonical, default=""):
-        pos = index.get(canonical)
-        if pos is None or pos >= len(row):
-            return default
-        return row[pos]
+    def nonempty(name):
+        return codes[name] != 0 if axes[name][0] == "" else np.ones(n_rows, dtype=bool)
 
-    # (doc, seg, system, rater) -> accumulated parse state
-    groups: dict[tuple[str, int, str, str], dict] = {}
-    lang_pairs: set[str] = set()
-    explicit_buckets: dict[str, str] = {}  # doc -> bucket_id
-    bucket_cols_present = "bucket_id" in index
+    def parsed(name, parse, dtype):
+        """Each row's parsed cell, and whether it failed to parse."""
+        values, failed = _parse_each(axes[name], parse, dtype)
+        return values[codes[name]], failed[codes[name]]
 
-    for lineno, raw in enumerate(iterator, start=2):
-        raw = raw.rstrip("\n")
-        if not raw:
-            continue
-        row = raw.split("\t")
-        doc_id = get(row, "doc_id")
-        system_id = get(row, "system_id")
-        rater_id = get(row, "rater_id")
-        if not doc_id or not system_id or not rater_id:
-            raise ParseError("empty doc/system/rater identifier", line=lineno)
-        seg_text = get(row, "seg_index")
-        try:
-            seg_index = int(seg_text)
-        except ValueError:
-            raise ParseError(f"invalid seg_index: {seg_text!r}", line=lineno) from None
-        if seg_index < 0:
-            raise ParseError(f"negative seg_index: {seg_index}", line=lineno)
+    (docs, doc), (systems, system), (raters, rater), (bucket_ids, bucket) = (
+        (axes[name], codes[name]) for name in ("doc_id", "system_id", "rater_id", "bucket_id")
+    )
+    seg, bad_seg = parsed("seg_index", int, np.int64)
+    score, bad_score = parsed("score", float, np.float64)
+    bad_score |= ~np.isfinite(score)  # NaN marks unrated cells in the score array
+    severity, bad_severity = parsed(
+        "severity", lambda text: SEVERITIES.index(Severity.parse(text)), np.intp
+    )
+    start, bad_start = parsed("span_start", int, np.int64)
+    end, bad_end = parsed("span_end", int, np.int64)
+    has_score, has_severity = nonempty("score"), nonempty("severity")
+    has_start = has_severity & nonempty("span_start")
+    has_end = has_severity & nonempty("span_end")
+    has_span = has_start & has_end
 
-        lang = get(row, "lang_pair")
-        if lang:
-            lang_pairs.add(lang)
-        if bucket_cols_present:
-            bucket_id = get(row, "bucket_id")
-            if bucket_id:
-                previous = explicit_buckets.setdefault(doc_id, bucket_id)
-                if previous != bucket_id:
-                    raise InconsistentBuckets(
-                        f"document {doc_id} listed in buckets {previous} and {bucket_id}"
-                    )
+    has_bucket = nonempty("bucket_id")
+    bucketed = np.flatnonzero(has_bucket)
+    first_doc, first_row = np.unique(doc[bucketed], return_index=True)
+    doc_bucket = np.full(len(docs), -1)  # bucket of each document's first bucketed row
+    doc_bucket[first_doc] = bucket[bucketed[first_row]]
 
-        key = (doc_id, seg_index, system_id, rater_id)
-        state = groups.setdefault(
-            key, {"annotations": [], "has_error_rows": False, "scores": [], "lines": []}
-        )
-        state["lines"].append(lineno)
+    def line_error(message):
+        return lambda i: ParseError(message(i), line=int(lineno[i]))
 
-        severity_text = get(row, "severity")
-        score_text = get(row, "score")
-        if score_text != "":
-            try:
-                score = float(score_text)
-            except ValueError:
-                score = math.nan
-            if math.isnan(score):  # NaN marks unrated cells in the score array
-                raise ParseError(f"invalid score: {score_text!r}", line=lineno)
-            state["scores"].append(score)
-        if severity_text != "":
-            try:
-                severity = Severity.parse(severity_text)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            category = get(row, "category")
-            start = _parse_optional_int(get(row, "span_start"), "span_start", lineno)
-            end = _parse_optional_int(get(row, "span_end"), "span_end", lineno)
-            span = None
-            if start is not None or end is not None:
-                if start is None or end is None:
-                    raise ParseError("span_start and span_end must both be set", line=lineno)
-                target = get(row, "target_text")
-                if not (0 <= start <= end):
-                    raise ParseError(f"invalid span ({start}, {end})", line=lineno)
-                if target and end > len(target):
-                    raise ParseError(
-                        f"span end {end} exceeds target length {len(target)}", line=lineno
-                    )
-                span = (start, end)
-            state["annotations"].append(ErrorAnnotation(category, severity, span))
-            state["has_error_rows"] = True
+    _raise_first([
+        (~(nonempty("doc_id") & nonempty("system_id") & nonempty("rater_id")),
+         line_error(lambda i: "empty doc/system/rater identifier")),
+        (bad_seg, line_error(lambda i: f"invalid seg_index: {cell('seg_index', i)!r}")),
+        (seg < 0, line_error(lambda i: f"negative seg_index: {seg[i]}")),
+        (has_bucket & (bucket != doc_bucket[doc]), lambda i: InconsistentBuckets(
+            f"document {docs[doc[i]]} listed in buckets "
+            f"{bucket_ids[doc_bucket[doc[i]]]} and {bucket_ids[bucket[i]]}"
+        )),
+        (has_score & bad_score, line_error(lambda i: f"invalid score: {cell('score', i)!r}")),
+        (has_severity & bad_severity, line_error(
+            lambda i: _error_text(Severity.parse, cell("severity", i))
+        )),
+        (has_start & bad_start, line_error(
+            lambda i: f"invalid integer for span_start: {cell('span_start', i)!r}"
+        )),
+        (has_end & bad_end, line_error(
+            lambda i: f"invalid integer for span_end: {cell('span_end', i)!r}"
+        )),
+        (has_start != has_end, line_error(lambda i: "span_start and span_end must both be set")),
+        (has_span & ~((0 <= start) & (start <= end)), line_error(
+            lambda i: f"invalid span ({start[i]}, {end[i]})"
+        )),
+        (has_span & (target_len > 0) & (end > target_len), line_error(
+            lambda i: f"span end {end[i]} exceeds target length {target_len[i]}"
+        )),
+    ])
 
-    if not groups:
-        raise ParseError("no data rows", line=2)
+    # One rating per distinct key: sort rows by key, keeping file order within a key.
+    order = np.lexsort((rater, system, seg, doc))
+    key = [column[order] for column in (doc, seg, system, rater)]
+    first = np.ones(n_rows, dtype=bool)
+    first[1:] = np.any([column[1:] != column[:-1] for column in key], axis=0)
+    starts = np.flatnonzero(first)
+    owner = np.cumsum(first) - 1  # rating of each sorted row
+    r_doc, r_seg, r_system, r_rater = (column[starts] for column in key)
+    n_ratings = len(starts)
 
-    ratings: dict[tuple[str, int, str, str], SegmentRating] = {}
-    for key, state in sorted(groups.items()):
-        doc_id, seg_index, system_id, rater_id = key
-        scores = state["scores"]
-        if scores and max(scores) - min(scores) > SCORE_TOLERANCE:
-            raise ParseError(
-                f"conflicting score values for doc={doc_id} seg={seg_index} "
-                f"system={system_id} rater={rater_id}",
-                line=state["lines"][0],
-            )
-        given_score = scores[0] if scores else None
-        if state["has_error_rows"]:
-            annotations = tuple(state["annotations"])
-            computed = segment_score(annotations, weights)
-            if given_score is not None and abs(given_score - computed) > SCORE_TOLERANCE:
-                raise ScoreMismatch(
-                    f"doc={doc_id} seg={seg_index} system={system_id} rater={rater_id}: "
-                    f"file score {given_score} != recomputed {computed}"
-                )
-            ratings[key] = SegmentRating(doc_id, seg_index, system_id, rater_id, annotations, computed)
-        elif given_score is None or given_score == 0.0:
-            # A lone empty-severity row with no (nonzero) score is an explicit
-            # "no errors found" rating.
-            ratings[key] = SegmentRating(doc_id, seg_index, system_id, rater_id, (), 0.0)
-        else:
-            if given_score < 0:
-                raise ParseError(
-                    f"negative score for doc={doc_id} seg={seg_index}",
-                    line=state["lines"][0],
-                )
-            ratings[key] = SegmentRating(doc_id, seg_index, system_id, rater_id, None, given_score)
+    row_score = np.where(has_score, score, np.nan)[order]
+    spread = np.fmax.reduceat(row_score, starts) - np.fmin.reduceat(row_score, starts)
+    scored = np.flatnonzero(~np.isnan(row_score))
+    rated, first_scored = np.unique(owner[scored], return_index=True)
+    given = np.full(n_ratings, np.nan)  # each rating's first score in file order
+    given[rated] = row_score[scored[first_scored]]
 
-    documents: dict[str, int] = {}
-    doc_raters: dict[str, set[str]] = {}
-    systems: set[str] = set()
-    raters: set[str] = set()
-    for (doc_id, seg_index, system_id, rater_id) in ratings:
-        documents[doc_id] = max(documents.get(doc_id, 0), seg_index + 1)
-        doc_raters.setdefault(doc_id, set()).add(rater_id)
-        systems.add(system_id)
-        raters.add(rater_id)
+    errors = order[has_severity[order]]  # error rows by rating, in file order
+    error_owner = owner[has_severity[order]]
+    categories, category = axes["category"], codes["category"]
+    pair = severity[errors] * len(categories) + category[errors]
+    pairs, pair_code = np.unique(pair, return_inverse=True)
+    weight = np.array(
+        [weights.lookup(SEVERITIES[p // len(categories)], categories[p % len(categories)])
+         for p in pairs.tolist()],
+        dtype=np.float64,
+    )
+    n_errors = np.bincount(error_owner, minlength=n_ratings)
+    # bincount adds each rating's weights left to right, as segment_score does.
+    computed = np.bincount(error_owner, weights=weight[pair_code], minlength=n_ratings)
+
+    has_errors = n_errors > 0
+    no_errors_found = np.isnan(given) | (given == 0.0)
+    first_line = lineno[order[starts]]
+
+    def rating_id(k):
+        return (f"doc={docs[r_doc[k]]} seg={r_seg[k]} "
+                f"system={systems[r_system[k]]} rater={raters[r_rater[k]]}")
+
+    _raise_first([
+        (spread > SCORE_TOLERANCE, lambda k: ParseError(
+            f"conflicting score values for {rating_id(k)}", line=int(first_line[k])
+        )),
+        (has_errors & (np.abs(given - computed) > SCORE_TOLERANCE), lambda k: ScoreMismatch(
+            f"{rating_id(k)}: file score {float(given[k])} != recomputed {float(computed[k])}"
+        )),
+        (~has_errors & (given < 0), lambda k: ParseError(
+            f"negative score for doc={docs[r_doc[k]]} seg={r_seg[k]}", line=int(first_line[k])
+        )),
+    ])
+
+    table = RatingTable(
+        docs, systems, raters, r_doc, r_seg, r_system, r_rater,
+        score=np.where(has_errors, computed, np.where(no_errors_found, 0.0, given)),
+        n_errors=np.where(has_errors | no_errors_found, n_errors, np.nan),
+        categories=categories,
+        ann_owner=error_owner,
+        ann_severity=severity[errors],
+        ann_category=category[errors],
+        ann_start=np.where(has_span[errors], start[errors], -1),
+        ann_end=np.where(has_span[errors], end[errors], -1),
+    )
+    n_segs = np.zeros(len(docs), dtype=np.int64)
+    np.maximum.at(n_segs, r_doc, r_seg + 1)
+    documents = dict(zip(docs, n_segs.tolist()))
+    rated_by = np.zeros((len(docs), len(raters)), dtype=bool)
+    rated_by[r_doc, r_rater] = True
+    doc_raters = {
+        doc_id: {raters[r] for r in np.flatnonzero(row)} for doc_id, row in zip(docs, rated_by)
+    }
+    explicit_buckets = {
+        docs[d]: bucket_ids[b] for d, b in enumerate(doc_bucket.tolist()) if b >= 0
+    }
 
     buckets = _build_buckets(documents, doc_raters, explicit_buckets)
-    language_pair = sorted(lang_pairs)[0] if len(lang_pairs) == 1 else ",".join(sorted(lang_pairs))
     ds = RatingDataset(
-        language_pair=language_pair or "unknown",
+        language_pair=",".join(langs) or "unknown",
         documents=documents,
         systems=frozenset(systems),
         raters=frozenset(raters),
         buckets=buckets,
-        ratings=ratings,
+        ratings=table,
     )
     ds.validate()
     if explicit_buckets:
         _check_inference_matches(ds, doc_raters)
     return ds
+
+
+def _split_columns(text: str, mapping: ColumnMapping) -> tuple[np.ndarray, dict, dict]:
+    """Line numbers of the non-blank data lines, and per canonical column its
+    sorted distinct cells and each row's index into them.  A row shorter than
+    the header reads as padded with empty cells, an absent column as empty."""
+    lines = text.split("\n")
+    header = lines[0].split("\t")
+    index = mapping.resolve(header)
+    del lines[0]
+    lineno = np.flatnonzero(np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))) + 2
+    if not lineno.size:
+        raise ParseError("no data rows", line=2)
+    rows = list(filter(None, lines))
+    del lines
+    width = len(header)
+    tabs = np.fromiter(map(str.count, rows, repeat("\t")), dtype=np.intp, count=len(rows))
+    for i in np.flatnonzero(tabs != width - 1).tolist():
+        cells = rows[i].split("\t")[:width]
+        rows[i] = "\t".join(cells + [""] * (width - len(cells)))
+    # Split a block of rows at a time, so that only one block's cells exist
+    # as strings.  Each column's distinct cells get provisional codes in the
+    # order blocks first show them, ranked by sorted cell at the end.
+    seen = {name: {} for name in index}
+    blocks = {name: [] for name in index}
+    for at in range(0, len(rows), _BLOCK_ROWS):
+        cells = "\t".join(rows[at:at + _BLOCK_ROWS]).split("\t")
+        for name, pos in index.items():
+            column, first = cells[pos::width], seen[name]
+            for cell in set(column).difference(first):
+                first[cell] = len(first)
+            blocks[name].append(np.fromiter(map(first.__getitem__, column), np.intp, len(column)))
+    axes, codes = {}, {}
+    for name in CANONICAL_COLUMNS:
+        if name in index:
+            axes[name], rank = _factorize(list(seen[name]))
+            codes[name] = rank[np.concatenate(blocks[name])]
+        else:
+            axes[name], codes[name] = ("",), np.zeros(len(rows), dtype=np.intp)
+    return lineno, axes, codes
+
+
+def _parse_each(texts: Sequence[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Parse each distinct cell text: the values, and a mask of the texts that
+    fail (including integers beyond 64 bits)."""
+    values = np.zeros(len(texts), dtype=dtype)
+    failed = np.zeros(len(texts), dtype=bool)
+    for i, text in enumerate(texts):
+        try:
+            values[i] = parse(text)
+        except (ValueError, OverflowError):
+            failed[i] = True
+    return values, failed
+
+
+def _error_text(parse, text: str) -> str:
+    """The message of the ValueError that ``parse(text)`` raises."""
+    try:
+        parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _raise_first(checks) -> None:
+    """Raise the error of the first row that fails any check, for the first
+    check it fails; ``checks`` is a list of (row mask, row -> exception)."""
+    failing = [np.argmax(mask) for mask, _ in checks if mask.any()]
+    if failing:
+        row = min(failing)
+        raise next(error(row) for mask, error in checks if mask[row])
 
 
 def _build_buckets(documents, doc_raters, explicit_buckets) -> tuple[Bucket, ...]:
@@ -517,32 +736,33 @@ def bucket_layout(ds: RatingDataset) -> list[tuple[str, tuple[str, ...], int]]:
 
 def export_tsv(ds: RatingDataset) -> str:
     """Serialize to the canonical TSV format (deterministic row order)."""
-    out = io.StringIO()
-    columns = [c for c in CANONICAL_COLUMNS if c != "target_text"]
-    out.write("\t".join(columns) + "\n")
-    for key in sorted(ds.ratings):
-        rating = ds.ratings[key]
-        bucket = ds.bucket_of(rating.doc_id)
-        base = [
-            ds.language_pair,
-            bucket.bucket_id,
-            rating.doc_id,
-            str(rating.seg_index),
-            rating.system_id,
-            rating.rater_id,
-        ]
-        score_text = repr(rating.score)
-        if rating.annotations:
-            for ann in rating.annotations:
-                start = "" if ann.span is None else str(ann.span[0])
-                end = "" if ann.span is None else str(ann.span[1])
-                out.write(
-                    "\t".join(base + [ann.severity.value, ann.category, start, end, score_text])
-                    + "\n"
-                )
-        else:
-            out.write("\t".join(base + ["", "", "", "", score_text]) + "\n")
-    return out.getvalue()
+    table = ds.ratings
+    doc_heads = [f"{ds.language_pair}\t{ds.bucket_of(d).bucket_id}\t{d}\t" for d in table.docs]
+    heads = [
+        f"{doc_heads[d]}{seg}\t{table.systems[s]}\t{table.raters[r]}\t"
+        for d, seg, s, r in zip(
+            table.doc.tolist(), table.seg.tolist(), table.system.tolist(), table.rater.tolist()
+        )
+    ]
+    tails = [f"\t{score!r}" for score in table.score.tolist()]
+    severities = [severity.value for severity in SEVERITIES]
+    annotations = [
+        f"{severities[s]}\t{table.categories[c]}\t" + ("\t" if a < 0 else f"{a}\t{b}")
+        for s, c, a, b in zip(
+            table.ann_severity.tolist(), table.ann_category.tolist(),
+            table.ann_start.tolist(), table.ann_end.tolist(),
+        )
+    ]
+    # One line per annotation, or one with empty error fields for a rating without any.
+    n_errors = np.nan_to_num(table.n_errors).astype(np.intp)
+    owner = np.repeat(np.arange(len(table)), np.maximum(n_errors, 1))
+    annotated = n_errors[owner] > 0
+    middles = ["\t\t\t"] * len(owner)
+    for line, text in zip(np.flatnonzero(annotated).tolist(), annotations):
+        middles[line] = text
+    header = "\t".join(c for c in CANONICAL_COLUMNS if c != "target_text")
+    body = [heads[o] + m + tails[o] for o, m in zip(owner.tolist(), middles)]
+    return "\n".join([header, *body]) + "\n"
 
 
 def fingerprint(ds: RatingDataset) -> str:

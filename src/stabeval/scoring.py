@@ -96,8 +96,12 @@ class WeightTable:
 
 
 def segment_score(annotations: Iterable[ErrorAnnotation], weights: WeightTable) -> float:
-    """Weighted sum of error annotations; 0 for an empty list."""
-    return float(sum(weights.lookup(a.severity, a.category) for a in annotations))
+    """Weighted sum of error annotations, added left to right as ingest adds
+    them (``sum`` compensates on Python 3.12+); 0 for an empty list."""
+    total = 0.0
+    for a in annotations:
+        total += weights.lookup(a.severity, a.category)
+    return total
 
 
 class ScoredStudy:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stabeval
+from stabeval import corpus
 from stabeval.cli import main
 
 from conftest import tiny_tsv_rows
@@ -262,3 +268,70 @@ def test_single_system_dataset_exit_code(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: need at least 2 systems")
+
+
+def _tiny_rows_with(case):
+    rows = tiny_tsv_rows()
+    if case == "missing_column":
+        rows[0] = rows[0].replace("rater_id", "annotator")
+    elif case == "doc_in_two_buckets":
+        rows[-1] = rows[-1].replace("\tb1\t", "\tb2\t")
+    elif case == "score_mismatch":
+        rows[1] = rows[1].replace("\t0\t4\t\t", "\t0\t4\t3.0\t")
+    elif case == "non_finite_score":
+        rows[4] = rows[4].replace("\t\t\t\t\t\t", "\t\t\t\t\tinf\t")
+    return rows
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing_column", "required column 'rater_id' not found"),
+        ("doc_in_two_buckets", "document doc2 listed in buckets b1 and b2"),
+        ("score_mismatch", "file score 3.0 != recomputed 5.0"),
+        ("non_finite_score", "line 5: invalid score: 'inf'"),
+    ],
+)
+@pytest.mark.parametrize("command, prefix", [("validate", "INVALID: "), ("sweep", "error: ")])
+def test_ingest_error_exit_code(tmp_path, capsys, case, message, command, prefix):
+    tsv = tmp_path / "bad.tsv"
+    tsv.write_text("\n".join(_tiny_rows_with(case)) + "\n")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    argv = [command, "--dataset", str(tsv)]
+    if command == "sweep":
+        argv += ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(prefix) and message in err
+    assert "Traceback" not in err
+
+
+def test_sweep_builds_no_segment_rating(synth_tsv, tmp_path, monkeypatch):
+    built = []
+    init = corpus.SegmentRating.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(corpus.SegmentRating, "__init__", counting_init)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    out = tmp_path / "out"
+    argv = ["sweep", "--dataset", str(synth_tsv), "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["dataset_fingerprint"]
+    assert built == []
+
+
+def test_python_m_stabeval_runs_the_cli():
+    src = str(Path(stabeval.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "stabeval", "--version"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout.strip() == stabeval.__version__

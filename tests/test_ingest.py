@@ -1,0 +1,461 @@
+"""Differential checks for the columnar TSV parser.
+
+``ingest_lines_oracle`` is the per-row loop the columnar parser replaced,
+kept as the reference: it builds one ``SegmentRating`` per rating and hands
+the dict to ``RatingDataset``.  ``export_tsv_oracle`` is the matching
+per-rating export.  Generated files, valid or with injected faults, must
+give the same dataset or the same error from both, whether ingest splits
+them into cells one row, three rows or its default block at a time.
+"""
+
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stabeval import corpus
+from stabeval.corpus import (
+    CANONICAL_COLUMNS,
+    ColumnMapping,
+    ErrorAnnotation,
+    RatingDataset,
+    RatingTable,
+    SegmentRating,
+    Severity,
+    _build_buckets,
+    _check_inference_matches,
+    export_tsv,
+    fingerprint,
+    ingest,
+    ingest_lines,
+)
+from stabeval.errors import InconsistentBuckets, ParseError, ScoreMismatch, StabevalError
+from stabeval.scoring import WeightTable, segment_score
+
+from conftest import make_layout_dataset, tiny_tsv_rows
+
+SCORE_TOLERANCE = 1e-9
+
+
+def _int64(text):
+    """int(text), failing beyond 64 bits as the columnar parser does."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text!r} does not fit in 64 bits")
+    return value
+
+
+def _parse_optional_int(value, name, line):
+    if value == "":
+        return None
+    try:
+        return _int64(value)
+    except ValueError:
+        raise ParseError(f"invalid integer for {name}: {value!r}", line=line) from None
+
+
+def ingest_lines_oracle(lines, mapping=None, weights=None):
+    """The per-row ingest loop; returns the dataset and its ratings dict.
+
+    Two rules are newer than the loop: a non-finite score and an integer
+    beyond 64 bits are parse errors.
+    """
+    if weights is None:
+        weights = WeightTable.default()
+    if mapping is None:
+        mapping = ColumnMapping.identity()
+
+    iterator = iter(lines)
+    try:
+        header_line = next(iterator)
+    except StopIteration:
+        raise ParseError("empty file", line=1) from None
+    header = header_line.rstrip("\n").split("\t")
+    index = mapping.resolve(header)
+
+    def get(row, canonical, default=""):
+        pos = index.get(canonical)
+        if pos is None or pos >= len(row):
+            return default
+        return row[pos]
+
+    groups = {}
+    lang_pairs = set()
+    explicit_buckets = {}
+    bucket_cols_present = "bucket_id" in index
+
+    for lineno, raw in enumerate(iterator, start=2):
+        raw = raw.rstrip("\n")
+        if not raw:
+            continue
+        row = raw.split("\t")
+        doc_id = get(row, "doc_id")
+        system_id = get(row, "system_id")
+        rater_id = get(row, "rater_id")
+        if not doc_id or not system_id or not rater_id:
+            raise ParseError("empty doc/system/rater identifier", line=lineno)
+        seg_text = get(row, "seg_index")
+        try:
+            seg_index = _int64(seg_text)
+        except ValueError:
+            raise ParseError(f"invalid seg_index: {seg_text!r}", line=lineno) from None
+        if seg_index < 0:
+            raise ParseError(f"negative seg_index: {seg_index}", line=lineno)
+
+        lang = get(row, "lang_pair")
+        if lang:
+            lang_pairs.add(lang)
+        if bucket_cols_present:
+            bucket_id = get(row, "bucket_id")
+            if bucket_id:
+                previous = explicit_buckets.setdefault(doc_id, bucket_id)
+                if previous != bucket_id:
+                    raise InconsistentBuckets(
+                        f"document {doc_id} listed in buckets {previous} and {bucket_id}"
+                    )
+
+        key = (doc_id, seg_index, system_id, rater_id)
+        state = groups.setdefault(
+            key, {"annotations": [], "has_error_rows": False, "scores": [], "lines": []}
+        )
+        state["lines"].append(lineno)
+
+        severity_text = get(row, "severity")
+        score_text = get(row, "score")
+        if score_text != "":
+            try:
+                score = float(score_text)
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
+                raise ParseError(f"invalid score: {score_text!r}", line=lineno)
+            state["scores"].append(score)
+        if severity_text != "":
+            try:
+                severity = Severity.parse(severity_text)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            category = get(row, "category")
+            start = _parse_optional_int(get(row, "span_start"), "span_start", lineno)
+            end = _parse_optional_int(get(row, "span_end"), "span_end", lineno)
+            span = None
+            if start is not None or end is not None:
+                if start is None or end is None:
+                    raise ParseError("span_start and span_end must both be set", line=lineno)
+                target = get(row, "target_text")
+                if not (0 <= start <= end):
+                    raise ParseError(f"invalid span ({start}, {end})", line=lineno)
+                if target and end > len(target):
+                    raise ParseError(
+                        f"span end {end} exceeds target length {len(target)}", line=lineno
+                    )
+                span = (start, end)
+            state["annotations"].append(ErrorAnnotation(category, severity, span))
+            state["has_error_rows"] = True
+
+    if not groups:
+        raise ParseError("no data rows", line=2)
+
+    ratings = {}
+    for key, state in sorted(groups.items()):
+        doc_id, seg_index, system_id, rater_id = key
+        scores = state["scores"]
+        if scores and max(scores) - min(scores) > SCORE_TOLERANCE:
+            raise ParseError(
+                f"conflicting score values for doc={doc_id} seg={seg_index} "
+                f"system={system_id} rater={rater_id}",
+                line=state["lines"][0],
+            )
+        given_score = scores[0] if scores else None
+        if state["has_error_rows"]:
+            annotations = tuple(state["annotations"])
+            computed = segment_score(annotations, weights)
+            if given_score is not None and abs(given_score - computed) > SCORE_TOLERANCE:
+                raise ScoreMismatch(
+                    f"doc={doc_id} seg={seg_index} system={system_id} rater={rater_id}: "
+                    f"file score {given_score} != recomputed {computed}"
+                )
+            ratings[key] = SegmentRating(doc_id, seg_index, system_id, rater_id, annotations, computed)
+        elif given_score is None or given_score == 0.0:
+            ratings[key] = SegmentRating(doc_id, seg_index, system_id, rater_id, (), 0.0)
+        else:
+            if given_score < 0:
+                raise ParseError(
+                    f"negative score for doc={doc_id} seg={seg_index}",
+                    line=state["lines"][0],
+                )
+            ratings[key] = SegmentRating(doc_id, seg_index, system_id, rater_id, None, given_score)
+
+    documents = {}
+    doc_raters = {}
+    systems = set()
+    raters = set()
+    for (doc_id, seg_index, system_id, rater_id) in ratings:
+        documents[doc_id] = max(documents.get(doc_id, 0), seg_index + 1)
+        doc_raters.setdefault(doc_id, set()).add(rater_id)
+        systems.add(system_id)
+        raters.add(rater_id)
+
+    buckets = _build_buckets(documents, doc_raters, explicit_buckets)
+    language_pair = sorted(lang_pairs)[0] if len(lang_pairs) == 1 else ",".join(sorted(lang_pairs))
+    ds = RatingDataset(
+        language_pair=language_pair or "unknown",
+        documents=documents,
+        systems=frozenset(systems),
+        raters=frozenset(raters),
+        buckets=buckets,
+        ratings=ratings,
+    )
+    ds.validate()
+    if explicit_buckets:
+        _check_inference_matches(ds, doc_raters)
+    return ds, ratings
+
+
+def export_tsv_oracle(ds, ratings):
+    """The per-rating export of a ratings dict."""
+    out = io.StringIO()
+    columns = [c for c in CANONICAL_COLUMNS if c != "target_text"]
+    out.write("\t".join(columns) + "\n")
+    for key in sorted(ratings):
+        rating = ratings[key]
+        bucket = ds.bucket_of(rating.doc_id)
+        base = [ds.language_pair, bucket.bucket_id, rating.doc_id, str(rating.seg_index),
+                rating.system_id, rating.rater_id]
+        score_text = repr(rating.score)
+        if rating.annotations:
+            for ann in rating.annotations:
+                start = "" if ann.span is None else str(ann.span[0])
+                end = "" if ann.span is None else str(ann.span[1])
+                out.write(
+                    "\t".join(base + [ann.severity.value, ann.category, start, end, score_text])
+                    + "\n"
+                )
+        else:
+            out.write("\t".join(base + ["", "", "", "", score_text]) + "\n")
+    return out.getvalue()
+
+
+def outcome(parse, text, mapping):
+    try:
+        return parse(io.StringIO(text), mapping=mapping), None
+    except StabevalError as exc:
+        return None, (type(exc), str(exc), getattr(exc, "line", None))
+
+
+def assert_same_dataset(ds, want, ratings):
+    assert list(ds.documents.items()) == list(want.documents.items())
+    assert (ds.system_axis, ds.doc_axis, ds.rater_axis) == (
+        want.system_axis, want.doc_axis, want.rater_axis
+    )
+    assert (ds.systems, ds.raters) == (want.systems, want.raters)
+    assert ds.buckets == want.buckets
+    assert ds.language_pair == want.language_pair
+    assert np.array_equal(ds.scores, want.scores, equal_nan=True)
+    assert np.array_equal(ds.n_errors, want.n_errors, equal_nan=True)
+    assert list(ds.ratings) == sorted(ratings)
+    assert dict(ds.ratings) == ratings
+    assert dict(want.ratings.items()) == ratings
+    assert export_tsv(ds) == export_tsv(want) == export_tsv_oracle(ds, ratings)
+    assert fingerprint(ds) == fingerprint(want)
+
+
+CATEGORIES = ("Accuracy", "Accuracy/Omission", "Fluency/Punctuation", "Non-translation", "Style")
+FAULTS = (
+    "bad_seg", "negative_seg", "empty_id", "bad_severity", "bad_span_int", "half_span",
+    "invalid_span", "span_past_target", "conflicting_scores", "score_mismatch",
+    "negative_score", "two_buckets", "non_finite_score", "drop_row",
+)
+
+
+@st.composite
+def tsv_files(draw):
+    """(text, mapping or None) of a 1-2 bucket file, with 0-2 injected faults."""
+    n_buckets = draw(st.integers(1, 2))
+    systems = ["sA", "sB"][: draw(st.integers(1, 2))]
+    langs = draw(st.sampled_from([("xx-yy",), ("",), ("xx-yy", "zz"), ("xx-yy", "")]))
+    bucket_mode = draw(st.sampled_from(["explicit", "empty", "partial"]))
+    rows = []
+    for b in range(n_buckets):
+        raters = [f"r{b}{k}" for k in range(draw(st.integers(1, 2)))]
+        for i in range(draw(st.integers(1, 2))):
+            doc = f"d{b}{i}"
+            bucket = {"explicit": f"b{b}", "empty": "",
+                      "partial": draw(st.sampled_from([f"b{b}", ""]))}[bucket_mode]
+            for seg in range(draw(st.integers(1, 2))):
+                for system in systems:
+                    for rater in raters:
+                        base = dict(
+                            lang_pair=draw(st.sampled_from(langs)), bucket_id=bucket, doc_id=doc,
+                            seg_index=str(seg), system_id=system, rater_id=rater,
+                            severity="", category="", span_start="", span_end="", score="",
+                            target_text="",
+                        )
+                        rows += draw(rating_rows(base))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        inject(draw, rows, fault)
+
+    present = {"doc_id", "seg_index", "system_id", "rater_id"}
+    present |= {c for c in ("lang_pair", "bucket_id", "target_text") if draw(st.booleans())}
+    present |= draw(st.sampled_from(  # mostly a valid choice of score and error columns
+        [{"severity", "category", "score", "span_start", "span_end"}] * 3
+        + [{"severity", "category", "span_start", "span_end"}, {"score"},
+           {"severity", "category"}, {"severity", "category", "span_start"}, set()]
+    ))
+    present = sorted(present, key=CANONICAL_COLUMNS.index)
+    order = draw(st.permutations(present + ["junk"] * draw(st.integers(0, 1))))
+    renamed = draw(st.booleans())
+    header = [c if c == "junk" or not renamed else f"c_{c}" for c in order]
+    mapping = ColumnMapping({c: f"c_{c}" for c in CANONICAL_COLUMNS}) if renamed else None
+    lines = []
+    for row in draw(st.permutations(rows)):
+        cells = ["j" if c == "junk" else row[c] for c in order]
+        shape = draw(st.sampled_from(["full", "short", "extra"]))
+        while shape == "short" and cells and cells[-1] == "":
+            cells.pop()
+        if shape == "extra":
+            cells.append("x")
+        lines.append("\t".join(cells))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    text = "\n".join(["\t".join(header)] + lines) + draw(st.sampled_from(["\n", ""]))
+    return text, mapping
+
+
+@st.composite
+def rating_rows(draw, base):
+    kind = draw(st.sampled_from(["score", "errors", "clean"]))
+    if kind == "score":
+        score = draw(st.sampled_from(["1.5", "2", "0.25", " 3", "1e1", "1_0"]))
+        return [dict(base, score=score)] * draw(st.integers(1, 2))
+    if kind == "clean":
+        return [dict(base, score=draw(st.sampled_from(["", "0", "0.0", "-0.0"])))]
+    errors = []
+    for _ in range(draw(st.integers(1, 3))):
+        target = "x" * draw(st.integers(0, 6))
+        start = draw(st.integers(0, max(len(target), 3)))
+        end = draw(st.integers(start, max(len(target), start)))
+        span = draw(st.sampled_from([("", ""), (str(start), str(end))]))
+        errors.append(dict(
+            base, severity=draw(st.sampled_from(["Major", "Minor"])),
+            category=draw(st.sampled_from(CATEGORIES)),
+            span_start=span[0], span_end=span[1], target_text=target,
+        ))
+    score = segment_score(
+        [ErrorAnnotation(e["category"], Severity.parse(e["severity"])) for e in errors],
+        WeightTable.default(),
+    )
+    marked = draw(st.sampled_from(["none", "all", "first"]))
+    for i, row in enumerate(errors):
+        if marked == "all" or (marked == "first" and i == 0):
+            row["score"] = repr(score)
+    return errors
+
+
+def inject(draw, rows, fault):
+    if not rows:
+        return
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i] = dict(rows[i])
+    if fault == "bad_seg":
+        row["seg_index"] = draw(st.sampled_from(["x", "1.5", "", "99999999999999999999999"]))
+    elif fault == "negative_seg":
+        row["seg_index"] = "-1"
+    elif fault == "empty_id":
+        row[draw(st.sampled_from(["doc_id", "system_id", "rater_id"]))] = ""
+    elif fault == "bad_severity":
+        row["severity"] = "Critical"
+    elif fault == "bad_span_int":
+        row.update(severity="Minor", span_start="1", span_end="1")
+        row[draw(st.sampled_from(["span_start", "span_end"]))] = draw(
+            st.sampled_from(["a", "1.0", "99999999999999999999999"])
+        )
+    elif fault == "half_span":
+        row.update(severity="Minor", span_start="1", span_end="")
+    elif fault == "invalid_span":
+        row.update(severity="Major", **draw(st.sampled_from(
+            [dict(span_start="3", span_end="1"), dict(span_start="-1", span_end="1")]
+        )))
+    elif fault == "span_past_target":
+        row.update(severity="Major", span_start="0", span_end="5", target_text="xx")
+    elif fault == "conflicting_scores":
+        rows.insert(i + 1, dict(row, score="7.5"))
+        row["score"] = "7"
+    elif fault == "score_mismatch":
+        row.update(severity="Minor", score="12.5")
+    elif fault == "negative_score":
+        row.update(severity="", score="-2")
+    elif fault == "two_buckets":
+        row["bucket_id"] = "b9"
+    elif fault == "non_finite_score":
+        row["score"] = draw(st.sampled_from(["inf", "-inf", "1e309", "nan", "Infinity"]))
+    elif fault == "drop_row":
+        del rows[i]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=tsv_files(), block_rows=st.sampled_from([1, 3, corpus._BLOCK_ROWS]))
+def test_columnar_ingest_matches_row_loop(case, block_rows):
+    text, mapping = case
+    default, corpus._BLOCK_ROWS = corpus._BLOCK_ROWS, block_rows
+    try:
+        got, got_error = outcome(ingest_lines, text, mapping)
+    finally:
+        corpus._BLOCK_ROWS = default
+    want, want_error = outcome(ingest_lines_oracle, text, mapping)
+    assert got_error == want_error
+    if want is not None:
+        assert_same_dataset(got, *want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rating_table_round_trips_a_ratings_dict(seed):
+    rng = np.random.default_rng(seed)
+    ds = make_layout_dataset([2, 3], [("r1", "r2"), ("r3",)], n_systems=3, segs_per_doc=2,
+                             score_fn=lambda *key: rng.random())
+    ratings = {key: ds.ratings[key] for key in ds.ratings}
+    annotated = {
+        key: SegmentRating(*key, (ErrorAnnotation("Style", Severity.MINOR, (0, k)),) * k, 1.0 * k)
+        for k, key in enumerate(ratings)
+    }
+    for source in (ratings, annotated):
+        table = RatingTable.from_ratings(source)
+        assert len(table) == len(source) and list(table) == sorted(source)
+        assert dict(table.items()) == source
+        assert [table[key] for key in source] == list(source.values())
+    with pytest.raises(KeyError):
+        table[("d000", 9, "s00", "r1")]
+    with pytest.raises(TypeError):
+        table[("d000", 0, "s00", "r1")] = ratings[("d000", 0, "s00", "r1")]
+
+
+def test_crlf_file_loads_like_lf(tmp_path, tiny_tsv):
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes(tiny_tsv.read_bytes().replace(b"\n", b"\r\n"))
+    ds = ingest(crlf)
+    assert ds.language_pair == "xx-yy"
+    assert fingerprint(ds) == fingerprint(ingest(tiny_tsv))
+
+
+@pytest.mark.parametrize("first_column", ["lang_pair", "doc_id"])
+def test_byte_order_mark_is_dropped(tmp_path, first_column):
+    rows = [row.split("\t") for row in tiny_tsv_rows()]
+    first = rows[0].index(first_column)
+    rows = ["\t".join([cells[first]] + cells[:first] + cells[first + 1:]) for cells in rows]
+    plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    bom.write_text("\n".join(rows) + "\n", encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    ds = ingest(bom)
+    assert ds.language_pair == "xx-yy"
+    assert fingerprint(ds) == fingerprint(ingest(plain))
+
+
+@pytest.mark.parametrize("score", ["inf", "-inf", "1e309", "-Infinity"])
+def test_non_finite_score_rejected(score):
+    rows = tiny_tsv_rows()
+    rows[4] = rows[4].replace("\t\t\t\t\t\t", f"\t\t\t\t\t{score}\t")
+    with pytest.raises(ParseError, match=f"line 5: invalid score: '{score}'"):
+        ingest_lines(io.StringIO("\n".join(rows)))
