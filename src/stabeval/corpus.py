@@ -9,10 +9,8 @@ rewriting files.
 
 from __future__ import annotations
 
-import bisect
 import configparser
 import hashlib
-from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -81,26 +79,6 @@ class ErrorAnnotation:
                 raise ValueError(f"invalid span ({start}, {end})")
 
 
-@dataclass(frozen=True)
-class SegmentRating:
-    """One rater's rating of one segment of one system output.
-
-    ``annotations`` is None for score-only data (no span-level information);
-    an empty tuple means the rater explicitly found no errors.
-    """
-
-    doc_id: str
-    seg_index: int
-    system_id: str
-    rater_id: str
-    annotations: Optional[tuple[ErrorAnnotation, ...]]
-    score: float
-
-    @property
-    def n_errors(self) -> Optional[int]:
-        return None if self.annotations is None else len(self.annotations)
-
-
 def _factorize(values: Sequence) -> tuple[tuple, np.ndarray]:
     """The sorted distinct values and each value's index into them."""
     axis = tuple(sorted(set(values)))
@@ -108,14 +86,8 @@ def _factorize(values: Sequence) -> tuple[tuple, np.ndarray]:
     return axis, np.fromiter(map(pos.__getitem__, values), dtype=np.intp, count=len(values))
 
 
-def _position(axis: tuple, value) -> int:
-    """The index of ``value`` in the sorted ``axis``, or -1 if it is absent."""
-    i = bisect.bisect_left(axis, value)
-    return i if axis[i:i + 1] == (value,) else -1
-
-
 @dataclass(frozen=True, eq=False)
-class RatingTable(Mapping):
+class RatingTable:
     """A dataset's ratings as columns: one row per rating, sorted by its
     (doc_id, seg_index, system_id, rater_id) key, and one row per error
     annotation.
@@ -125,10 +97,7 @@ class RatingTable(Mapping):
     Annotation rows are grouped by their ``ann_owner`` rating in rating order,
     each group in file order; ``ann_severity`` indexes ``SEVERITIES``,
     ``ann_category`` indexes ``categories``, and ``ann_start`` and ``ann_end``
-    are -1 for an annotation without a span.
-
-    As a read-only mapping from rating keys to ``SegmentRating`` it builds
-    each rating only when it is indexed or iterated.
+    are -1 for an annotation without a span.  ``len`` is the rating count.
     """
 
     docs: tuple[str, ...]
@@ -147,82 +116,8 @@ class RatingTable(Mapping):
     ann_start: np.ndarray
     ann_end: np.ndarray
 
-    @classmethod
-    def from_ratings(cls, ratings: Mapping[tuple, SegmentRating]) -> "RatingTable":
-        keys = sorted(ratings)
-        (docs, doc), (systems, system), (raters, rater) = (
-            _factorize([key[i] for key in keys]) for i in (0, 2, 3)
-        )
-        values = [ratings[key] for key in keys]
-        owned = [(row, a) for row, v in enumerate(values) for a in v.annotations or ()]
-        categories, category = _factorize([a.category for _, a in owned])
-        spans = np.array([a.span or (-1, -1) for _, a in owned], dtype=np.int64).reshape(-1, 2)
-        return cls(
-            docs, systems, raters, doc,
-            np.array([key[1] for key in keys], dtype=np.int64), system, rater,
-            np.array([v.score for v in values], dtype=np.float64),
-            np.array([np.nan if v.annotations is None else len(v.annotations) for v in values]),
-            categories,
-            np.array([row for row, _ in owned], dtype=np.intp),
-            np.array([SEVERITIES.index(a.severity) for _, a in owned], dtype=np.intp),
-            category, spans[:, 0], spans[:, 1],
-        )
-
     def __len__(self) -> int:
         return len(self.score)
-
-    def __iter__(self):
-        return zip(
-            map(self.docs.__getitem__, self.doc.tolist()),
-            self.seg.tolist(),
-            map(self.systems.__getitem__, self.system.tolist()),
-            map(self.raters.__getitem__, self.rater.tolist()),
-        )
-
-    def __getitem__(self, key) -> SegmentRating:
-        doc_id, seg_index, system_id, rater_id = key
-        d, s, r = map(
-            _position, (self.docs, self.systems, self.raters), (doc_id, system_id, rater_id)
-        )
-        lo, hi = np.searchsorted(self.doc, (d, d + 1))
-        hit = np.flatnonzero(
-            (self.seg[lo:hi] == seg_index) & (self.system[lo:hi] == s) & (self.rater[lo:hi] == r)
-        )
-        if not hit.size:
-            raise KeyError(key)
-        return self._rating(lo + hit[0])
-
-    def values(self):
-        return _TableValues(self)
-
-    def items(self):
-        return _TableItems(self)
-
-    def _rating(self, row: int) -> SegmentRating:
-        annotations = None
-        if not np.isnan(self.n_errors[row]):
-            lo, hi = np.searchsorted(self.ann_owner, (row, row + 1))
-            annotations = tuple(
-                ErrorAnnotation(self.categories[c], SEVERITIES[s], None if a < 0 else (a, b))
-                for s, c, a, b in zip(
-                    self.ann_severity[lo:hi].tolist(), self.ann_category[lo:hi].tolist(),
-                    self.ann_start[lo:hi].tolist(), self.ann_end[lo:hi].tolist(),
-                )
-            )
-        return SegmentRating(
-            self.docs[self.doc[row]], int(self.seg[row]), self.systems[self.system[row]],
-            self.raters[self.rater[row]], annotations, float(self.score[row]),
-        )
-
-
-class _TableValues(ValuesView):
-    def __iter__(self):
-        return map(self._mapping._rating, range(len(self._mapping)))
-
-
-class _TableItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping.values())
 
 
 @dataclass(frozen=True)
@@ -253,8 +148,8 @@ class RatingDataset:
     (system, doc, seg, rater) over the sorted ids in ``system_axis``,
     ``doc_axis`` and ``rater_axis``.  Unrated cells are NaN, and so are the
     error counts of score-only ratings.  ``eligible`` is the (doc, rater)
-    bucket membership matrix.  ``ratings`` is the read-only RatingTable the
-    arrays are filled from.
+    bucket membership matrix.  ``ratings`` is the RatingTable the arrays are
+    filled from.
     """
 
     language_pair: str
@@ -262,9 +157,7 @@ class RatingDataset:
     systems: frozenset[str]
     raters: frozenset[str]
     buckets: tuple[Bucket, ...]
-    # Any mapping of (doc_id, seg_index, system_id, rater_id) keys to ratings;
-    # __post_init__ stores it as a RatingTable.
-    ratings: Mapping[tuple[str, int, str, str], SegmentRating]
+    ratings: RatingTable
 
     def __post_init__(self):
         self.system_axis = tuple(sorted(self.systems))
@@ -290,8 +183,6 @@ class RatingDataset:
         )
         self.scores = np.full(shape, np.nan)
         self.n_errors = np.full(shape, np.nan)
-        if not isinstance(self.ratings, RatingTable):
-            self.ratings = RatingTable.from_ratings(self.ratings)
         table = self.ratings
         s, d, r = (
             np.array([pos.get(x, -1) for x in axis], dtype=np.intp)[codes]
@@ -311,9 +202,6 @@ class RatingDataset:
 
     def bucket_of(self, doc_id: str) -> Bucket:
         return self._doc_bucket[doc_id]
-
-    def rating(self, doc_id: str, seg_index: int, system_id: str, rater_id: str) -> SegmentRating:
-        return self.ratings[(doc_id, seg_index, system_id, rater_id)]
 
     def validate(self) -> None:
         """Enforce the structural invariants; raise a CorpusError on violation."""
@@ -523,6 +411,16 @@ def _ingest_text(text: str, mapping, weights) -> RatingDataset:
     r_doc, r_seg, r_system, r_rater = (column[starts] for column in key)
     n_ratings = len(starts)
 
+    # A document with n distinct seg_index values must number them 0..n-1;
+    # checking that here keeps a stray huge index from sizing the dense arrays.
+    new_seg = np.ones(n_ratings, dtype=bool)
+    new_seg[1:] = (r_doc[1:] != r_doc[:-1]) | (r_seg[1:] != r_seg[:-1])
+    n_segs = np.bincount(r_doc[new_seg], minlength=len(docs))
+    _raise_first([(seg >= n_segs[doc], line_error(
+        lambda i: f"seg_index {seg[i]} leaves a gap: document {docs[doc[i]]} "
+                  f"has {n_segs[doc[i]]} distinct seg_index values"
+    ))])
+
     row_score = np.where(has_score, score, np.nan)[order]
     spread = np.fmax.reduceat(row_score, starts) - np.fmin.reduceat(row_score, starts)
     scored = np.flatnonzero(~np.isnan(row_score))
@@ -575,8 +473,6 @@ def _ingest_text(text: str, mapping, weights) -> RatingDataset:
         ann_start=np.where(has_span[errors], start[errors], -1),
         ann_end=np.where(has_span[errors], end[errors], -1),
     )
-    n_segs = np.zeros(len(docs), dtype=np.int64)
-    np.maximum.at(n_segs, r_doc, r_seg + 1)
     documents = dict(zip(docs, n_segs.tolist()))
     rated_by = np.zeros((len(docs), len(raters)), dtype=bool)
     rated_by[r_doc, r_rater] = True
@@ -768,29 +664,3 @@ def export_tsv(ds: RatingDataset) -> str:
 def fingerprint(ds: RatingDataset) -> str:
     """Content hash of the dataset; changes iff any rating row changes."""
     return hashlib.sha256(export_tsv(ds).encode("utf-8")).hexdigest()
-
-
-def datasets_equal(a: RatingDataset, b: RatingDataset, tol: float = 1e-12) -> bool:
-    """Structural equality with score comparison at the given tolerance."""
-    if (
-        a.language_pair != b.language_pair
-        or a.documents != b.documents
-        or a.systems != b.systems
-        or a.raters != b.raters
-        or {x.doc_ids for x in a.buckets} != {x.doc_ids for x in b.buckets}
-        or set(a.ratings) != set(b.ratings)
-    ):
-        return False
-    for key, ra in a.ratings.items():
-        rb = b.ratings[key]
-        if abs(ra.score - rb.score) > tol:
-            return False
-        ann_a = ra.annotations or ()
-        ann_b = rb.annotations or ()
-        if (ra.annotations is None) != (rb.annotations is None):
-            # Score-only vs explicit no-error is only equivalent at score 0.
-            if ann_a or ann_b or ra.score > tol:
-                return False
-        elif ann_a != ann_b:
-            return False
-    return True

@@ -77,5 +77,5 @@ class BucketArityUnsupported(StabevalError):
     pass
 
 
-class InvalidSpec(StabevalError):
+class InvalidSpec(ConfigError):
     """Invalid synthetic-dataset generator specification."""

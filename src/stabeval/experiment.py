@@ -20,7 +20,7 @@ from .assignment import (
     build_plan,
     subsample_documents,
 )
-from .corpus import Bucket, RatingDataset, SegmentRating, read_config
+from .corpus import Bucket, RatingDataset, RatingTable, read_config
 from .errors import ConfigError, InvalidSpec
 from .scoring import NormalizationScheme, ScoredStudy, normalize
 from .stats import SignificanceMatrix, same_documents, significance_matrix, srp
@@ -95,8 +95,7 @@ class RankingResult:
 def select_ratings(ds: RatingDataset, plan: AssignmentPlan) -> ScoredStudy:
     """Pull the real ratings selected by an assignment plan into a study.
 
-    Entries come out in (system, doc, seg, rater) order over sorted ids, the
-    order ``ScoredStudy.from_entries`` sorts into.
+    Entries come out in (system, doc, seg, rater) order over sorted ids.
     """
     mask = plan.chosen[:, :, None, :] & ~np.isnan(ds.scores)
     sys_ix, doc_ix, seg_ix, rater_ix = np.nonzero(mask)
@@ -408,28 +407,33 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
         else np.zeros((len(raters), spec.n_documents))
     )
 
-    ratings: dict[tuple[str, int, str, str], SegmentRating] = {}
-    for b, bucket in enumerate(buckets):
+    n_segs = spec.segments_per_doc
+    values = np.full((spec.n_documents, n_segs, spec.n_systems, len(raters)), np.nan)
+    for bucket in buckets:
         bucket_raters = sorted(bucket.rater_ids)
         for doc_id in sorted(bucket.doc_ids):
             d = docs.index(doc_id)
-            for s, system_id in enumerate(systems):
-                item_noise = rng.normal(
-                    0.0, spec.item_noise_sigma, size=spec.segments_per_doc
-                )
+            for s in range(spec.n_systems):
+                item_noise = rng.normal(0.0, spec.item_noise_sigma, size=n_segs)
                 for rater_id in bucket_raters:
                     r = raters.index(rater_id)
                     obs_noise = (
-                        np.exp(rng.normal(0.0, spec.rater_noise_sigma, size=spec.segments_per_doc))
+                        np.exp(rng.normal(0.0, spec.rater_noise_sigma, size=n_segs))
                         if spec.rater_noise_sigma > 0
-                        else np.ones(spec.segments_per_doc)
+                        else np.ones(n_segs)
                     )
                     truth = base[d] + quality[s] + item_noise + preference[r, d]
-                    scores = harshness[r] * np.maximum(truth, 0.0) * obs_noise
-                    for seg in range(spec.segments_per_doc):
-                        ratings[(doc_id, seg, system_id, rater_id)] = SegmentRating(
-                            doc_id, seg, system_id, rater_id, None, float(scores[seg])
-                        )
+                    values[d, :, s, r] = harshness[r] * np.maximum(truth, 0.0) * obs_noise
+    # Put each id axis in sorted order, so the rated cells come out in rating-key order.
+    by_id = [sorted(range(len(ids)), key=ids.__getitem__) for ids in (docs, systems, raters)]
+    values = values[np.ix_(by_id[0], range(n_segs), by_id[1], by_id[2])]
+    doc, seg, system, rater = np.nonzero(~np.isnan(values))
+    no_annotations = np.zeros(0, dtype=np.intp)
+    table = RatingTable(
+        tuple(sorted(docs)), tuple(sorted(systems)), tuple(sorted(raters)),
+        doc, seg, system, rater, values[doc, seg, system, rater], np.full(len(doc), np.nan),
+        (), *[no_annotations] * 5,
+    )
 
     ds = RatingDataset(
         language_pair=spec.language_pair,
@@ -437,7 +441,7 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
         systems=frozenset(systems),
         raters=frozenset(raters),
         buckets=tuple(buckets),
-        ratings=ratings,
+        ratings=table,
     )
     ds.validate()
     return ds

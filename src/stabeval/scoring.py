@@ -44,6 +44,8 @@ class WeightTable:
         for severity, prefix, weight in self.entries:
             if severity not in severities:
                 raise ConfigError(f"invalid severity in weight table: {severity!r}")
+            if not np.isfinite(weight):
+                raise ConfigError(f"non-finite weight {weight} for {severity}:{prefix}")
             if weight < 0:
                 raise ConfigError(f"negative weight for {severity}:{prefix}")
             if prefix == "" and severity != WILDCARD_SEVERITY:
@@ -131,28 +133,6 @@ class ScoredStudy:
         ):
             raise ValueError("ragged study arrays")
 
-    @classmethod
-    def from_entries(cls, entries) -> "ScoredStudy":
-        """Build from (doc, seg, system, rater, score, n_errors-or-None) tuples."""
-        entries = sorted(entries, key=lambda e: (e[2], e[0], e[1], e[3]))
-        systems = sorted({e[2] for e in entries})
-        raters = sorted({e[3] for e in entries})
-        docs = sorted({e[0] for e in entries})
-        sys_pos = {s: i for i, s in enumerate(systems)}
-        rater_pos = {r: i for i, r in enumerate(raters)}
-        doc_pos = {d: i for i, d in enumerate(docs)}
-        return cls(
-            systems,
-            raters,
-            docs,
-            [sys_pos[e[2]] for e in entries],
-            [rater_pos[e[3]] for e in entries],
-            [doc_pos[e[0]] for e in entries],
-            [e[1] for e in entries],
-            [e[4] for e in entries],
-            [np.nan if e[5] is None else float(e[5]) for e in entries],
-        )
-
     def __len__(self) -> int:
         return len(self.scores)
 
@@ -223,9 +203,7 @@ def system_means(study: ScoredStudy) -> dict[str, float]:
     return {s: float(sums[i] / counts[i]) for i, s in enumerate(study.systems)}
 
 
-def normalize(
-    study: ScoredStudy, scheme: NormalizationScheme, strict: bool = True
-) -> ScoredStudy:
+def normalize(study: ScoredStudy, scheme: NormalizationScheme) -> ScoredStudy:
     """Apply a rater-wise normalization; rater-item assignments are untouched."""
     if scheme is NormalizationScheme.UNNORMALIZED:
         return study
@@ -240,15 +218,11 @@ def normalize(
     # Mean and Error schemes are multiplicative.
     zero = means == 0
     if zero.any():
-        if strict:
-            bad = [study.raters[i] for i in np.nonzero(zero)[0]]
-            raise DegenerateRater(
-                f"rater mean score is 0 for {bad}; multiplicative normalization undefined"
-            )
-        factors = np.where(zero, 1.0, study.study_mean / np.where(zero, 1.0, means))
-    else:
-        factors = study.study_mean / means
-    scores = study.scores * factors[study.rater_ix]
+        bad = [study.raters[i] for i in np.nonzero(zero)[0]]
+        raise DegenerateRater(
+            f"rater mean score is 0 for {bad}; multiplicative normalization undefined"
+        )
+    scores = study.scores * (study.study_mean / means)[study.rater_ix]
     if scheme is NormalizationScheme.MEAN:
         return study.with_scores(scores)
 

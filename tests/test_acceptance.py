@@ -24,7 +24,7 @@ from stabeval.experiment import (
     generate_synthetic,
     run_sweep,
 )
-from stabeval.scoring import NormalizationScheme, ScoredStudy, normalize, system_means
+from stabeval.scoring import NormalizationScheme, normalize, system_means
 from stabeval.stats import (
     SignificanceMatrix,
     permutation_test,
@@ -33,7 +33,7 @@ from stabeval.stats import (
     srp,
 )
 
-from conftest import DISJOINT_LAYOUT, ROTATION_LAYOUT
+from conftest import DISJOINT_LAYOUT, ROTATION_LAYOUT, rating_dict, study_from_entries
 
 
 def report(number, name, ok, detail=""):
@@ -160,7 +160,7 @@ def test_4_normalization_contracts():
         for r, bias in (("r1", 0.5), ("r2", 1.0), ("r3", 2.5)):
             rows.append((f"d{d}", 0, "a", r, float(bias * (1 + rng.random())),
                          int(rng.integers(1, 5))))
-    study = ScoredStudy.from_entries(rows)
+    study = study_from_entries(rows)
 
     mean_out = normalize(study, NormalizationScheme.MEAN)
     error_out = normalize(study, NormalizationScheme.ERROR)
@@ -171,7 +171,7 @@ def test_4_normalization_contracts():
     raters_equal = np.allclose(mean_out.rater_means(), study.study_mean, atol=1e-9)
 
     z = normalize(
-        ScoredStudy.from_entries(
+        study_from_entries(
             [("d1", 0, "a", "r", 1.0, 1), ("d2", 0, "a", "r", 2.0, 1),
              ("d3", 0, "a", "r", 3.0, 1)]
         ),
@@ -179,7 +179,7 @@ def test_4_normalization_contracts():
     )
     z_ok = np.allclose(sorted(z.scores), [-1.0, 0.0, 1.0])
 
-    equal_counts = ScoredStudy.from_entries(
+    equal_counts = study_from_entries(
         [(f"d{d}", 0, "a", r, float(1 + d + 2 * (r == "r2")), 3)
          for d in range(6) for r in ("r1", "r2")]
     )
@@ -356,9 +356,9 @@ def test_7_released_dataset_reference_values():
             if abs(got_tau - want) > 0.02:
                 problems.append(f"{var} {label} tau {got_tau:.3f} != {want}")
 
-        study = ScoredStudy.from_entries(
+        study = study_from_entries(
             [(r.doc_id, r.seg_index, r.system_id, r.rater_id, r.score, r.n_errors)
-             for r in ds.ratings.values()]
+             for r in rating_dict(ds).values()]
         )
         means = system_means(study)
         for system, want in expected["system_means"].items():

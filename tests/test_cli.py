@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import stabeval
-from stabeval import corpus
 from stabeval.cli import main
 
 from conftest import tiny_tsv_rows
@@ -254,6 +253,56 @@ def test_simulate_documents_above_pool_exit_code(synth_tsv, tmp_path, capsys):
     assert err.startswith("error: ") and "the dataset has 12" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_weight_exit_code(tiny_tsv, tmp_path, capsys, value):
+    weights = tmp_path / "weights.cfg"
+    weights.write_text(f"[weights]\nMajor = {value}\nMinor = 1\n")
+    code = main(["validate", "--dataset", str(tiny_tsv), "--weights", str(weights)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: non-finite weight") and "Major:" in err
+    assert "Traceback" not in err
+
+
+def test_gen_invalid_spec_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("[generator]\nn_systems = 1\n")
+    code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "synth.tsv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: need at least 2 systems")
+    assert not (tmp_path / "synth.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, study, message",
+    [
+        ("synthetic", "normalization = error\n",
+         "error-normalization requires annotation-backed ratings"),
+        ("all_scores_zero", "normalization = mean\n", "rater mean score is 0"),
+        # Two documents dealt to three raters reach an entropy of 0 or 0.63 only.
+        ("tiny", "load_balancing = entropy_target:0.5\nentropy_tolerance = 0\n",
+         "no assignment within 0.0 of entropy target 0.5"),
+        ("two_rater_bucket", "ratings_per_item = 2\n",
+         "double-rating requires buckets of exactly 3 raters"),
+    ],
+    ids=["missing_error_counts", "degenerate_rater", "target_unreachable",
+         "bucket_arity_unsupported"],
+)
+def test_runtime_error_exit_code(synth_tsv, tmp_path, capsys, rows, study, message):
+    tsv = synth_tsv
+    if rows != "synthetic":
+        tsv = tmp_path / "data.tsv"
+        tsv.write_text("\n".join(_tiny_rows_with(rows)) + "\n")
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"[study]\nnum_documents = 2\nn_permutations = 50\n{study}")
+    code = main(["simulate", "--dataset", str(tsv), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_single_system_dataset_exit_code(tmp_path, capsys, command):
     tsv = tmp_path / "one_system.tsv"
@@ -280,6 +329,12 @@ def _tiny_rows_with(case):
         rows[1] = rows[1].replace("\t0\t4\t\t", "\t0\t4\t3.0\t")
     elif case == "non_finite_score":
         rows[4] = rows[4].replace("\t\t\t\t\t\t", "\t\t\t\t\tinf\t")
+    elif case == "seg_gap":  # would size the dense arrays by 10**12 segments
+        rows[4] = rows[4].replace("\tdoc1\t0\t", f"\tdoc1\t{10**12}\t")
+    elif case == "all_scores_zero":
+        rows = [r.replace("Major\tAccuracy/Mistranslation\t0\t4", "\t\t\t") for r in rows]
+    elif case == "two_rater_bucket":
+        rows = [r for r in rows if "\tr3\t" not in r]
     return rows
 
 
@@ -290,6 +345,7 @@ def _tiny_rows_with(case):
         ("doc_in_two_buckets", "document doc2 listed in buckets b1 and b2"),
         ("score_mismatch", "file score 3.0 != recomputed 5.0"),
         ("non_finite_score", "line 5: invalid score: 'inf'"),
+        ("seg_gap", "line 5: seg_index 1000000000000 leaves a gap: document doc1 has 2"),
     ],
 )
 @pytest.mark.parametrize("command, prefix", [("validate", "INVALID: "), ("sweep", "error: ")])
@@ -306,24 +362,6 @@ def test_ingest_error_exit_code(tmp_path, capsys, case, message, command, prefix
     assert code == 1
     assert err.startswith(prefix) and message in err
     assert "Traceback" not in err
-
-
-def test_sweep_builds_no_segment_rating(synth_tsv, tmp_path, monkeypatch):
-    built = []
-    init = corpus.SegmentRating.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(corpus.SegmentRating, "__init__", counting_init)
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(SWEEP_CFG)
-    out = tmp_path / "out"
-    argv = ["sweep", "--dataset", str(synth_tsv), "--config", str(cfg), "--out", str(out)]
-    assert main(argv) == 0
-    assert json.loads((out / "manifest.json").read_text())["dataset_fingerprint"]
-    assert built == []
 
 
 def test_python_m_stabeval_runs_the_cli():

@@ -3,16 +3,18 @@ the (system, doc, rater) plan mask.
 
 ``select_ratings`` reads the dataset's (system, doc, seg, rater) score array;
 ``select_ratings_oracle`` below walks the plan's cells back to ids and looks
-each rating up in ``ds.ratings``, the reference it must match bit for bit.
+each rating up in the per-rating dict, the reference it must match bit for
+bit.  ``generate_synthetic_oracle`` is the per-rating generator loop that
+``generate_synthetic``'s column fill replaced.
 """
 
 import hashlib
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stabeval.assignment import Grouping, LoadBalancing, build_plan, subsample_documents
-from stabeval.corpus import Bucket, ErrorAnnotation, RatingDataset, SegmentRating, Severity
+from stabeval.corpus import Bucket, ErrorAnnotation, RatingDataset, Severity, export_tsv
 from stabeval.errors import StabevalError
 from stabeval.experiment import (
     GeneratorSpec,
@@ -24,7 +26,16 @@ from stabeval.experiment import (
 )
 from stabeval.scoring import NormalizationScheme, ScoredStudy, normalize
 
-from conftest import DISJOINT_LAYOUT, ROTATION_LAYOUT, make_layout_dataset
+from conftest import (
+    DISJOINT_LAYOUT,
+    ROTATION_LAYOUT,
+    SegmentRating,
+    assert_same_table,
+    make_layout_dataset,
+    rating_dict,
+    study_from_entries,
+    table_from_ratings,
+)
 
 # Overlapping rater triples, so a study's rater set depends on its documents.
 BUCKET_RATERS = (("A", "B", "C"), ("B", "C", "D"), ("D", "E", "F"))
@@ -32,13 +43,13 @@ DOCS_PER_BUCKET = 4
 
 
 def select_ratings_oracle(ds, plan) -> ScoredStudy:
-    entries = []
+    entries, ratings = [], rating_dict(ds)
     for s, d, r in np.argwhere(plan.chosen):
         doc_id, system_id, rater_id = ds.doc_axis[d], ds.system_axis[s], ds.rater_axis[r]
         for seg in range(ds.documents[doc_id]):
-            rating = ds.ratings[(doc_id, seg, system_id, rater_id)]
+            rating = ratings[(doc_id, seg, system_id, rater_id)]
             entries.append((doc_id, seg, system_id, rater_id, rating.score, rating.n_errors))
-    return ScoredStudy.from_entries(entries)
+    return study_from_entries(entries)
 
 
 def annotated_dataset(seed: int, score_only: bool) -> RatingDataset:
@@ -68,7 +79,8 @@ def annotated_dataset(seed: int, score_only: bool) -> RatingDataset:
                         )
     ds = RatingDataset(
         "xx-yy", documents, frozenset(systems),
-        frozenset(r for raters in BUCKET_RATERS for r in raters), tuple(buckets), ratings,
+        frozenset(r for raters in BUCKET_RATERS for r in raters), tuple(buckets),
+        table_from_ratings(ratings),
     )
     ds.validate()
     return ds
@@ -127,10 +139,86 @@ def test_select_ratings_matches_dict_oracle(
 def test_dataset_arrays_hold_every_rating():
     ds = annotated_dataset(3, score_only=False)
     assert np.count_nonzero(~np.isnan(ds.scores)) == len(ds.ratings)
-    for (doc, seg, system, rater), rating in ds.ratings.items():
+    for (doc, seg, system, rater), rating in rating_dict(ds).items():
         cell = (ds.system_pos[system], ds.doc_pos[doc], seg, ds.rater_pos[rater])
         assert ds.scores[cell] == rating.score
         assert ds.n_errors[cell] == rating.n_errors
+
+
+def generate_synthetic_oracle(spec: GeneratorSpec, rng) -> RatingDataset:
+    """The per-rating generator: one SegmentRating per rating, then a table."""
+    docs = [f"doc{d:03d}" for d in range(spec.n_documents)]
+    systems = [f"sys{s:02d}" for s in range(spec.n_systems)]
+    quality = np.linspace(*spec.quality_range, spec.n_systems)
+    raters = [f"rater{r:02d}" for r in range(3 * spec.n_buckets)]
+    harshness = np.array([spec.harshness[r % len(spec.harshness)] for r in range(len(raters))])
+    buckets = [
+        Bucket(f"b{b:03d}", frozenset(docs[d] for d in chunk), frozenset(raters[3 * b : 3 * b + 3]))
+        for b, chunk in enumerate(np.array_split(np.arange(spec.n_documents), spec.n_buckets))
+    ]
+    base = rng.uniform(*spec.base_range, size=spec.n_documents)
+    preference = (
+        rng.normal(0.0, spec.doc_preference_sigma, size=(len(raters), spec.n_documents))
+        if spec.doc_preference_sigma > 0
+        else np.zeros((len(raters), spec.n_documents))
+    )
+    ratings = {}
+    for bucket in buckets:
+        for doc_id in sorted(bucket.doc_ids):
+            d = docs.index(doc_id)
+            for s, system_id in enumerate(systems):
+                item_noise = rng.normal(0.0, spec.item_noise_sigma, size=spec.segments_per_doc)
+                for rater_id in sorted(bucket.rater_ids):
+                    r = raters.index(rater_id)
+                    obs_noise = (
+                        np.exp(rng.normal(0.0, spec.rater_noise_sigma, size=spec.segments_per_doc))
+                        if spec.rater_noise_sigma > 0
+                        else np.ones(spec.segments_per_doc)
+                    )
+                    truth = base[d] + quality[s] + item_noise + preference[r, d]
+                    scores = harshness[r] * np.maximum(truth, 0.0) * obs_noise
+                    for seg in range(spec.segments_per_doc):
+                        ratings[(doc_id, seg, system_id, rater_id)] = SegmentRating(
+                            doc_id, seg, system_id, rater_id, None, float(scores[seg])
+                        )
+    ds = RatingDataset(
+        spec.language_pair, {d: spec.segments_per_doc for d in docs}, frozenset(systems),
+        frozenset(raters), tuple(buckets), table_from_ratings(ratings),
+    )
+    ds.validate()
+    return ds
+
+
+sigmas = st.sampled_from([0.0, 0.5])
+
+
+@settings(max_examples=60, deadline=None)
+# Past 99 systems and raters, sorted ids stop following generation order.
+@example(seed=5, n_buckets=34, extra_docs=0, segments_per_doc=1, n_systems=101,
+         harshness=(0.5, 1.0, 2.0), item_noise_sigma=0.5, rater_noise_sigma=0.5,
+         doc_preference_sigma=0.5)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_buckets=st.integers(1, 3),
+    extra_docs=st.integers(0, 4),
+    segments_per_doc=st.integers(1, 3),
+    n_systems=st.integers(2, 4),
+    harshness=st.sampled_from([(1.0,), (0.5, 1.0, 2.0), (2.0, 0.25), (1.0, 1.5, 0.75, 3.0)]),
+    item_noise_sigma=sigmas,
+    rater_noise_sigma=sigmas,
+    doc_preference_sigma=sigmas,
+)
+def test_generate_synthetic_matches_per_rating_oracle(seed, n_buckets, extra_docs, **knobs):
+    spec = GeneratorSpec(n_documents=n_buckets + extra_docs, n_buckets=n_buckets, **knobs)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = generate_synthetic(spec, got_rng), generate_synthetic_oracle(spec, want_rng)
+    assert (got.system_axis, got.doc_axis, got.rater_axis) == (
+        want.system_axis, want.doc_axis, want.rater_axis
+    )
+    assert got.buckets == want.buckets
+    assert_same_table(got.ratings, want.ratings)
+    assert export_tsv(got) == export_tsv(want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # sweep.csv of golden_sweep() as produced by the per-rating dict selection and

@@ -13,7 +13,13 @@ from stabeval.errors import (
     ScoreMismatch,
 )
 
-from conftest import make_layout_dataset, tiny_tsv_rows
+from conftest import (
+    SegmentRating,
+    make_layout_dataset,
+    rating_dict,
+    table_from_ratings,
+    tiny_tsv_rows,
+)
 
 
 def test_ingest_tiny_fixture(tiny_tsv):
@@ -21,11 +27,12 @@ def test_ingest_tiny_fixture(tiny_tsv):
     assert len(ds.buckets) == 1
     assert len(ds.ratings) == 12
     assert ds.language_pair == "xx-yy"
-    rated = ds.rating("doc1", 0, "sysA", "r1")
+    ratings = rating_dict(ds)
+    rated = ratings[("doc1", 0, "sysA", "r1")]
     assert rated.score == 5.0  # one Major error at default weight
     assert rated.annotations[0].severity is Severity.MAJOR
     assert rated.annotations[0].span == (0, 4)
-    assert ds.rating("doc2", 0, "sysB", "r3").score == 0.0
+    assert ratings[("doc2", 0, "sysB", "r3")].score == 0.0
 
 
 def test_stats_tiny_fixture(tiny_tsv):
@@ -68,7 +75,7 @@ def test_incomplete_ratings_names_first_hole_in_document_order():
     )
     holes = {("d001", 0, "s01", "r2"), ("d001", 1, "s01", "r1"), ("d001", 0, "s02", "r1"),
              ("d003", 0, "s00", "r4"), ("d003", 1, "s00", "r4")}
-    ratings = {k: v for k, v in ds.ratings.items() if k not in holes}
+    ratings = table_from_ratings({k: v for k, v in rating_dict(ds).items() if k not in holes})
     with pytest.raises(IncompleteRatings) as exc:
         replace(ds, ratings=ratings).validate()
     # documents in insertion order, then system, rater, segment
@@ -81,10 +88,10 @@ def test_incomplete_ratings_names_first_hole_in_document_order():
 
 def test_rating_outside_document_segments_rejected():
     ds = make_layout_dataset([2], [("r1", "r2", "r3")], segs_per_doc=2)
-    extra = dict(ds.ratings)
-    extra[("d000", 2, "s00", "r1")] = corpus.SegmentRating("d000", 2, "s00", "r1", None, 1.0)
+    extra = rating_dict(ds)
+    extra[("d000", 2, "s00", "r1")] = SegmentRating("d000", 2, "s00", "r1", None, 1.0)
     with pytest.raises(InconsistentBuckets, match="unexpected ratings"):
-        replace(ds, ratings=extra).validate()
+        replace(ds, ratings=table_from_ratings(extra)).validate()
 
 
 def test_nan_score_rejected():
@@ -119,13 +126,12 @@ def test_ingest_row_order_invariant(tiny_tsv):
     shuffled = [rows[0]] + list(reversed(rows[1:]))
     a = ingest(tiny_tsv)
     b = ingest_lines(io.StringIO("\n".join(shuffled)))
-    assert corpus.datasets_equal(a, b)
+    assert corpus.fingerprint(a) == corpus.fingerprint(b)
 
 
 def test_roundtrip_export_ingest(tiny_tsv):
     ds = ingest(tiny_tsv)
     again = ingest_lines(io.StringIO(corpus.export_tsv(ds)))
-    assert corpus.datasets_equal(ds, again, tol=1e-12)
     assert corpus.fingerprint(ds) == corpus.fingerprint(again)
 
 
@@ -180,5 +186,5 @@ def test_score_only_ingestion():
             for rater in ("r1", "r2"):
                 lines.append(f"{doc}\t0\t{system}\t{rater}\t1.5")
     ds = ingest_lines(io.StringIO("\n".join(lines)))
-    assert all(r.annotations is None for r in ds.ratings.values())
-    assert all(r.score == 1.5 for r in ds.ratings.values())
+    assert all(r.annotations is None for r in rating_dict(ds).values())
+    assert all(r.score == 1.5 for r in rating_dict(ds).values())

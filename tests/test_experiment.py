@@ -20,7 +20,7 @@ from stabeval.experiment import (
 from stabeval.scoring import NormalizationScheme
 from stabeval.stats import same_documents, srp
 
-from conftest import make_layout_dataset, plan_items
+from conftest import make_layout_dataset, plan_items, rating_dict
 
 
 def small_dataset(seed=5, **kwargs):
@@ -162,12 +162,11 @@ class TestRunSweep:
 class TestGenerateSynthetic:
     def test_zero_noise_identical_ratings(self):
         ds = generate_synthetic(GeneratorSpec(n_documents=6), np.random.default_rng(0))
+        ratings = rating_dict(ds)
         for doc in ds.documents:
             bucket = ds.bucket_of(doc)
             for system in ds.systems:
-                scores = {
-                    ds.rating(doc, 0, system, r).score for r in bucket.rater_ids
-                }
+                scores = {ratings[(doc, 0, system, r)].score for r in bucket.rater_ids}
                 assert len(scores) == 1
 
     def test_harshness_orders_rater_means(self):
@@ -177,7 +176,7 @@ class TestGenerateSynthetic:
         )
         means = {}
         for rater in ds.raters:
-            scores = [r.score for r in ds.ratings.values() if r.rater_id == rater]
+            scores = [r.score for r in rating_dict(ds).values() if r.rater_id == rater]
             means[rater] = np.mean(scores)
         assert means["rater00"] < means["rater01"] < means["rater02"]
 

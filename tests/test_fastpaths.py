@@ -33,7 +33,7 @@ from stabeval.stats import (
     srp_pairs,
 )
 
-from conftest import DISJOINT_LAYOUT, ROTATION_LAYOUT, make_layout_dataset
+from conftest import DISJOINT_LAYOUT, ROTATION_LAYOUT, make_layout_dataset, study_from_entries
 
 
 def significance_oracle(study: ScoredStudy, alpha: float, n_perm: int, rng):
@@ -82,7 +82,7 @@ def scored_studies(draw):
                 if noisy:
                     score += rng.normal()
                 entries.append((f"d{d:02d}", g, f"s{s:02d}", "r", float(score), None))
-    return ScoredStudy.from_entries(entries)
+    return study_from_entries(entries)
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,7 +110,7 @@ def test_significance_matrix_names_first_mismatched_pair():
     entries = [(d, 0, s, "r", 1.0, None) for s in ("a", "b", "c", "d") for d in ("x", "y")]
     entries = [e for e in entries if (e[0], e[2]) not in {("y", "c"), ("y", "d")}]
     with pytest.raises(MismatchedDocuments, match="systems a and c cover different segments"):
-        significance_matrix(ScoredStudy.from_entries(entries), 0.05, 10, np.random.default_rng(0))
+        significance_matrix(study_from_entries(entries), 0.05, 10, np.random.default_rng(0))
 
 
 @st.composite

@@ -2,14 +2,15 @@
 
 ``ingest_lines_oracle`` is the per-row loop the columnar parser replaced,
 kept as the reference: it builds one ``SegmentRating`` per rating and hands
-the dict to ``RatingDataset``.  ``export_tsv_oracle`` is the matching
-per-rating export.  Generated files, valid or with injected faults, must
-give the same dataset or the same error from both, whether ingest splits
-them into cells one row, three rows or its default block at a time.
+the dict, as a table, to ``RatingDataset``.  ``export_tsv_oracle`` is the
+matching per-rating export.  Generated files, valid or with injected faults,
+must give the same dataset or the same error from both, whether ingest
+splits them into cells one row, three rows or its default block at a time.
 """
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from stabeval.corpus import (
     ColumnMapping,
     ErrorAnnotation,
     RatingDataset,
-    RatingTable,
-    SegmentRating,
     Severity,
     _build_buckets,
     _check_inference_matches,
@@ -34,7 +33,14 @@ from stabeval.corpus import (
 from stabeval.errors import InconsistentBuckets, ParseError, ScoreMismatch, StabevalError
 from stabeval.scoring import WeightTable, segment_score
 
-from conftest import make_layout_dataset, tiny_tsv_rows
+from conftest import (
+    SegmentRating,
+    assert_same_table,
+    make_layout_dataset,
+    rating_dict,
+    table_from_ratings,
+    tiny_tsv_rows,
+)
 
 SCORE_TOLERANCE = 1e-9
 
@@ -59,8 +65,8 @@ def _parse_optional_int(value, name, line):
 def ingest_lines_oracle(lines, mapping=None, weights=None):
     """The per-row ingest loop; returns the dataset and its ratings dict.
 
-    Two rules are newer than the loop: a non-finite score and an integer
-    beyond 64 bits are parse errors.
+    Three rules are newer than the loop: a non-finite score, an integer
+    beyond 64 bits and a gap in a document's seg_index values are parse errors.
     """
     if weights is None:
         weights = WeightTable.default()
@@ -158,6 +164,19 @@ def ingest_lines_oracle(lines, mapping=None, weights=None):
     if not groups:
         raise ParseError("no data rows", line=2)
 
+    doc_segs = {}
+    for doc_id, seg_index, _, _ in groups:
+        doc_segs.setdefault(doc_id, set()).add(seg_index)
+    gaps = [(state["lines"][0], key) for key, state in groups.items()
+            if key[1] >= len(doc_segs[key[0]])]
+    if gaps:
+        line, (doc_id, seg_index, _, _) = min(gaps)
+        raise ParseError(
+            f"seg_index {seg_index} leaves a gap: document {doc_id} "
+            f"has {len(doc_segs[doc_id])} distinct seg_index values",
+            line=line,
+        )
+
     ratings = {}
     for key, state in sorted(groups.items()):
         doc_id, seg_index, system_id, rater_id = key
@@ -206,7 +225,7 @@ def ingest_lines_oracle(lines, mapping=None, weights=None):
         systems=frozenset(systems),
         raters=frozenset(raters),
         buckets=buckets,
-        ratings=ratings,
+        ratings=table_from_ratings(ratings),
     )
     ds.validate()
     if explicit_buckets:
@@ -255,9 +274,8 @@ def assert_same_dataset(ds, want, ratings):
     assert ds.language_pair == want.language_pair
     assert np.array_equal(ds.scores, want.scores, equal_nan=True)
     assert np.array_equal(ds.n_errors, want.n_errors, equal_nan=True)
-    assert list(ds.ratings) == sorted(ratings)
-    assert dict(ds.ratings) == ratings
-    assert dict(want.ratings.items()) == ratings
+    assert list(rating_dict(ds)) == sorted(ratings)
+    assert rating_dict(ds) == rating_dict(want) == ratings
     assert export_tsv(ds) == export_tsv(want) == export_tsv_oracle(ds, ratings)
     assert fingerprint(ds) == fingerprint(want)
 
@@ -266,7 +284,7 @@ CATEGORIES = ("Accuracy", "Accuracy/Omission", "Fluency/Punctuation", "Non-trans
 FAULTS = (
     "bad_seg", "negative_seg", "empty_id", "bad_severity", "bad_span_int", "half_span",
     "invalid_span", "span_past_target", "conflicting_scores", "score_mismatch",
-    "negative_score", "two_buckets", "non_finite_score", "drop_row",
+    "negative_score", "two_buckets", "non_finite_score", "drop_row", "seg_gap",
 )
 
 
@@ -393,6 +411,8 @@ def inject(draw, rows, fault):
         row["score"] = draw(st.sampled_from(["inf", "-inf", "1e309", "nan", "Infinity"]))
     elif fault == "drop_row":
         del rows[i]
+    elif fault == "seg_gap":
+        row["seg_index"] = draw(st.sampled_from(["2", "3", "1000000000000"]))
 
 
 @settings(max_examples=400, deadline=None)
@@ -412,23 +432,22 @@ def test_columnar_ingest_matches_row_loop(case, block_rows):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rating_table_round_trips_a_ratings_dict(seed):
+    """``table_from_ratings`` and ``rating_dict`` invert each other."""
     rng = np.random.default_rng(seed)
     ds = make_layout_dataset([2, 3], [("r1", "r2"), ("r3",)], n_systems=3, segs_per_doc=2,
                              score_fn=lambda *key: rng.random())
-    ratings = {key: ds.ratings[key] for key in ds.ratings}
+    ratings = rating_dict(ds)
+    assert list(ratings) == sorted(ratings)
     annotated = {
         key: SegmentRating(*key, (ErrorAnnotation("Style", Severity.MINOR, (0, k)),) * k, 1.0 * k)
         for k, key in enumerate(ratings)
     }
     for source in (ratings, annotated):
-        table = RatingTable.from_ratings(source)
-        assert len(table) == len(source) and list(table) == sorted(source)
-        assert dict(table.items()) == source
-        assert [table[key] for key in source] == list(source.values())
-    with pytest.raises(KeyError):
-        table[("d000", 9, "s00", "r1")]
-    with pytest.raises(TypeError):
-        table[("d000", 0, "s00", "r1")] = ratings[("d000", 0, "s00", "r1")]
+        table = table_from_ratings(dict(reversed(source.items())))
+        assert len(table) == len(source)
+        again = replace(ds, ratings=table)
+        assert rating_dict(again) == source
+        assert_same_table(table_from_ratings(rating_dict(again)), table)
 
 
 def test_crlf_file_loads_like_lf(tmp_path, tiny_tsv):

@@ -6,12 +6,13 @@ from stabeval.corpus import ErrorAnnotation, Severity
 from stabeval.errors import DegenerateRater, MissingErrorCounts
 from stabeval.scoring import (
     NormalizationScheme,
-    ScoredStudy,
     WeightTable,
     normalize,
     segment_score,
     system_means,
 )
+
+from conftest import study_from_entries
 
 
 def ann(severity, category):
@@ -62,7 +63,7 @@ class TestSegmentScore:
 
 def study_from(rows):
     """rows: (doc, seg, system, rater, score, n_errors)"""
-    return ScoredStudy.from_entries(rows)
+    return study_from_entries(rows)
 
 
 class TestSystemMeans:
@@ -162,14 +163,12 @@ class TestNormalize:
         out_z = normalize(study, NormalizationScheme.ZSCORE)
         np.testing.assert_allclose(out_z.rater_means(), [0.0, 0.0], atol=1e-9)
 
-    def test_degenerate_rater_strict_and_lenient(self):
+    def test_degenerate_rater_raises(self):
         study = study_from(
             [("d1", 0, "a", "r1", 0.0, 0), ("d2", 0, "a", "r2", 2.0, 1)]
         )
         with pytest.raises(DegenerateRater):
             normalize(study, NormalizationScheme.MEAN)
-        out = normalize(study, NormalizationScheme.MEAN, strict=False)
-        assert out.scores[0] == 0.0  # degenerate rater passes through
 
     def test_error_scheme_requires_error_counts(self):
         study = study_from(

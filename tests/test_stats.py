@@ -11,7 +11,6 @@ from stabeval.errors import (
     SystemSetMismatch,
     UnknownRater,
 )
-from stabeval.scoring import ScoredStudy
 from stabeval.stats import (
     SignificanceMatrix,
     kendall_tau,
@@ -25,7 +24,7 @@ from stabeval.stats import (
     srp,
 )
 
-from conftest import make_layout_dataset
+from conftest import make_layout_dataset, study_from_entries
 
 
 def exhaustive_permutation_p(scores_a, scores_b):
@@ -99,13 +98,13 @@ def separated_study(gaps, n_docs=20, jitter=0.05):
             rows.append(
                 (f"d{d:02d}", 0, f"sys{i}", "r", base + jitter * rng.random(), 1)
             )
-    return ScoredStudy.from_entries(rows)
+    return study_from_entries(rows)
 
 
 class TestSignificanceMatrix:
     def test_tied_systems_no_direction(self, rng):
         rows = [(f"d{d}", 0, s, "r", 1.0, 1) for d in range(4) for s in ("a", "b")]
-        matrix = significance_matrix(ScoredStudy.from_entries(rows), 0.05, 200, rng)
+        matrix = significance_matrix(study_from_entries(rows), 0.05, 200, rng)
         assert not matrix.sig.any()
         assert not matrix.better.any()
 
@@ -121,7 +120,7 @@ class TestSignificanceMatrix:
                 for d in range(6)
                 for s in ("a", "b", "c")
             ]
-            matrix = significance_matrix(ScoredStudy.from_entries(rows), 0.05, 100, rng)
+            matrix = significance_matrix(study_from_entries(rows), 0.05, 100, rng)
             assert not (matrix.sig & ~matrix.better).any()
             assert not (matrix.sig & matrix.sig.T).any()
             assert not matrix.sig.diagonal().any()
