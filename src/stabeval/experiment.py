@@ -95,9 +95,13 @@ class RankingResult:
 def select_ratings(ds: RatingDataset, plan: AssignmentPlan) -> ScoredStudy:
     """Pull the real ratings selected by an assignment plan into a study.
 
-    Entries come out in (system, doc, seg, rater) order over sorted ids.
+    Entries come out in (system, doc, seg, rater) order over sorted ids.  Only
+    the study's documents are masked, so the cost follows the study's size,
+    not the pool's; their positions are sorted, which keeps that order.
     """
-    mask = plan.chosen[:, :, None, :] & ~np.isnan(ds.scores)
+    study_docs = np.flatnonzero(plan.chosen.any(axis=(0, 2)))
+    scores = ds.scores[:, study_docs]
+    mask = plan.chosen[:, study_docs, None, :] & ~np.isnan(scores)
     sys_ix, doc_ix, seg_ix, rater_ix = np.nonzero(mask)
     systems, sys_ix = np.unique(sys_ix, return_inverse=True)
     docs, doc_ix = np.unique(doc_ix, return_inverse=True)
@@ -105,13 +109,13 @@ def select_ratings(ds: RatingDataset, plan: AssignmentPlan) -> ScoredStudy:
     return ScoredStudy(
         [ds.system_axis[i] for i in systems],
         [ds.rater_axis[i] for i in raters],
-        [ds.doc_axis[i] for i in docs],
+        [ds.doc_axis[i] for i in study_docs[docs]],
         sys_ix,
         rater_ix,
         doc_ix,
         seg_ix,
-        ds.scores[mask],
-        ds.n_errors[mask],
+        scores[mask],
+        ds.n_errors[:, study_docs][mask],
     )
 
 
@@ -409,21 +413,32 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
 
     n_segs = spec.segments_per_doc
     values = np.full((spec.n_documents, n_segs, spec.n_systems, len(raters)), np.nan)
-    for bucket in buckets:
-        bucket_raters = sorted(bucket.rater_ids)
-        for doc_id in sorted(bucket.doc_ids):
-            d = docs.index(doc_id)
-            for s in range(spec.n_systems):
-                item_noise = rng.normal(0.0, spec.item_noise_sigma, size=n_segs)
-                for rater_id in bucket_raters:
-                    r = raters.index(rater_id)
-                    obs_noise = (
-                        np.exp(rng.normal(0.0, spec.rater_noise_sigma, size=n_segs))
-                        if spec.rater_noise_sigma > 0
-                        else np.ones(n_segs)
-                    )
-                    truth = base[d] + quality[s] + item_noise + preference[r, d]
-                    values[d, :, s, r] = harshness[r] * np.maximum(truth, 0.0) * obs_noise
+    # Overflow shows up below as a non-finite score, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bucket in buckets:
+            bucket_raters = sorted(bucket.rater_ids)
+            for doc_id in sorted(bucket.doc_ids):
+                d = docs.index(doc_id)
+                for s in range(spec.n_systems):
+                    item_noise = rng.normal(0.0, spec.item_noise_sigma, size=n_segs)
+                    for rater_id in bucket_raters:
+                        r = raters.index(rater_id)
+                        obs_noise = (
+                            np.exp(rng.normal(0.0, spec.rater_noise_sigma, size=n_segs))
+                            if spec.rater_noise_sigma > 0
+                            else np.ones(n_segs)
+                        )
+                        truth = base[d] + quality[s] + item_noise + preference[r, d]
+                        values[d, :, s, r] = harshness[r] * np.maximum(truth, 0.0) * obs_noise
+    # Unrated cells are NaN, so every rated cell is finite iff this many cells are.
+    n_rated = n_segs * spec.n_systems * sum(len(b.doc_ids) * len(b.rater_ids) for b in buckets)
+    if np.count_nonzero(np.isfinite(values)) != n_rated:
+        raise InvalidSpec(
+            "generated scores are not finite: lower the noise sigmas "
+            f"(item_noise_sigma={spec.item_noise_sigma:g}, "
+            f"rater_noise_sigma={spec.rater_noise_sigma:g}, "
+            f"doc_preference_sigma={spec.doc_preference_sigma:g})"
+        )
     # Put each id axis in sorted order, so the rated cells come out in rating-key order.
     by_id = [sorted(range(len(ids)), key=ids.__getitem__) for ids in (docs, systems, raters)]
     values = values[np.ix_(by_id[0], range(n_segs), by_id[1], by_id[2])]

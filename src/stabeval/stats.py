@@ -107,6 +107,53 @@ def permutation_test(
     return _sign_flip_p(diffs, n_segments, n_perm, rng)
 
 
+def _flipped_signs(rng, shapes):
+    """Yield, per shape, the float64 array ``1 - 2*b``, where ``b`` is what
+    ``rng.integers(0, 2, shape, dtype=np.int32)`` would draw, and leave ``rng``
+    in the state those draws would.
+
+    For a range of 2, numpy's ``integers`` returns the sign bit of each 32-bit
+    half of PCG64's 64-bit words, low half first.  It takes the half-word
+    buffered in the bit generator (``has_uint32``, ``uinteger``) first and
+    leaves an unused high half buffered.  So with PCG64 the draws are read as
+    raw words viewed as ``int32``, and ``copysign(1.0, word)`` gives ``1 - 2*b``
+    in one pass.  The buffered half-word is carried between shapes in locals;
+    the bit generator's state is read once and written once, after the last
+    array (or when the caller closes the generator early).  Each array is a
+    view of one buffer sized for the largest shape, which the next shape
+    overwrites: one allocation, and no fresh pages to fault in per row.  Any
+    other bit generator draws through ``rng.integers``.
+    """
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64 or not np.little_endian:
+        for shape in shapes:
+            signs = rng.integers(0, 2, size=shape, dtype=np.int32).astype(np.float64)
+            signs *= -2
+            signs += 1
+            yield signs
+        return
+    state = bit_generator.state
+    has_half, half = state["has_uint32"], state["uinteger"]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    buffer = np.empty(max(sizes, default=0))
+    try:
+        for shape, size in zip(shapes, sizes):
+            rest = buffer[:size]
+            signs = rest.reshape(shape)
+            if has_half and rest.size:
+                rest[0] = -1.0 if half >> 31 else 1.0
+                rest, has_half = rest[1:], 0
+            if rest.size:
+                words = bit_generator.random_raw((rest.size + 1) // 2)
+                np.copysign(1.0, words.view(np.int32)[: rest.size], out=rest)
+                has_half, half = rest.size % 2, int(words[-1] >> 32)
+            yield signs
+    finally:  # also when the caller stops early
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = has_half, half
+        bit_generator.state = state
+
+
 def significance_matrix(
     study: ScoredStudy, alpha: float, n_perm: int, rng, doc_set: Optional[frozenset] = None
 ) -> SignificanceMatrix:
@@ -114,11 +161,14 @@ def significance_matrix(
 
     Each row of pairs (i, j > i) takes its sign flips in one draw and its
     statistics in one batched product.  The draws are the 32-bit words that
-    ``_sign_flip_p`` would consume pair by pair, and each pair's product is
-    the float64 ``(2*s - 1) @ d`` as there, so every p-value and the RNG state
-    after the call are the same as a loop of ``_sign_flip_p`` calls in (i, j)
-    order.  One draw per row rather than per study bounds the transient
-    memory to one row's signs.
+    ``_sign_flip_p`` would consume pair by pair, read by ``_flipped_signs``
+    as the negated signs ``1 - 2*b``: from PCG64's raw words, carrying the
+    buffered half-word between rows, or through ``rng.integers`` for any
+    other bit generator.  They multiply the negated differences, so each
+    pair's float64 product equals ``(2*b - 1) @ d`` in ``_sign_flip_p``:
+    every p-value and the RNG state after the call are the same as a loop of
+    ``_sign_flip_p`` calls in (i, j) order.  One draw per row rather than per
+    study bounds the transient memory to one row's signs.
     """
     n_sys = len(study.systems)
     if n_sys < 2:
@@ -129,25 +179,24 @@ def significance_matrix(
     counts = np.zeros((n_sys, n_docs), dtype=np.intp)
     np.add.at(sums, (eff_sys, eff_doc), eff)
     np.add.at(counts, (eff_sys, eff_doc), 1)
+    # Every system must cover the first one's segments; the first that does
+    # not is the first mismatched pair in (i, j) order.
+    mismatched = np.flatnonzero((counts[1:] != counts[0]).any(axis=1))
+    if len(mismatched):
+        raise MismatchedDocuments(
+            f"systems {study.systems[0]} and {study.systems[1 + mismatched[0]]} "
+            "cover different segments"
+        )
     totals = counts.sum(axis=1)
     means = sums.sum(axis=1) / totals
 
     sig = np.zeros((n_sys, n_sys), dtype=bool)
     better = np.zeros((n_sys, n_sys), dtype=bool)
-    for i in range(n_sys - 1):
-        mismatched = np.flatnonzero((counts[i + 1 :] != counts[i]).any(axis=1))
-        if len(mismatched):
-            raise MismatchedDocuments(
-                f"systems {study.systems[i]} and {study.systems[i + 1 + mismatched[0]]} "
-                "cover different segments"
-            )
+    shapes = [(n_sys - 1 - i, n_perm, n_docs) for i in range(n_sys - 1)]
+    for i, flipped in enumerate(_flipped_signs(rng, shapes)):
         diffs = sums[i] - sums[i + 1 :]
         observed = np.abs(diffs.sum(axis=1)) / totals[i]
-        signs = rng.integers(0, 2, size=(n_sys - 1 - i, n_perm, n_docs), dtype=np.int32)
-        signs = signs.astype(np.float64)  # cheaper than matmul's cast of an int operand
-        signs *= 2
-        signs -= 1
-        stats = np.abs(np.matmul(signs, diffs[:, :, None])[:, :, 0]) / totals[i]
+        stats = np.abs(np.matmul(flipped, -diffs[:, :, None])[:, :, 0]) / totals[i]
         hits = np.sum(stats >= (observed - _REL_TOL * (1.0 + observed))[:, None], axis=1)
         reached = (1 + hits) / (1 + n_perm) <= alpha
         lower, higher = means[i] < means[i + 1 :], means[i + 1 :] < means[i]

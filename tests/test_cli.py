@@ -274,6 +274,32 @@ def test_gen_invalid_spec_exit_code(tmp_path, capsys):
     assert not (tmp_path / "synth.tsv").exists()
 
 
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m stabeval`` in a fresh process, so warnings reach its stderr."""
+    src = str(Path(stabeval.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "stabeval", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "extra", ["", "item_noise_sigma = 50\n"], ids=["inf_scores", "nan_scores"]
+)
+def test_gen_non_finite_scores_exit_code(tmp_path, extra):
+    # exp(400 * z) overflows to inf; where the clipped truth is 0, 0 * inf is NaN.
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"[generator]\nn_documents = 4\nn_buckets = 2\nrater_noise_sigma = 400\n{extra}")
+    out = tmp_path / "synth.tsv"
+    result = run_cli("gen", "--config", str(cfg), "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: generated scores are not finite")
+    assert "rater_noise_sigma=400" in result.stderr
+    assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rows, study, message",
     [
@@ -365,11 +391,6 @@ def test_ingest_error_exit_code(tmp_path, capsys, case, message, command, prefix
 
 
 def test_python_m_stabeval_runs_the_cli():
-    src = str(Path(stabeval.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "stabeval", "--version"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
-    )
+    result = run_cli("--version")
     assert result.returncode == 0
     assert result.stdout.strip() == stabeval.__version__

@@ -136,6 +136,39 @@ def test_select_ratings_matches_dict_oracle(
             assert got_n is want_n
 
 
+def edge_plans():
+    """Plans over the first, the last, both, or one middle document position.
+
+    Single- and double-rated, grouped (psxs) and not, on the shuffled-id
+    annotated dataset and on the 181-document rotation layout.
+    """
+    def score(doc_id, seg, system_id, rater_id):  # distinct enough to tell cells apart
+        return (int(doc_id[1:]) * 7 + seg * 3 + int(system_id[1:]) * 5 + ord(rater_id)) % 11 / 4
+
+    datasets = [annotated_dataset(seed, score_only=False) for seed in range(3)]
+    datasets.append(make_layout_dataset(*ROTATION_LAYOUT, n_systems=3, segs_per_doc=2,
+                                        score_fn=score))
+    for ds in datasets:
+        last = len(ds.doc_axis) - 1
+        for positions in ([0], [last], [0, last], [last // 2], [0, last // 2, last]):
+            subset = frozenset(ds.doc_axis[i] for i in positions)
+            for grouping in (Grouping.PSXS, Grouping.NO_GROUPING):
+                for ratings_per_item in (1, 2):
+                    rng = np.random.default_rng(len(positions))
+                    plan = build_plan(ds, subset, grouping, LoadBalancing.fully_balanced(),
+                                      ratings_per_item, rng)
+                    yield ds, positions, plan
+
+
+def test_select_ratings_at_the_pool_edges():
+    n_plans = 0
+    for ds, positions, plan in edge_plans():
+        assert np.flatnonzero(plan.chosen.any(axis=(0, 2))).tolist() == positions
+        assert_same_study(select_ratings(ds, plan), select_ratings_oracle(ds, plan))
+        n_plans += 1
+    assert n_plans == 4 * 5 * 2 * 2
+
+
 def test_dataset_arrays_hold_every_rating():
     ds = annotated_dataset(3, score_only=False)
     assert np.count_nonzero(~np.isnan(ds.scores)) == len(ds.ratings)

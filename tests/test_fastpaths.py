@@ -1,7 +1,9 @@
 """Differential tests: each vectorized path against the loop it replaced.
 
 - ``significance_matrix`` (one sign draw and one batched product per row of
-  pairs) against a loop of ``_sign_flip_p`` calls, one per pair.
+  pairs) against a loop of ``_sign_flip_p`` calls, one per pair, and the
+  signs it reads from raw PCG64 words (``_flipped_signs``) against
+  ``rng.integers``.
 - ``srp`` (one boolean product over all study pairs) against ``srp_pairs``.
 - ``assign_entropy_target`` (candidates scored from a running sum of c log c)
   against ``entropy_target_oracle`` below, which recomputes the full entropy
@@ -26,6 +28,7 @@ from stabeval.errors import MismatchedDocuments, StabevalError, SystemSetMismatc
 from stabeval.scoring import ScoredStudy
 from stabeval.stats import (
     SignificanceMatrix,
+    _flipped_signs,
     _sign_flip_p,
     same_documents,
     significance_matrix,
@@ -85,16 +88,64 @@ def scored_studies(draw):
     return study_from_entries(entries)
 
 
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
+
+
+def same_state(a, b) -> bool:
+    """Equal bit generator states: nested dicts, with arrays in MT19937's and Philox's."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
 @settings(max_examples=60, deadline=None)
+@given(
+    first=st.lists(st.integers(1, 2 * 10**5), min_size=1, max_size=2),
+    second=st.lists(st.integers(1, 2 * 10**5), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+    predraw=st.integers(0, 3),
+    bit_generator=st.sampled_from(BIT_GENERATORS),
+)
+def test_flipped_signs_are_the_integers_draws(first, second, seed, predraw, bit_generator):
+    fast, slow = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    # An odd number of earlier 32-bit draws leaves half a 64-bit word buffered.
+    for rng in (fast, slow):
+        rng.integers(0, 2, size=predraw, dtype=np.int32)
+    # Two calls in a row: the second starts from the state the first wrote.
+    for sizes in (first, second):
+        # With PCG64 the next array overwrites this one's buffer, so keep copies.
+        got = [signs.copy() for signs in _flipped_signs(fast, [(n,) for n in sizes])]
+        for n, signs in zip(sizes, got):
+            bits = slow.integers(0, 2, size=n, dtype=np.int32)
+            assert signs.dtype == np.float64
+            assert np.array_equal(signs, 1 - 2 * bits)
+        assert same_state(fast.bit_generator.state, slow.bit_generator.state)
+    assert fast.random() == slow.random()
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_flipped_signs_closed_early_leave_the_drawn_state(bit_generator):
+    fast, slow = (np.random.Generator(bit_generator(5)) for _ in range(2))
+    signs = _flipped_signs(fast, [(3, 7), (4,)])
+    assert np.array_equal(next(signs), 1 - 2 * slow.integers(0, 2, (3, 7), dtype=np.int32))
+    signs.close()
+    assert same_state(fast.bit_generator.state, slow.bit_generator.state)
+    assert fast.random() == slow.random()
+
+
+# Three times the examples, so PCG64, the generator of every sweep, still gets about 60.
+@settings(max_examples=180, deadline=None)
 @given(
     study=scored_studies(),
     n_perm=st.integers(1, 500),
     alpha=st.sampled_from([0.05, 0.2, 0.5]),
     seed=st.integers(0, 2**32 - 1),
     predraw=st.integers(0, 3),
+    bit_generator=st.sampled_from(BIT_GENERATORS),
 )
-def test_significance_matrix_matches_pair_loop(study, n_perm, alpha, seed, predraw):
-    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+def test_significance_matrix_matches_pair_loop(study, n_perm, alpha, seed, predraw,
+                                               bit_generator):
+    fast, slow = (np.random.Generator(bit_generator(seed)) for _ in range(2))
     # An odd number of earlier 32-bit draws leaves half a 64-bit word buffered.
     for rng in (fast, slow):
         rng.integers(0, 2, size=predraw, dtype=np.int32)
@@ -103,7 +154,7 @@ def test_significance_matrix_matches_pair_loop(study, n_perm, alpha, seed, predr
     assert np.array_equal(matrix.means, means)
     assert np.array_equal(matrix.sig, sig)
     assert np.array_equal(matrix.better, better)
-    assert fast.bit_generator.state == slow.bit_generator.state
+    assert same_state(fast.bit_generator.state, slow.bit_generator.state)
 
 
 def test_significance_matrix_names_first_mismatched_pair():
