@@ -40,6 +40,8 @@ class LoadBalancing:
     def entropy_target(cls, target: float, tolerance: float = 0.03) -> "LoadBalancing":
         if not (0.0 <= target <= 1.0):
             raise ValueError(f"entropy target must be in [0, 1], got {target}")
+        if not tolerance >= 0.0:
+            raise ValueError(f"entropy_tolerance must be >= 0, got {tolerance}")
         return cls("entropy_target", target, tolerance)
 
     def __str__(self) -> str:

@@ -129,7 +129,7 @@ def cmd_gen(args) -> int:
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(corpus_mod.export_tsv(ds))
-    print(f"wrote {out} ({len(ds.ratings)} rating rows)")
+    print(f"wrote {out} ({np.count_nonzero(~np.isnan(ds.scores))} rating rows)")
     return EXIT_OK
 
 
@@ -138,8 +138,7 @@ def cmd_simulate(args) -> int:
     config = load_study_config(args.config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    _, ranking = simulate_study(ds, config, config.master_seed)
-    matrix = ranking.matrix
+    _, matrix = simulate_study(ds, config, config.master_seed)
     order = np.argsort(matrix.means, kind="stable")
     print(f"ranking ({config.label}, n_documents={config.n_documents}, lower is better):")
     for rank, i in enumerate(order, start=1):
@@ -202,6 +201,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabeval",
@@ -226,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--config", required=True, help="generator spec file")
     p.add_argument("--out", required=True, help="output TSV path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("simulate", help="simulate a single study and print its ranking")

@@ -61,7 +61,7 @@ class Severity(str, Enum):
         raise ValueError(f"invalid severity {text!r} (expected Major or Minor)")
 
 
-SEVERITIES = tuple(Severity)  # RatingTable.ann_severity indexes this
+SEVERITIES = tuple(Severity)  # Annotations.severity indexes this
 
 
 @dataclass(frozen=True)
@@ -87,37 +87,22 @@ def _factorize(values: Sequence) -> tuple[tuple, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class RatingTable:
-    """A dataset's ratings as columns: one row per rating, sorted by its
-    (doc_id, seg_index, system_id, rater_id) key, and one row per error
-    annotation.
+class Annotations:
+    """A dataset's error annotations as columns, one row per annotation.
 
-    ``doc``, ``system`` and ``rater`` index the sorted id tuples ``docs``,
-    ``systems`` and ``raters``.  ``n_errors`` is NaN for a score-only rating.
-    Annotation rows are grouped by their ``ann_owner`` rating in rating order,
-    each group in file order; ``ann_severity`` indexes ``SEVERITIES``,
-    ``ann_category`` indexes ``categories``, and ``ann_start`` and ``ann_end``
-    are -1 for an annotation without a span.  ``len`` is the rating count.
+    ``owner`` numbers the annotation's rating in the (doc, seg, system, rater)
+    order of the rated cells; rows are grouped by owner, each group in file
+    order.  ``severity`` indexes ``SEVERITIES``, ``category`` indexes
+    ``categories``, and ``start`` and ``end`` are -1 for an annotation without
+    a span.
     """
 
-    docs: tuple[str, ...]
-    systems: tuple[str, ...]
-    raters: tuple[str, ...]
-    doc: np.ndarray
-    seg: np.ndarray
-    system: np.ndarray
-    rater: np.ndarray
-    score: np.ndarray
-    n_errors: np.ndarray
     categories: tuple[str, ...]
-    ann_owner: np.ndarray
-    ann_severity: np.ndarray
-    ann_category: np.ndarray
-    ann_start: np.ndarray
-    ann_end: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.score)
+    owner: np.ndarray
+    severity: np.ndarray
+    category: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,16 +125,17 @@ class DatasetStats:
     bucket_doc_counts: dict[str, int]
 
 
-@dataclass
+@dataclass(eq=False)
 class RatingDataset:
     """All annotations for one language pair, validated and immutable in use.
 
     ``scores`` and ``n_errors`` hold the ratings as dense arrays indexed
     (system, doc, seg, rater) over the sorted ids in ``system_axis``,
     ``doc_axis`` and ``rater_axis``.  Unrated cells are NaN, and so are the
-    error counts of score-only ratings.  ``eligible`` is the (doc, rater)
-    bucket membership matrix.  ``ratings`` is the RatingTable the arrays are
-    filled from.
+    error counts of score-only ratings.  Ratings are numbered in the
+    (doc, seg, system, rater) order of the rated cells, which is how
+    ``annotations`` refers to them.  ``eligible`` is the (doc, rater) bucket
+    membership matrix.
     """
 
     language_pair: str
@@ -157,7 +143,9 @@ class RatingDataset:
     systems: frozenset[str]
     raters: frozenset[str]
     buckets: tuple[Bucket, ...]
-    ratings: RatingTable
+    scores: np.ndarray
+    n_errors: np.ndarray
+    annotations: Annotations
 
     def __post_init__(self):
         self.system_axis = tuple(sorted(self.systems))
@@ -175,30 +163,10 @@ class RatingDataset:
             docs = [self.doc_pos[d] for d in bucket.doc_ids if d in self.doc_pos]
             self.eligible[np.ix_(docs, [self.rater_pos[r] for r in bucket.rater_ids])] = True
         self.seg_counts = np.array([self.documents[d] for d in self.doc_axis], dtype=np.intp)
-        shape = (
-            len(self.system_axis),
-            len(self.doc_axis),
-            self.seg_counts.max(initial=0),
-            len(self.rater_axis),
-        )
-        self.scores = np.full(shape, np.nan)
-        self.n_errors = np.full(shape, np.nan)
-        table = self.ratings
-        s, d, r = (
-            np.array([pos.get(x, -1) for x in axis], dtype=np.intp)[codes]
-            for axis, pos, codes in (
-                (table.systems, self.system_pos, table.system),
-                (table.docs, self.doc_pos, table.doc),
-                (table.raters, self.rater_pos, table.rater),
-            )
-        )
-        # Ratings outside the declared ids or segment ranges get no cell;
-        # validate() reports them through its row count.
-        has_cell = (s >= 0) & (d >= 0) & (r >= 0) & (table.seg >= 0)
-        has_cell[has_cell] = table.seg[has_cell] < self.seg_counts[d[has_cell]]
-        cells = (s[has_cell], d[has_cell], table.seg[has_cell], r[has_cell])
-        self.scores[cells] = table.score[has_cell]
-        self.n_errors[cells] = table.n_errors[has_cell]
+        n_segs = self.seg_counts.max(initial=0)
+        shape = (len(self.system_axis), len(self.doc_axis), n_segs, len(self.rater_axis))
+        if not self.scores.shape == self.n_errors.shape == shape:
+            raise ValueError(f"rating arrays of shape {self.scores.shape} do not fit axes {shape}")
 
     def bucket_of(self, doc_id: str) -> Bucket:
         return self._doc_bucket[doc_id]
@@ -228,7 +196,8 @@ class RatingDataset:
             )
         in_doc = np.arange(self.scores.shape[2]) < self.seg_counts[:, None]
         required = in_doc[None, :, :, None] & self.eligible[None, :, None, :]
-        holes = np.isnan(self.scores) & required
+        rated = ~np.isnan(self.scores)
+        holes = ~rated & required
         for doc_id, n_segs in self.documents.items():
             if n_segs < 1:
                 raise InconsistentBuckets(f"document {doc_id} has no segments")
@@ -240,10 +209,12 @@ class RatingDataset:
                     f"missing rating for doc={doc_id} seg={seg} "
                     f"system={self.system_axis[s]} rater={self.rater_axis[r]}"
                 )
-        expected = len(self.systems) * int(required.sum())
-        if len(self.ratings) != expected:
+        stray = rated & ~required
+        if stray.any():
+            s, d, seg, r = np.unravel_index(np.argmax(stray), stray.shape)
             raise InconsistentBuckets(
-                f"unexpected ratings present ({len(self.ratings)} rows, expected {expected})"
+                f"rating outside its document's segments or bucket: doc={self.doc_axis[d]} "
+                f"seg={seg} system={self.system_axis[s]} rater={self.rater_axis[r]}"
             )
 
 
@@ -462,16 +433,19 @@ def _ingest_text(text: str, mapping, weights) -> RatingDataset:
         )),
     ])
 
-    table = RatingTable(
-        docs, systems, raters, r_doc, r_seg, r_system, r_rater,
-        score=np.where(has_errors, computed, np.where(no_errors_found, 0.0, given)),
-        n_errors=np.where(has_errors | no_errors_found, n_errors, np.nan),
-        categories=categories,
-        ann_owner=error_owner,
-        ann_severity=severity[errors],
-        ann_category=category[errors],
-        ann_start=np.where(has_span[errors], start[errors], -1),
-        ann_end=np.where(has_span[errors], end[errors], -1),
+    # The codes index the sorted ids, which are the dataset's axes.
+    shape = (len(systems), len(docs), n_segs.max(), len(raters))
+    cells = (r_system, r_doc, r_seg, r_rater)
+    scores, error_counts = np.full(shape, np.nan), np.full(shape, np.nan)
+    scores[cells] = np.where(has_errors, computed, np.where(no_errors_found, 0.0, given))
+    error_counts[cells] = np.where(has_errors | no_errors_found, n_errors, np.nan)
+    annotations = Annotations(
+        categories,
+        owner=error_owner,
+        severity=severity[errors],
+        category=category[errors],
+        start=np.where(has_span[errors], start[errors], -1),
+        end=np.where(has_span[errors], end[errors], -1),
     )
     documents = dict(zip(docs, n_segs.tolist()))
     rated_by = np.zeros((len(docs), len(raters)), dtype=bool)
@@ -490,7 +464,9 @@ def _ingest_text(text: str, mapping, weights) -> RatingDataset:
         systems=frozenset(systems),
         raters=frozenset(raters),
         buckets=buckets,
-        ratings=table,
+        scores=scores,
+        n_errors=error_counts,
+        annotations=annotations,
     )
     ds.validate()
     if explicit_buckets:
@@ -632,26 +608,27 @@ def bucket_layout(ds: RatingDataset) -> list[tuple[str, tuple[str, ...], int]]:
 
 def export_tsv(ds: RatingDataset) -> str:
     """Serialize to the canonical TSV format (deterministic row order)."""
-    table = ds.ratings
-    doc_heads = [f"{ds.language_pair}\t{ds.bucket_of(d).bucket_id}\t{d}\t" for d in table.docs]
+    by_key = (1, 2, 0, 3)  # (doc, seg, system, rater): rating order
+    rated = ~np.isnan(ds.scores.transpose(by_key))
+    doc, seg, system, rater = (cells.tolist() for cells in np.nonzero(rated))
+    doc_heads = [f"{ds.language_pair}\t{ds.bucket_of(d).bucket_id}\t{d}\t" for d in ds.doc_axis]
     heads = [
-        f"{doc_heads[d]}{seg}\t{table.systems[s]}\t{table.raters[r]}\t"
-        for d, seg, s, r in zip(
-            table.doc.tolist(), table.seg.tolist(), table.system.tolist(), table.rater.tolist()
-        )
+        f"{doc_heads[d]}{k}\t{ds.system_axis[s]}\t{ds.rater_axis[r]}\t"
+        for d, k, s, r in zip(doc, seg, system, rater)
     ]
-    tails = [f"\t{score!r}" for score in table.score.tolist()]
+    tails = [f"\t{score!r}" for score in ds.scores.transpose(by_key)[rated].tolist()]
+    table = ds.annotations
     severities = [severity.value for severity in SEVERITIES]
     annotations = [
         f"{severities[s]}\t{table.categories[c]}\t" + ("\t" if a < 0 else f"{a}\t{b}")
         for s, c, a, b in zip(
-            table.ann_severity.tolist(), table.ann_category.tolist(),
-            table.ann_start.tolist(), table.ann_end.tolist(),
+            table.severity.tolist(), table.category.tolist(),
+            table.start.tolist(), table.end.tolist(),
         )
     ]
     # One line per annotation, or one with empty error fields for a rating without any.
-    n_errors = np.nan_to_num(table.n_errors).astype(np.intp)
-    owner = np.repeat(np.arange(len(table)), np.maximum(n_errors, 1))
+    n_errors = np.nan_to_num(ds.n_errors.transpose(by_key)[rated]).astype(np.intp)
+    owner = np.repeat(np.arange(len(heads)), np.maximum(n_errors, 1))
     annotated = n_errors[owner] > 0
     middles = ["\t\t\t"] * len(owner)
     for line, text in zip(np.flatnonzero(annotated).tolist(), annotations):

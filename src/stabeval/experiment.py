@@ -20,7 +20,7 @@ from .assignment import (
     build_plan,
     subsample_documents,
 )
-from .corpus import Bucket, RatingDataset, RatingTable, read_config
+from .corpus import Annotations, Bucket, RatingDataset, read_config
 from .errors import ConfigError, InvalidSpec
 from .scoring import NormalizationScheme, ScoredStudy, normalize
 from .stats import SignificanceMatrix, same_documents, significance_matrix, srp
@@ -62,6 +62,8 @@ class StudyConfig:
             raise ConfigError(f"unknown doc_resampling {self.doc_resampling!r}")
         if self.n_permutations < 1:
             raise ConfigError("n_permutations must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         if 1.0 / (1 + self.n_permutations) > self.alpha:
             # The smallest attainable p-value is 1 / (1 + n_permutations): no pair
             # could ever be significant, so SRP would be vacuously 1.
@@ -84,12 +86,6 @@ class SimulatedStudy:
     doc_subset: frozenset[str]
     plan: AssignmentPlan
     scored: ScoredStudy  # post-normalization
-
-
-@dataclass
-class RankingResult:
-    means: dict[str, float]
-    matrix: SignificanceMatrix
 
 
 def select_ratings(ds: RatingDataset, plan: AssignmentPlan) -> ScoredStudy:
@@ -132,7 +128,7 @@ def simulate_study(
     config: StudyConfig,
     seed,
     doc_subset: Optional[frozenset[str]] = None,
-) -> tuple[SimulatedStudy, RankingResult]:
+) -> tuple[SimulatedStudy, SignificanceMatrix]:
     """Sample one study and rank its systems with significance testing.
 
     ``seed`` may be anything accepted by numpy's default_rng.  When
@@ -149,8 +145,7 @@ def simulate_study(
     matrix = significance_matrix(
         scored, config.alpha, config.n_permutations, rng, doc_set=doc_subset
     )
-    means = dict(zip(matrix.systems, (float(m) for m in matrix.means)))
-    return SimulatedStudy(doc_subset, plan, scored), RankingResult(means, matrix)
+    return SimulatedStudy(doc_subset, plan, scored), matrix
 
 
 @dataclass
@@ -254,11 +249,11 @@ def _init_worker(ds: RatingDataset) -> None:
     _WORKER_DS = ds
 
 
-def _rank(ds: RatingDataset, config: StudyConfig, seed_key, doc_subset) -> RankingResult:
+def _rank(ds: RatingDataset, config: StudyConfig, seed_key, doc_subset) -> SignificanceMatrix:
     return simulate_study(ds, config, np.random.SeedSequence(seed_key), doc_subset)[1]
 
 
-def _run_one(task) -> RankingResult:
+def _run_one(task) -> SignificanceMatrix:
     return _rank(_WORKER_DS, *task)
 
 
@@ -316,11 +311,9 @@ def run_sweep(
                 start = time.perf_counter()
                 tasks, pair_filter = _point_tasks(ds, config_point, ci, gi)
                 if pool is not None:
-                    rankings = list(pool.map(_run_one, tasks, chunksize=8))
+                    matrices = list(pool.map(_run_one, tasks, chunksize=8))
                 else:
-                    rankings = [_rank(ds, *task) for task in tasks]
-
-                matrices = [r.matrix for r in rankings]
+                    matrices = [_rank(ds, *task) for task in tasks]
                 value, n_pairs = srp(matrices, pair_filter)
                 points.append(
                     SweepPoint(
@@ -330,7 +323,7 @@ def run_sweep(
                         srp=value,
                         n_pairs=n_pairs,
                         wall_time=time.perf_counter() - start,
-                        study_means=[r.means for r in rankings],
+                        study_means=[dict(zip(m.systems, map(float, m.means))) for m in matrices],
                         matrices=matrices if keep_matrices else None,
                     )
                 )
@@ -412,7 +405,7 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
     )
 
     n_segs = spec.segments_per_doc
-    values = np.full((spec.n_documents, n_segs, spec.n_systems, len(raters)), np.nan)
+    values = np.full((spec.n_systems, spec.n_documents, n_segs, len(raters)), np.nan)
     # Overflow shows up below as a non-finite score, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for bucket in buckets:
@@ -429,7 +422,7 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
                             else np.ones(n_segs)
                         )
                         truth = base[d] + quality[s] + item_noise + preference[r, d]
-                        values[d, :, s, r] = harshness[r] * np.maximum(truth, 0.0) * obs_noise
+                        values[s, d, :, r] = harshness[r] * np.maximum(truth, 0.0) * obs_noise
     # Unrated cells are NaN, so every rated cell is finite iff this many cells are.
     n_rated = n_segs * spec.n_systems * sum(len(b.doc_ids) * len(b.rater_ids) for b in buckets)
     if np.count_nonzero(np.isfinite(values)) != n_rated:
@@ -439,24 +432,18 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
             f"rater_noise_sigma={spec.rater_noise_sigma:g}, "
             f"doc_preference_sigma={spec.doc_preference_sigma:g})"
         )
-    # Put each id axis in sorted order, so the rated cells come out in rating-key order.
-    by_id = [sorted(range(len(ids)), key=ids.__getitem__) for ids in (docs, systems, raters)]
-    values = values[np.ix_(by_id[0], range(n_segs), by_id[1], by_id[2])]
-    doc, seg, system, rater = np.nonzero(~np.isnan(values))
-    no_annotations = np.zeros(0, dtype=np.intp)
-    table = RatingTable(
-        tuple(sorted(docs)), tuple(sorted(systems)), tuple(sorted(raters)),
-        doc, seg, system, rater, values[doc, seg, system, rater], np.full(len(doc), np.nan),
-        (), *[no_annotations] * 5,
-    )
-
+    # The dataset's (system, doc, seg, rater) arrays, each id axis in sorted order.
+    by_id = [sorted(range(len(ids)), key=ids.__getitem__) for ids in (systems, docs, raters)]
+    scores = values[np.ix_(by_id[0], by_id[1], range(n_segs), by_id[2])]
     ds = RatingDataset(
         language_pair=spec.language_pair,
         documents={d: spec.segments_per_doc for d in docs},
         systems=frozenset(systems),
         raters=frozenset(raters),
         buckets=tuple(buckets),
-        ratings=table,
+        scores=scores,
+        n_errors=np.full(scores.shape, np.nan),
+        annotations=Annotations((), *[np.zeros(0, dtype=np.intp)] * 5),
     )
     ds.validate()
     return ds
@@ -518,6 +505,8 @@ def load_sweep_config(path) -> tuple[list[StudyConfig], Optional[list[int]]]:
             grid = [int(x) for x in defaults.pop("doc_counts").split()]
         except ValueError:
             raise ConfigError("invalid doc_counts list") from None
+        if not grid:
+            raise ConfigError("doc_counts is empty")
     configs = []
     for name, section in sections.items():
         if name == "study":

@@ -385,8 +385,8 @@ def rater_distribution(
     """Histogram of one rater's segment-level scores."""
     if rater_id not in ds.raters:
         raise UnknownRater(f"unknown rater {rater_id!r}")
-    # (doc, seg, system) order is the sorted-key order of ingested ratings, so
-    # the mean sums in the order a scan of ``ds.ratings`` would.
+    # (doc, seg, system) order is rating order, so the mean sums the rater's
+    # scores in the order ``export_tsv`` lists them.
     scores = ds.scores[..., ds.rater_pos[rater_id]].transpose(1, 2, 0).ravel()
     scores = scores[~np.isnan(scores)]
     edges = np.asarray(bin_edges, dtype=np.float64)

@@ -1,9 +1,10 @@
 """Shared fixtures, dataset builders, and the per-rating reference form.
 
-The library keeps ratings only as ``RatingTable`` columns and dense arrays.
-The oracles in these tests compare against one ``SegmentRating`` per rating:
-``table_from_ratings`` turns a {key: SegmentRating} dict into a table, and
-``rating_dict`` turns a dataset's table back into that dict.
+The library keeps ratings only as dense ``scores`` / ``n_errors`` arrays plus
+``Annotations`` columns.  The oracles in these tests compare against one
+``SegmentRating`` per rating: ``rating_fields`` turns a {key: SegmentRating}
+dict into a dataset's ``scores``, ``n_errors`` and ``annotations`` fields,
+and ``rating_dict`` reads a dataset's arrays back into that dict.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import pytest
 
 from stabeval.corpus import (
     SEVERITIES,
+    Annotations,
     Bucket,
     ErrorAnnotation,
     RatingDataset,
-    RatingTable,
     _factorize,
 )
 from stabeval.scoring import ScoredStudy
@@ -45,57 +46,70 @@ class SegmentRating:
         return None if self.annotations is None else len(self.annotations)
 
 
-def table_from_ratings(ratings) -> RatingTable:
-    """The RatingTable of a {(doc_id, seg_index, system_id, rater_id): SegmentRating} dict."""
-    keys = sorted(ratings)
-    (docs, doc), (systems, system), (raters, rater) = (
-        _factorize([key[i] for key in keys]) for i in (0, 2, 3)
+def rating_fields(ratings, systems, documents, raters) -> dict:
+    """The ``scores``, ``n_errors`` and ``annotations`` fields of a dataset with
+    the given system ids, {doc_id: segment count} and rater ids, holding a
+    {(doc_id, seg_index, system_id, rater_id): SegmentRating} dict."""
+    system_pos, doc_pos, rater_pos = (
+        {x: i for i, x in enumerate(sorted(ids))} for ids in (systems, documents, raters)
     )
-    values = [ratings[key] for key in keys]
-    owned = [(row, a) for row, v in enumerate(values) for a in v.annotations or ()]
+    shape = (len(system_pos), len(doc_pos), max(documents.values(), default=0), len(rater_pos))
+    scores, n_errors = np.full(shape, np.nan), np.full(shape, np.nan)
+    keys = sorted(ratings)  # sorted ids, so this is rating order
+    for doc, seg, system, rater in keys:
+        rating = ratings[(doc, seg, system, rater)]
+        cell = (system_pos[system], doc_pos[doc], seg, rater_pos[rater])
+        scores[cell] = rating.score
+        n_errors[cell] = np.nan if rating.annotations is None else len(rating.annotations)
+    owned = [(row, a) for row, key in enumerate(keys) for a in ratings[key].annotations or ()]
     categories, category = _factorize([a.category for _, a in owned])
     spans = np.array([a.span or (-1, -1) for _, a in owned], dtype=np.int64).reshape(-1, 2)
-    return RatingTable(
-        docs, systems, raters, doc,
-        np.array([key[1] for key in keys], dtype=np.int64), system, rater,
-        np.array([v.score for v in values], dtype=np.float64),
-        np.array([np.nan if v.annotations is None else len(v.annotations) for v in values]),
+    annotations = Annotations(
         categories,
         np.array([row for row, _ in owned], dtype=np.intp),
         np.array([SEVERITIES.index(a.severity) for _, a in owned], dtype=np.intp),
         category, spans[:, 0], spans[:, 1],
     )
+    return {"scores": scores, "n_errors": n_errors, "annotations": annotations}
 
 
-def assert_same_table(got: RatingTable, want: RatingTable) -> None:
-    """Column-by-column identity of two rating tables, dtypes included."""
-    for column in fields(RatingTable):
-        a, b = getattr(got, column.name), getattr(want, column.name)
-        if isinstance(b, tuple):
-            assert a == b, column.name
-        else:
-            assert a.dtype == b.dtype, column.name
-            assert np.array_equal(a, b, equal_nan=True), column.name
+def assert_same_ratings(got: RatingDataset, want: RatingDataset) -> None:
+    """Identity of two datasets' rating arrays and annotation columns, dtypes
+    included; category codes are compared as the categories they name."""
+    for name in ("scores", "n_errors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=True), name
+    for column in fields(Annotations)[1:]:
+        a, b = getattr(got.annotations, column.name), getattr(want.annotations, column.name)
+        assert a.dtype == b.dtype, column.name
+        if column.name == "category":
+            a = [got.annotations.categories[c] for c in a.tolist()]
+            b = [want.annotations.categories[c] for c in b.tolist()]
+        assert np.array_equal(a, b), column.name
 
 
 def rating_dict(ds: RatingDataset) -> dict:
     """The dataset's ratings as {(doc_id, seg_index, system_id, rater_id): SegmentRating},
-    in key order."""
-    table = ds.ratings
+    in rating order."""
+    by_key = (1, 2, 0, 3)
+    rated = ~np.isnan(ds.scores.transpose(by_key))
+    table = ds.annotations
     annotations = [
         ErrorAnnotation(table.categories[c], SEVERITIES[s], None if a < 0 else (a, b))
         for s, c, a, b in zip(
-            table.ann_severity.tolist(), table.ann_category.tolist(),
-            table.ann_start.tolist(), table.ann_end.tolist(),
+            table.severity.tolist(), table.category.tolist(),
+            table.start.tolist(), table.end.tolist(),
         )
     ]
-    bounds = np.searchsorted(table.ann_owner, np.arange(len(table) + 1)).tolist()
+    bounds = np.searchsorted(table.owner, np.arange(np.count_nonzero(rated) + 1)).tolist()
     ratings = {}
     for row, (d, seg, s, r, score, n_errors) in enumerate(zip(
-        table.doc.tolist(), table.seg.tolist(), table.system.tolist(), table.rater.tolist(),
-        table.score.tolist(), table.n_errors.tolist(),
+        *(cells.tolist() for cells in np.nonzero(rated)),
+        ds.scores.transpose(by_key)[rated].tolist(),
+        ds.n_errors.transpose(by_key)[rated].tolist(),
     )):
-        key = (table.docs[d], seg, table.systems[s], table.raters[r])
+        key = (ds.doc_axis[d], seg, ds.system_axis[s], ds.rater_axis[r])
         owned = None if np.isnan(n_errors) else tuple(annotations[bounds[row]:bounds[row + 1]])
         ratings[key] = SegmentRating(*key, owned, score)
     return ratings
@@ -174,13 +188,14 @@ def make_layout_dataset(
                             doc_id, seg, system_id, rater_id, None, score
                         )
         buckets.append(Bucket(f"b{b:03d}", frozenset(doc_ids), frozenset(raters)))
+    all_raters = frozenset(r for raters in bucket_raters for r in raters)
     ds = RatingDataset(
         language_pair=language_pair,
         documents=documents,
         systems=frozenset(systems),
-        raters=frozenset(r for raters in bucket_raters for r in raters),
+        raters=all_raters,
         buckets=tuple(buckets),
-        ratings=table_from_ratings(ratings),
+        **rating_fields(ratings, systems, documents, all_raters),
     )
     ds.validate()
     return ds

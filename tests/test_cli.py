@@ -188,6 +188,7 @@ def test_dataset_not_utf8_exit_code(tmp_path, capsys, command, prefix):
         ("item_grouping = psxs\nitem_grouping = psxs\n", "6"),
         ("", "6\ndoc_counts = 12"),
         ("alpha = 5%\n", "6"),
+        ("", ""),
     ],
     ids=[
         "entropy_target_above_one",
@@ -199,6 +200,7 @@ def test_dataset_not_utf8_exit_code(tmp_path, capsys, command, prefix):
         "duplicate_key_in_study",
         "duplicate_key_in_sweep",
         "percent_in_value",
+        "empty_doc_counts",
     ],
 )
 def test_sweep_config_error_exit_code(synth_tsv, tmp_path, capsys, study, doc_counts):
@@ -216,6 +218,52 @@ def test_sweep_config_error_exit_code(synth_tsv, tmp_path, capsys, study, doc_co
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert "srp=" not in err  # rejected before any sweep point ran
+
+
+@pytest.mark.parametrize("tolerance", ["-0.1", "nan"])
+def test_bad_entropy_tolerance_exit_code(synth_tsv, tmp_path, capsys, tolerance):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "[sweep]\ndoc_counts = 6\nn_simulations = 4\nn_permutations = 50\n[study:bad]\n"
+        f"load_balancing = entropy_target:0.9\nentropy_tolerance = {tolerance}\n"
+    )
+    code = main(["sweep", "--dataset", str(synth_tsv), "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and f"entropy_tolerance must be >= 0, got {tolerance}" in err
+    assert "Traceback" not in err
+    assert "srp=" not in err  # rejected when the config loads, not after 1,000 attempts
+
+
+@pytest.mark.parametrize(
+    "command, config, seed_args, code, message",
+    [
+        ("sweep", SWEEP_CFG, ["--seed", "-1"], 1, "error: seed must be >= 0, got -1"),
+        ("sweep", SWEEP_CFG.replace("seed = 3", "seed = -5"), [], 1,
+         "error: seed must be >= 0, got -5"),
+        ("simulate", STUDY_CFG, ["--seed", "-1"], 1, "error: seed must be >= 0, got -1"),
+        ("gen", GEN_CFG, ["--seed", "-1"], 2, "argument --seed: must be >= 0, got -1"),
+    ],
+    ids=["sweep_flag", "sweep_config", "simulate_flag", "gen_flag"],
+)
+def test_negative_seed_exit_code(synth_tsv, tmp_path, capsys, command, config, seed_args,
+                                 code, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    argv = [command, "--config", str(cfg), *seed_args]
+    if command == "gen":
+        argv += ["--out", str(tmp_path / "neg.tsv")]
+    else:
+        argv += ["--dataset", str(synth_tsv)]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("usage: " if code == 2 else "error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "neg.tsv").exists() and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

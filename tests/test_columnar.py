@@ -30,11 +30,11 @@ from conftest import (
     DISJOINT_LAYOUT,
     ROTATION_LAYOUT,
     SegmentRating,
-    assert_same_table,
+    assert_same_ratings,
     make_layout_dataset,
     rating_dict,
+    rating_fields,
     study_from_entries,
-    table_from_ratings,
 )
 
 # Overlapping rater triples, so a study's rater set depends on its documents.
@@ -77,10 +77,10 @@ def annotated_dataset(seed: int, score_only: bool) -> RatingDataset:
                         ratings[(doc, seg, system, rater)] = SegmentRating(
                             doc, seg, system, rater, annotations, n + float(rng.random())
                         )
+    all_raters = frozenset(r for raters in BUCKET_RATERS for r in raters)
     ds = RatingDataset(
-        "xx-yy", documents, frozenset(systems),
-        frozenset(r for raters in BUCKET_RATERS for r in raters), tuple(buckets),
-        table_from_ratings(ratings),
+        "xx-yy", documents, frozenset(systems), all_raters, tuple(buckets),
+        **rating_fields(ratings, systems, documents, all_raters),
     )
     ds.validate()
     return ds
@@ -171,15 +171,19 @@ def test_select_ratings_at_the_pool_edges():
 
 def test_dataset_arrays_hold_every_rating():
     ds = annotated_dataset(3, score_only=False)
-    assert np.count_nonzero(~np.isnan(ds.scores)) == len(ds.ratings)
-    for (doc, seg, system, rater), rating in rating_dict(ds).items():
+    ratings = rating_dict(ds)
+    assert np.count_nonzero(~np.isnan(ds.scores)) == len(ratings) == sum(
+        n_segs * len(ds.bucket_of(doc).rater_ids) * len(ds.systems)
+        for doc, n_segs in ds.documents.items()
+    )
+    for (doc, seg, system, rater), rating in ratings.items():
         cell = (ds.system_pos[system], ds.doc_pos[doc], seg, ds.rater_pos[rater])
         assert ds.scores[cell] == rating.score
         assert ds.n_errors[cell] == rating.n_errors
 
 
 def generate_synthetic_oracle(spec: GeneratorSpec, rng) -> RatingDataset:
-    """The per-rating generator: one SegmentRating per rating, then a table."""
+    """The per-rating generator: one SegmentRating per rating, then the arrays."""
     docs = [f"doc{d:03d}" for d in range(spec.n_documents)]
     systems = [f"sys{s:02d}" for s in range(spec.n_systems)]
     quality = np.linspace(*spec.quality_range, spec.n_systems)
@@ -214,9 +218,10 @@ def generate_synthetic_oracle(spec: GeneratorSpec, rng) -> RatingDataset:
                         ratings[(doc_id, seg, system_id, rater_id)] = SegmentRating(
                             doc_id, seg, system_id, rater_id, None, float(scores[seg])
                         )
+    documents = {d: spec.segments_per_doc for d in docs}
     ds = RatingDataset(
-        spec.language_pair, {d: spec.segments_per_doc for d in docs}, frozenset(systems),
-        frozenset(raters), tuple(buckets), table_from_ratings(ratings),
+        spec.language_pair, documents, frozenset(systems), frozenset(raters), tuple(buckets),
+        **rating_fields(ratings, systems, documents, raters),
     )
     ds.validate()
     return ds
@@ -249,7 +254,7 @@ def test_generate_synthetic_matches_per_rating_oracle(seed, n_buckets, extra_doc
         want.system_axis, want.doc_axis, want.rater_axis
     )
     assert got.buckets == want.buckets
-    assert_same_table(got.ratings, want.ratings)
+    assert_same_ratings(got, want)
     assert export_tsv(got) == export_tsv(want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 

@@ -13,21 +13,15 @@ from stabeval.errors import (
     ScoreMismatch,
 )
 
-from conftest import (
-    SegmentRating,
-    make_layout_dataset,
-    rating_dict,
-    table_from_ratings,
-    tiny_tsv_rows,
-)
+from conftest import make_layout_dataset, rating_dict, rating_fields, tiny_tsv_rows
 
 
 def test_ingest_tiny_fixture(tiny_tsv):
     ds = ingest(tiny_tsv)
     assert len(ds.buckets) == 1
-    assert len(ds.ratings) == 12
-    assert ds.language_pair == "xx-yy"
     ratings = rating_dict(ds)
+    assert len(ratings) == 12
+    assert ds.language_pair == "xx-yy"
     rated = ratings[("doc1", 0, "sysA", "r1")]
     assert rated.score == 5.0  # one Major error at default weight
     assert rated.annotations[0].severity is Severity.MAJOR
@@ -75,23 +69,42 @@ def test_incomplete_ratings_names_first_hole_in_document_order():
     )
     holes = {("d001", 0, "s01", "r2"), ("d001", 1, "s01", "r1"), ("d001", 0, "s02", "r1"),
              ("d003", 0, "s00", "r4"), ("d003", 1, "s00", "r4")}
-    ratings = table_from_ratings({k: v for k, v in rating_dict(ds).items() if k not in holes})
+    ratings = rating_fields(
+        {k: v for k, v in rating_dict(ds).items() if k not in holes},
+        ds.systems, ds.documents, ds.raters,
+    )
     with pytest.raises(IncompleteRatings) as exc:
-        replace(ds, ratings=ratings).validate()
+        replace(ds, **ratings).validate()
     # documents in insertion order, then system, rater, segment
     assert str(exc.value) == "missing rating for doc=d001 seg=1 system=s01 rater=r1"
     reordered = dict(reversed(list(ds.documents.items())))
     with pytest.raises(IncompleteRatings) as exc:
-        replace(ds, documents=reordered, ratings=ratings).validate()
+        replace(ds, documents=reordered, **ratings).validate()
     assert str(exc.value) == "missing rating for doc=d003 seg=0 system=s00 rater=r4"
 
 
 def test_rating_outside_document_segments_rejected():
     ds = make_layout_dataset([2], [("r1", "r2", "r3")], segs_per_doc=2)
-    extra = rating_dict(ds)
-    extra[("d000", 2, "s00", "r1")] = SegmentRating("d000", 2, "s00", "r1", None, 1.0)
-    with pytest.raises(InconsistentBuckets, match="unexpected ratings"):
-        replace(ds, ratings=table_from_ratings(extra)).validate()
+    # d000 keeps the scores of a second segment it no longer has.
+    with pytest.raises(InconsistentBuckets) as exc:
+        replace(ds, documents={"d000": 1, "d001": 2}).validate()
+    assert str(exc.value) == (
+        "rating outside its document's segments or bucket: doc=d000 seg=1 system=s00 rater=r1"
+    )
+    # A segment beyond the arrays' segment axis would have no cell at all.
+    with pytest.raises(ValueError, match="do not fit axes"):
+        replace(ds, documents={"d000": 3, "d001": 2})
+
+
+def test_rating_by_rater_outside_bucket_rejected():
+    ds = make_layout_dataset([1, 1], [("r1", "r2"), ("r3", "r4")], n_systems=3, segs_per_doc=2)
+    scores = ds.scores.copy()
+    scores[ds.system_pos["s02"], ds.doc_pos["d001"], 1, ds.rater_pos["r2"]] = 0.5
+    with pytest.raises(InconsistentBuckets) as exc:
+        replace(ds, scores=scores).validate()
+    assert str(exc.value) == (
+        "rating outside its document's segments or bucket: doc=d001 seg=1 system=s02 rater=r2"
+    )
 
 
 def test_nan_score_rejected():
@@ -169,7 +182,7 @@ def test_column_mapping_renames(tmp_path):
         "score = score\n"
     )
     ds = ingest(path, mapping=ColumnMapping.from_file(mapping_path))
-    assert len(ds.ratings) == 12
+    assert len(rating_dict(ds)) == 12
 
 
 def test_span_exceeding_target_rejected():

@@ -38,20 +38,21 @@ class TestSimulateStudy:
     def test_full_document_study(self):
         ds = small_dataset()
         config = StudyConfig(n_documents=12, n_permutations=100)
-        sim, ranking = simulate_study(ds, config, 1)
+        sim, matrix = simulate_study(ds, config, 1)
         assert sim.doc_subset == frozenset(ds.documents)
         for doc, _sys, raters in plan_items(sim.plan, ds):
             assert raters <= ds.bucket_of(doc).rater_ids
-        assert all(np.isfinite(v) for v in ranking.means.values())
+        assert matrix.systems == ds.system_axis
+        assert np.isfinite(matrix.means).all()
 
     def test_determinism_bit_for_bit(self):
         ds = small_dataset()
         config = StudyConfig(n_documents=8, n_permutations=100)
-        _, r1 = simulate_study(ds, config, 7)
-        _, r2 = simulate_study(ds, config, 7)
-        assert r1.means == r2.means
-        assert np.array_equal(r1.matrix.sig, r2.matrix.sig)
-        assert np.array_equal(r1.matrix.better, r2.matrix.better)
+        _, m1 = simulate_study(ds, config, 7)
+        _, m2 = simulate_study(ds, config, 7)
+        assert np.array_equal(m1.means, m2.means)
+        assert np.array_equal(m1.sig, m2.sig)
+        assert np.array_equal(m1.better, m2.better)
 
     def test_double_rated_budget_halved(self):
         ds = small_dataset(n_documents=20)

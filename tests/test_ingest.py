@@ -2,7 +2,7 @@
 
 ``ingest_lines_oracle`` is the per-row loop the columnar parser replaced,
 kept as the reference: it builds one ``SegmentRating`` per rating and hands
-the dict, as a table, to ``RatingDataset``.  ``export_tsv_oracle`` is the
+the dict, as arrays, to ``RatingDataset``.  ``export_tsv_oracle`` is the
 matching per-rating export.  Generated files, valid or with injected faults,
 must give the same dataset or the same error from both, whether ingest
 splits them into cells one row, three rows or its default block at a time.
@@ -35,10 +35,10 @@ from stabeval.scoring import WeightTable, segment_score
 
 from conftest import (
     SegmentRating,
-    assert_same_table,
+    assert_same_ratings,
     make_layout_dataset,
     rating_dict,
-    table_from_ratings,
+    rating_fields,
     tiny_tsv_rows,
 )
 
@@ -225,7 +225,7 @@ def ingest_lines_oracle(lines, mapping=None, weights=None):
         systems=frozenset(systems),
         raters=frozenset(raters),
         buckets=buckets,
-        ratings=table_from_ratings(ratings),
+        **rating_fields(ratings, systems, documents, raters),
     )
     ds.validate()
     if explicit_buckets:
@@ -272,8 +272,7 @@ def assert_same_dataset(ds, want, ratings):
     assert (ds.systems, ds.raters) == (want.systems, want.raters)
     assert ds.buckets == want.buckets
     assert ds.language_pair == want.language_pair
-    assert np.array_equal(ds.scores, want.scores, equal_nan=True)
-    assert np.array_equal(ds.n_errors, want.n_errors, equal_nan=True)
+    assert_same_ratings(ds, want)
     assert list(rating_dict(ds)) == sorted(ratings)
     assert rating_dict(ds) == rating_dict(want) == ratings
     assert export_tsv(ds) == export_tsv(want) == export_tsv_oracle(ds, ratings)
@@ -432,7 +431,7 @@ def test_columnar_ingest_matches_row_loop(case, block_rows):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rating_table_round_trips_a_ratings_dict(seed):
-    """``table_from_ratings`` and ``rating_dict`` invert each other."""
+    """``rating_fields`` and ``rating_dict`` invert each other."""
     rng = np.random.default_rng(seed)
     ds = make_layout_dataset([2, 3], [("r1", "r2"), ("r3",)], n_systems=3, segs_per_doc=2,
                              score_fn=lambda *key: rng.random())
@@ -443,11 +442,15 @@ def test_rating_table_round_trips_a_ratings_dict(seed):
         for k, key in enumerate(ratings)
     }
     for source in (ratings, annotated):
-        table = table_from_ratings(dict(reversed(source.items())))
-        assert len(table) == len(source)
-        again = replace(ds, ratings=table)
+        again = replace(ds, **rating_fields(
+            dict(reversed(source.items())), ds.systems, ds.documents, ds.raters
+        ))
+        assert np.count_nonzero(~np.isnan(again.scores)) == len(source)
         assert rating_dict(again) == source
-        assert_same_table(table_from_ratings(rating_dict(again)), table)
+        assert_same_ratings(
+            replace(ds, **rating_fields(rating_dict(again), ds.systems, ds.documents, ds.raters)),
+            again,
+        )
 
 
 def test_crlf_file_loads_like_lf(tmp_path, tiny_tsv):
