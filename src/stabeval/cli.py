@@ -173,7 +173,7 @@ def cmd_sweep(args) -> int:
     )
     (out_dir / "sweep.csv").write_text(result.to_csv())
     with open(out_dir / "sweep.json", "w") as handle:
-        json.dump(result.to_json_obj(include_matrices=args.matrices), handle, indent=2)
+        json.dump(result.to_json_obj(), handle, indent=2)
         handle.write("\n")
     manifest = RunManifest(
         version=__version__,

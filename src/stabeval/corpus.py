@@ -469,8 +469,6 @@ def _ingest_text(text: str, mapping, weights) -> RatingDataset:
         annotations=annotations,
     )
     ds.validate()
-    if explicit_buckets:
-        _check_inference_matches(ds, doc_raters)
     return ds
 
 
@@ -573,16 +571,6 @@ def _build_buckets(documents, doc_raters, explicit_buckets) -> tuple[Bucket, ...
     for i, (rater_set, docs) in enumerate(ordered):
         buckets.append(Bucket(f"b{i:03d}", frozenset(docs), rater_set))
     return tuple(buckets)
-
-
-def _check_inference_matches(ds: RatingDataset, doc_raters) -> None:
-    inferred = _build_buckets(ds.documents, doc_raters, {})
-    inferred_sets = {b.doc_ids for b in inferred}
-    explicit_sets = {b.doc_ids for b in ds.buckets}
-    if inferred_sets != explicit_sets:
-        raise InconsistentBuckets(
-            "explicit bucket column disagrees with rater co-occurrence grouping"
-        )
 
 
 def stats(ds: RatingDataset) -> DatasetStats:

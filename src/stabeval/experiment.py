@@ -91,27 +91,30 @@ class SimulatedStudy:
 def select_ratings(ds: RatingDataset, plan: AssignmentPlan) -> ScoredStudy:
     """Pull the real ratings selected by an assignment plan into a study.
 
-    Entries come out in (system, doc, seg, rater) order over sorted ids.  Only
-    the study's documents are masked, so the cost follows the study's size,
-    not the pool's; their positions are sorted, which keeps that order.
+    The study's arrays are the dataset's, indexed by the plan's systems,
+    documents and raters (sorted positions, so sorted ids) and cut to its
+    longest document's segments, with NaN wherever the plan chooses no
+    rating.  So the cost follows the study's size, not the pool's.
     """
-    study_docs = np.flatnonzero(plan.chosen.any(axis=(0, 2)))
-    scores = ds.scores[:, study_docs]
-    mask = plan.chosen[:, study_docs, None, :] & ~np.isnan(scores)
-    sys_ix, doc_ix, seg_ix, rater_ix = np.nonzero(mask)
-    systems, sys_ix = np.unique(sys_ix, return_inverse=True)
-    docs, doc_ix = np.unique(doc_ix, return_inverse=True)
-    raters, rater_ix = np.unique(rater_ix, return_inverse=True)
+    chosen = plan.chosen
+    systems = np.flatnonzero(chosen.any(axis=(1, 2)))
+    docs = np.flatnonzero(chosen.any(axis=(0, 2)))
+    raters = np.flatnonzero(chosen.any(axis=(0, 1)))
+
+    def study_cells(array):  # a C-contiguous copy of the study's part of a dataset array
+        return array[systems[:, None], docs].take(raters, axis=-1)
+
+    n_segs = ds.seg_counts[docs].max(initial=0)
+    unchosen = ~study_cells(chosen)[:, :, None, :]
+    scores, n_errors = (study_cells(a[:, :, :n_segs]) for a in (ds.scores, ds.n_errors))
+    np.copyto(scores, np.nan, where=unchosen)
+    np.copyto(n_errors, np.nan, where=unchosen)
     return ScoredStudy(
         [ds.system_axis[i] for i in systems],
         [ds.rater_axis[i] for i in raters],
-        [ds.doc_axis[i] for i in study_docs[docs]],
-        sys_ix,
-        rater_ix,
-        doc_ix,
-        seg_ix,
-        scores[mask],
-        ds.n_errors[:, study_docs][mask],
+        [ds.doc_axis[i] for i in docs],
+        scores,
+        n_errors,
     )
 
 
@@ -205,7 +208,8 @@ class SweepResult:
             )
         return out.getvalue()
 
-    def to_json_obj(self, include_matrices: bool = False) -> dict:
+    def to_json_obj(self) -> dict:
+        """Every point, with its significance matrices where it kept them."""
         points = []
         for point in self.points:
             cfg = point.config
@@ -227,7 +231,7 @@ class SweepResult:
                 "n_pairs": point.n_pairs,
                 "study_means": point.study_means,
             }
-            if include_matrices and point.matrices is not None:
+            if point.matrices is not None:
                 entry["matrices"] = [
                     {
                         "systems": list(m.systems),
@@ -293,6 +297,11 @@ def run_sweep(
     """
     if doc_count_grid is None:
         doc_count_grid = [n for n in DEFAULT_DOC_GRID if n <= len(ds.documents)]
+        if not doc_count_grid:
+            raise ConfigError(
+                f"the dataset has {len(ds.documents)} documents, fewer than the default "
+                f"grid's smallest count {min(DEFAULT_DOC_GRID)}: set doc_counts"
+            )
     for config in configs:
         for n_docs in doc_count_grid:
             _check_pool_size(ds, replace(config, n_documents=n_docs))
@@ -367,6 +376,11 @@ class GeneratorSpec:
             raise InvalidSpec("segments_per_doc must be >= 1")
         if self.n_systems < 2:
             raise InvalidSpec("need at least 2 systems")
+        for key in ("quality_range", "harshness", "base_range", "item_noise_sigma",
+                    "rater_noise_sigma", "doc_preference_sigma"):
+            values = np.ravel(getattr(self, key))
+            if not np.isfinite(values).all():
+                raise InvalidSpec(f"{key} must be finite, got {' '.join(map(str, values))}")
         if not self.harshness or any(h <= 0 for h in self.harshness):
             raise InvalidSpec("harshness factors must be positive")
         if any(

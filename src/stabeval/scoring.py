@@ -8,6 +8,7 @@ configurable with the de-facto MQM convention as default.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -106,133 +107,124 @@ def segment_score(annotations: Iterable[ErrorAnnotation], weights: WeightTable) 
     return total
 
 
-class ScoredStudy:
-    """Per-rating scores for one (simulated) study, stored as parallel arrays.
+def ordered_sums(scores: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums and counts of the non-NaN cells of ``scores`` along ``axis``.
 
-    One entry per (doc, seg, system, rater) rating included in the study.
-    Error counts are NaN where the underlying data is score-only.
+    Adds one index of ``axis`` at a time, from 0 up, as a bincount over the
+    cells in C order would.  A numpy reduction over a contiguous axis adds
+    pairwise instead, which changes the bits of the sums.
+    """
+    rated = ~np.isnan(scores)
+    sums = np.zeros(scores.shape[:axis] + scores.shape[axis + 1 :])
+    for values, present in zip(np.moveaxis(scores, axis, 0), np.moveaxis(rated, axis, 0)):
+        sums += np.where(present, values, 0.0)
+    return sums, rated.sum(axis=axis)
+
+
+class ScoredStudy:
+    """The ratings of one (simulated) study, in the dataset's layout.
+
+    ``scores`` and ``n_errors`` are dense (system, doc, seg, rater) arrays
+    over the study's systems, documents and raters, NaN in every cell the
+    study has no rating for; ``rated`` marks the cells it has.  Ratings are
+    ordered as those cells in C order.  Error counts are NaN where the
+    underlying data is score-only.
     """
 
-    def __init__(self, systems, raters, docs, sys_ix, rater_ix, doc_ix, seg_ix, scores, n_errors):
+    def __init__(self, systems, raters, docs, scores, n_errors):
         self.systems = tuple(systems)
         self.raters = tuple(raters)
         self.docs = tuple(docs)
-        self.sys_ix = np.asarray(sys_ix, dtype=np.intp)
-        self.rater_ix = np.asarray(rater_ix, dtype=np.intp)
-        self.doc_ix = np.asarray(doc_ix, dtype=np.intp)
-        self.seg_ix = np.asarray(seg_ix, dtype=np.intp)
         self.scores = np.asarray(scores, dtype=np.float64)
         self.n_errors = np.asarray(n_errors, dtype=np.float64)
-        if not (
-            len(self.sys_ix)
-            == len(self.rater_ix)
-            == len(self.doc_ix)
-            == len(self.seg_ix)
-            == len(self.scores)
-            == len(self.n_errors)
-        ):
-            raise ValueError("ragged study arrays")
+        shape = self.scores.shape
+        axes = (len(self.systems), len(self.docs), len(self.raters))
+        if len(shape) != 4 or shape != self.n_errors.shape or shape[:2] + shape[3:] != axes:
+            raise ValueError(f"study arrays of shape {shape} do not fit its axes {axes}")
+        self.rated = ~np.isnan(self.scores)
 
     def __len__(self) -> int:
-        return len(self.scores)
+        return int(np.count_nonzero(self.rated))
 
     @property
     def study_mean(self) -> float:
-        return float(self.scores.mean())
+        return float(self.scores[self.rated].mean())
 
-    def rater_counts(self) -> np.ndarray:
-        return np.bincount(self.rater_ix, minlength=len(self.raters))
+    def rater_sums(self, *values: np.ndarray) -> list[np.ndarray]:
+        """The per-rater rating counts, then the per-rater sums of each
+        per-rating array in ``values``, added in rating order."""
+        n = len(self.raters)
+        rater = np.broadcast_to(np.arange(n), self.rated.shape)[self.rated]
+        return [np.bincount(rater, minlength=n)] + [
+            np.bincount(rater, weights=v, minlength=n) for v in values
+        ]
 
     def rater_means(self) -> np.ndarray:
-        counts = self.rater_counts()
-        sums = np.bincount(self.rater_ix, weights=self.scores, minlength=len(self.raters))
+        counts, sums = self.rater_sums(self.scores[self.rated])
         return sums / counts
 
-    def rater_stds(self) -> np.ndarray:
-        """Sample (n-1) standard deviation per rater; 0 where undefined."""
-        counts = self.rater_counts()
-        means = self.rater_means()
-        sq = np.bincount(self.rater_ix, weights=self.scores**2, minlength=len(self.raters))
-        var = np.zeros(len(self.raters))
-        multi = counts > 1
-        var[multi] = (sq[multi] - counts[multi] * means[multi] ** 2) / (counts[multi] - 1)
-        return np.sqrt(np.maximum(var, 0.0))
-
-    def rater_error_totals(self) -> np.ndarray:
-        """Severity-ignored error counts per rater (NaN if any entry lacks counts)."""
-        totals = np.bincount(self.rater_ix, weights=self.n_errors, minlength=len(self.raters))
-        return totals
-
     def with_scores(self, scores: np.ndarray) -> "ScoredStudy":
-        return ScoredStudy(
-            self.systems,
-            self.raters,
-            self.docs,
-            self.sys_ix,
-            self.rater_ix,
-            self.doc_ix,
-            self.seg_ix,
-            scores,
-            self.n_errors,
-        )
+        """The same study with ``scores``, which are NaN exactly where this one's are."""
+        study = copy.copy(self)
+        study.scores = scores
+        return study
 
-    def effective_scores(self):
-        """Collapse duplicate ratings of a (doc, seg, system) by averaging.
-
-        Returns (sys_ix, doc_ix, seg_ix, score) arrays with one entry per
-        distinct (doc, seg, system).
-        """
-        n_docs = len(self.docs)
-        max_seg = int(self.seg_ix.max()) + 1 if len(self.seg_ix) else 1
-        key = (self.sys_ix * n_docs + self.doc_ix) * max_seg + self.seg_ix
-        uniq, inverse = np.unique(key, return_inverse=True)
-        sums = np.bincount(inverse, weights=self.scores)
-        counts = np.bincount(inverse)
-        eff = sums / counts
-        eff_sys = uniq // (n_docs * max_seg)
-        eff_doc = (uniq // max_seg) % n_docs
-        eff_seg = uniq % max_seg
-        return eff_sys, eff_doc, eff_seg, eff
+    def effective_scores(self) -> np.ndarray:
+        """The (system, doc, seg) mean of each cell's ratings over the rater
+        axis, added in rater order; NaN where the cell has none."""
+        sums, counts = ordered_sums(self.scores, axis=3)
+        with np.errstate(invalid="ignore"):
+            return sums / counts
 
 
 def system_means(study: ScoredStudy) -> dict[str, float]:
-    """Mean effective segment score per system; ranking is ascending."""
-    eff_sys, _, _, eff = study.effective_scores()
-    sums = np.bincount(eff_sys, weights=eff, minlength=len(study.systems))
-    counts = np.bincount(eff_sys, minlength=len(study.systems))
-    return {s: float(sums[i] / counts[i]) for i, s in enumerate(study.systems)}
+    """Mean effective segment score per system; ranking is ascending.
+
+    Segments add up per document in order, and documents pairwise, so these
+    are the means ``significance_matrix`` ranks by.
+    """
+    sums, counts = ordered_sums(study.effective_scores(), axis=2)
+    means = sums.sum(axis=1) / counts.sum(axis=1)
+    return {s: float(means[i]) for i, s in enumerate(study.systems)}
 
 
 def normalize(study: ScoredStudy, scheme: NormalizationScheme) -> ScoredStudy:
     """Apply a rater-wise normalization; rater-item assignments are untouched."""
     if scheme is NormalizationScheme.UNNORMALIZED:
         return study
-    means = study.rater_means()
+    values = study.scores[study.rated]
     if scheme is NormalizationScheme.ZSCORE:
-        stds = study.rater_stds()
-        centered = study.scores - means[study.rater_ix]
-        safe = np.where(stds > 0, stds, 1.0)
-        scaled = np.where(stds[study.rater_ix] > 0, centered / safe[study.rater_ix], 0.0)
+        counts, sums, squares = study.rater_sums(values, values**2)
+        means = sums / counts
+        # Sample (n-1) standard deviation per rater; 0 where undefined.
+        var = np.zeros(len(study.raters))
+        multi = counts > 1
+        var[multi] = (squares[multi] - counts[multi] * means[multi] ** 2) / (counts[multi] - 1)
+        stds = np.sqrt(np.maximum(var, 0.0))
+        # A constant rater's ratings map to 0; cells without a rating stay NaN.
+        scaled = np.where(study.rated, 0.0, np.nan)
+        np.divide(study.scores - means, stds, out=scaled, where=stds > 0)
         return study.with_scores(scaled)
 
     # Mean and Error schemes are multiplicative.
+    counts, sums, errors = study.rater_sums(values, study.n_errors[study.rated])
+    means = sums / counts
     zero = means == 0
     if zero.any():
-        bad = [study.raters[i] for i in np.nonzero(zero)[0]]
+        bad = [study.raters[i] for i in np.flatnonzero(zero)]
         raise DegenerateRater(
             f"rater mean score is 0 for {bad}; multiplicative normalization undefined"
         )
-    scores = study.scores * (study.study_mean / means)[study.rater_ix]
+    scores = study.scores * (values.mean() / means)
     if scheme is NormalizationScheme.MEAN:
         return study.with_scores(scores)
 
     # Error scheme: scale rater r by c*E_r so the study-wide mean is preserved.
-    errors = study.rater_error_totals()
+    # E_r is the rater's severity-ignored error count, NaN if any rating lacks one.
     if np.isnan(errors).any():
         raise MissingErrorCounts("error-normalization requires annotation-backed ratings")
-    counts = study.rater_counts()
     denom = float(np.sum(counts * errors))
     if denom == 0:
         raise DegenerateRater("no errors identified by any rater; error scheme undefined")
-    c = len(study) / denom
-    return study.with_scores(scores * (c * errors)[study.rater_ix])
+    c = len(values) / denom
+    return study.with_scores(scores * (c * errors))

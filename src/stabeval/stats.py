@@ -17,7 +17,7 @@ from .errors import (
     SystemSetMismatch,
     UnknownRater,
 )
-from .scoring import ScoredStudy
+from .scoring import ScoredStudy, ordered_sums
 
 _REL_TOL = 1e-12
 
@@ -173,12 +173,8 @@ def significance_matrix(
     n_sys = len(study.systems)
     if n_sys < 2:
         raise NoAdmissiblePairs(f"need at least 2 systems to rank, the study has {n_sys}")
-    eff_sys, eff_doc, _, eff = study.effective_scores()
     n_docs = len(study.docs)
-    sums = np.zeros((n_sys, n_docs))
-    counts = np.zeros((n_sys, n_docs), dtype=np.intp)
-    np.add.at(sums, (eff_sys, eff_doc), eff)
-    np.add.at(counts, (eff_sys, eff_doc), 1)
+    sums, counts = ordered_sums(study.effective_scores(), axis=2)
     # Every system must cover the first one's segments; the first that does
     # not is the first mismatched pair in (i, j) order.
     mismatched = np.flatnonzero((counts[1:] != counts[0]).any(axis=1))
@@ -325,11 +321,7 @@ def rater_agreement(ds: RatingDataset, granularity: str) -> AgreementReport:
         raise ValueError(f"unknown granularity {granularity!r}")
     raters = sorted(ds.raters)
     # Per-(system, doc, rater) score sums, accumulated in segment order.
-    rated = ~np.isnan(ds.scores)
-    sums = np.zeros(rated.shape[:2] + rated.shape[3:])
-    for seg in range(rated.shape[2]):
-        sums += np.where(rated[:, :, seg], ds.scores[:, :, seg], 0.0)
-    counts = rated.sum(axis=2)
+    sums, counts = ordered_sums(ds.scores, axis=2)
 
     shared_docs: dict[tuple[str, str], list[int]] = {}
     for bucket in ds.buckets:

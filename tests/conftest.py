@@ -116,25 +116,20 @@ def rating_dict(ds: RatingDataset) -> dict:
 
 
 def study_from_entries(entries) -> ScoredStudy:
-    """A study from (doc, seg, system, rater, score, n_errors-or-None) tuples."""
-    entries = sorted(entries, key=lambda e: (e[2], e[0], e[1], e[3]))
-    systems = sorted({e[2] for e in entries})
-    raters = sorted({e[3] for e in entries})
-    docs = sorted({e[0] for e in entries})
-    sys_pos = {s: i for i, s in enumerate(systems)}
-    rater_pos = {r: i for i, r in enumerate(raters)}
-    doc_pos = {d: i for i, d in enumerate(docs)}
-    return ScoredStudy(
-        systems,
-        raters,
-        docs,
-        [sys_pos[e[2]] for e in entries],
-        [rater_pos[e[3]] for e in entries],
-        [doc_pos[e[0]] for e in entries],
-        [e[1] for e in entries],
-        [e[4] for e in entries],
-        [np.nan if e[5] is None else float(e[5]) for e in entries],
+    """A study from (doc, seg, system, rater, score, n_errors-or-None) tuples,
+    one per rated cell."""
+    systems, docs, raters = (sorted({e[i] for e in entries}) for i in (2, 0, 3))
+    sys_pos, doc_pos, rater_pos = (
+        {x: i for i, x in enumerate(ids)} for ids in (systems, docs, raters)
     )
+    shape = (len(systems), len(docs), max(e[1] for e in entries) + 1, len(raters))
+    scores, n_errors = np.full(shape, np.nan), np.full(shape, np.nan)
+    for doc, seg, system, rater, score, errors in entries:
+        cell = (sys_pos[system], doc_pos[doc], seg, rater_pos[rater])
+        assert np.isnan(scores[cell]), f"two entries for {(doc, seg, system, rater)}"
+        scores[cell] = score
+        n_errors[cell] = np.nan if errors is None else float(errors)
+    return ScoredStudy(systems, raters, docs, scores, n_errors)
 
 # Bucket layouts with 181 documents, mirroring the two released datasets:
 # a 7-bucket rotation over raters A..G and a 2-bucket disjoint split.

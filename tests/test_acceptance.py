@@ -177,7 +177,7 @@ def test_4_normalization_contracts():
         ),
         NormalizationScheme.ZSCORE,
     )
-    z_ok = np.allclose(sorted(z.scores), [-1.0, 0.0, 1.0])
+    z_ok = np.allclose(sorted(z.scores[z.rated]), [-1.0, 0.0, 1.0])
 
     equal_counts = study_from_entries(
         [(f"d{d}", 0, "a", r, float(1 + d + 2 * (r == "r2")), 3)

@@ -220,6 +220,24 @@ def test_sweep_config_error_exit_code(synth_tsv, tmp_path, capsys, study, doc_co
     assert "srp=" not in err  # rejected before any sweep point ran
 
 
+def test_sweep_default_grid_on_a_small_pool_exit_code(tmp_path, capsys):
+    # Without doc_counts the default grid starts at 10 documents; this pool has 8.
+    gen = tmp_path / "gen.cfg"
+    gen.write_text("[generator]\nn_documents = 8\nn_buckets = 2\n")
+    tsv = tmp_path / "small.tsv"
+    assert main(["gen", "--config", str(gen), "--out", str(tsv)]) == 0
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[sweep]\nn_simulations = 4\nn_permutations = 50\n[study:a]\n")
+    capsys.readouterr()
+    code = main(["sweep", "--dataset", str(tsv), "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "has 8 documents" in err and "smallest count 10" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("tolerance", ["-0.1", "nan"])
 def test_bad_entropy_tolerance_exit_code(synth_tsv, tmp_path, capsys, tolerance):
     cfg = tmp_path / "sweep.cfg"
@@ -312,14 +330,31 @@ def test_non_finite_weight_exit_code(tiny_tsv, tmp_path, capsys, value):
     assert "Traceback" not in err
 
 
-def test_gen_invalid_spec_exit_code(tmp_path, capsys):
-    cfg = tmp_path / "gen.cfg"
-    cfg.write_text("[generator]\nn_systems = 1\n")
-    code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "synth.tsv")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: need at least 2 systems")
-    assert not (tmp_path / "synth.tsv").exists()
+INVALID_SPECS = [
+    ("n_systems = 1\n", "need at least 2 systems"),
+    ("harshness = nan\n", "harshness must be finite, got nan"),
+    ("harshness = 1 inf\n", "harshness must be finite, got 1.0 inf"),
+    ("quality_range = 0 inf\n", "quality_range must be finite, got 0.0 inf"),
+    ("quality_range = nan 2\n", "quality_range must be finite, got nan 2.0"),
+    ("base_range = 0.5 nan\n", "base_range must be finite, got 0.5 nan"),
+    ("item_noise_sigma = inf\n", "item_noise_sigma must be finite, got inf"),
+    ("rater_noise_sigma = nan\n", "rater_noise_sigma must be finite, got nan"),
+    ("doc_preference_sigma = -inf\n", "doc_preference_sigma must be finite, got -inf"),
+]
+
+
+def test_gen_invalid_spec_exit_code(tmp_path, capsys, recwarn):
+    for i, (spec, message) in enumerate(INVALID_SPECS):
+        cfg = tmp_path / f"gen{i}.cfg"
+        cfg.write_text(f"[generator]\nn_documents = 4\nn_buckets = 2\n{spec}")
+        out = tmp_path / f"synth{i}.tsv"
+        code = main(["gen", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, spec
+        assert err.startswith(f"error: {message}"), err
+        assert "noise sigmas" not in err
+        assert not out.exists()
+    assert not recwarn.list
 
 
 def run_cli(*argv: str) -> subprocess.CompletedProcess:
@@ -359,17 +394,20 @@ def test_gen_non_finite_scores_exit_code(tmp_path, extra):
          "no assignment within 0.0 of entropy target 0.5"),
         ("two_rater_bucket", "ratings_per_item = 2\n",
          "double-rating requires buckets of exactly 3 raters"),
+        # Four documents over two buckets give each a base quota of 2.
+        ("uneven_buckets", "", "bucket b1 has 1 documents, quota is 2"),
     ],
     ids=["missing_error_counts", "degenerate_rater", "target_unreachable",
-         "bucket_arity_unsupported"],
+         "bucket_arity_unsupported", "quota_exceeds_bucket"],
 )
 def test_runtime_error_exit_code(synth_tsv, tmp_path, capsys, rows, study, message):
     tsv = synth_tsv
     if rows != "synthetic":
         tsv = tmp_path / "data.tsv"
         tsv.write_text("\n".join(_tiny_rows_with(rows)) + "\n")
+    n_docs = 4 if rows == "uneven_buckets" else 2
     cfg = tmp_path / "study.cfg"
-    cfg.write_text(f"[study]\nnum_documents = 2\nn_permutations = 50\n{study}")
+    cfg.write_text(f"[study]\nnum_documents = {n_docs}\nn_permutations = 50\n{study}")
     code = main(["simulate", "--dataset", str(tsv), "--config", str(cfg)])
     err = capsys.readouterr().err
     assert code == 3
@@ -409,6 +447,13 @@ def _tiny_rows_with(case):
         rows = [r.replace("Major\tAccuracy/Mistranslation\t0\t4", "\t\t\t") for r in rows]
     elif case == "two_rater_bucket":
         rows = [r for r in rows if "\tr3\t" not in r]
+    elif case == "uneven_buckets":  # doc1 alone in b1; doc2, doc3 and doc4 in b2
+        rows = [r for r in rows if "\tdoc2\t" not in r] + [
+            f"xx-yy\tb2\t{doc}\t0\t{system}\t{rater}\t\t\t\t\t\t"
+            for doc in ("doc2", "doc3", "doc4")
+            for system in ("sysA", "sysB")
+            for rater in ("r4", "r5", "r6")
+        ]
     return rows
 
 

@@ -88,7 +88,7 @@ def annotated_dataset(seed: int, score_only: bool) -> RatingDataset:
 
 def assert_same_study(got: ScoredStudy, want: ScoredStudy) -> None:
     assert (got.systems, got.raters, got.docs) == (want.systems, want.raters, want.docs)
-    for name in ("sys_ix", "rater_ix", "doc_ix", "seg_ix", "scores", "n_errors"):
+    for name in ("scores", "n_errors"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b, equal_nan=True), name

@@ -42,10 +42,11 @@ from conftest import DISJOINT_LAYOUT, ROTATION_LAYOUT, make_layout_dataset, stud
 def significance_oracle(study: ScoredStudy, alpha: float, n_perm: int, rng):
     """(means, sig, better) from one ``_sign_flip_p`` call per pair, in (i, j) order."""
     n_sys, n_docs = len(study.systems), len(study.docs)
-    eff_sys, eff_doc, _, eff = study.effective_scores()
+    eff = study.effective_scores()
+    eff_sys, eff_doc, _ = np.nonzero(~np.isnan(eff))
     sums = np.zeros((n_sys, n_docs))
     counts = np.zeros((n_sys, n_docs), dtype=np.intp)
-    np.add.at(sums, (eff_sys, eff_doc), eff)
+    np.add.at(sums, (eff_sys, eff_doc), eff[~np.isnan(eff)])
     np.add.at(counts, (eff_sys, eff_doc), 1)
     totals = counts.sum(axis=1)
     means = sums.sum(axis=1) / totals

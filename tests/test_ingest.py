@@ -24,7 +24,6 @@ from stabeval.corpus import (
     RatingDataset,
     Severity,
     _build_buckets,
-    _check_inference_matches,
     export_tsv,
     fingerprint,
     ingest,
@@ -228,8 +227,6 @@ def ingest_lines_oracle(lines, mapping=None, weights=None):
         **rating_fields(ratings, systems, documents, raters),
     )
     ds.validate()
-    if explicit_buckets:
-        _check_inference_matches(ds, doc_raters)
     return ds, ratings
 
 

@@ -95,7 +95,7 @@ class TestNormalize:
     def test_single_rater_mean_scheme_is_identity(self):
         study = study_from([("d1", 0, "a", "r", 2.0, 1), ("d2", 0, "a", "r", 4.0, 1)])
         out = normalize(study, NormalizationScheme.MEAN)
-        np.testing.assert_allclose(out.scores, study.scores)
+        np.testing.assert_allclose(out.scores[out.rated], study.scores[study.rated])
 
     def test_mean_scheme_hand_case(self):
         # rater1 scores {2,2}, rater2 {4,4}: M=3, factors 1.5 and 0.75
@@ -108,7 +108,7 @@ class TestNormalize:
             ]
         )
         out = normalize(study, NormalizationScheme.MEAN)
-        np.testing.assert_allclose(out.scores, [3.0, 3.0, 3.0, 3.0])
+        np.testing.assert_allclose(out.scores[out.rated], [3.0, 3.0, 3.0, 3.0])
 
     def test_zscore_hand_case(self):
         study = study_from(
@@ -119,12 +119,12 @@ class TestNormalize:
             ]
         )
         out = normalize(study, NormalizationScheme.ZSCORE)
-        np.testing.assert_allclose(sorted(out.scores), [-1.0, 0.0, 1.0])
+        np.testing.assert_allclose(sorted(out.scores[out.rated]), [-1.0, 0.0, 1.0])
 
     def test_zscore_constant_rater_maps_to_zero(self):
         study = study_from([("d1", 0, "a", "r", 2.0, 1), ("d2", 0, "a", "r", 2.0, 1)])
         out = normalize(study, NormalizationScheme.ZSCORE)
-        np.testing.assert_allclose(out.scores, [0.0, 0.0])
+        np.testing.assert_allclose(out.scores[out.rated], [0.0, 0.0])
 
     def test_equal_error_counts_error_equals_mean(self):
         rows = [
@@ -136,7 +136,9 @@ class TestNormalize:
         study = study_from(rows)
         out_mean = normalize(study, NormalizationScheme.MEAN)
         out_error = normalize(study, NormalizationScheme.ERROR)
-        np.testing.assert_allclose(out_error.scores, out_mean.scores)
+        np.testing.assert_allclose(
+            out_error.scores[out_error.rated], out_mean.scores[out_mean.rated]
+        )
 
     def test_mean_and_error_preserve_study_mean(self, rng):
         rows = []
@@ -184,8 +186,8 @@ class TestNormalize:
         study = study_from(rows)
         for scheme in NormalizationScheme:
             out = normalize(study, scheme)
-            np.testing.assert_array_equal(out.rater_ix, study.rater_ix)
-            np.testing.assert_array_equal(out.doc_ix, study.doc_ix)
+            assert (out.systems, out.docs, out.raters) == (study.systems, study.docs, study.raters)
+            np.testing.assert_array_equal(out.rated, study.rated)
 
     @given(st.lists(st.integers(1, 500), min_size=2, max_size=12, unique=True))
     def test_single_rater_ranking_preserved_by_all_schemes(self, scores):
