@@ -232,46 +232,47 @@ def assign_entropy_target(
         alphabet = _bucket_alphabet(ds, ds.bucket_of(ds.doc_axis[d]), ratings_per_item)
         eligible += [[symbol_pos[a] for a in alphabet]] * (1 if psxs else n_systems)
     n_units = len(eligible)
+    sizes = np.array([len(candidates) for candidates in eligible], dtype=np.int64)
 
-    log_pool = np.log(pool_size)
+    log_pool = float(np.log(pool_size))
 
     def entropy(counts: np.ndarray) -> float:
         total = counts.sum()
         p = counts[counts > 0] / total
         return float(-(p * np.log(p)).sum() / log_pool)
 
-    def xlogx(c: float) -> float:
-        return c * math.log(c) if c > 0 else 0.0
-
+    # c log c of a symbol's item count c, by its unit count n (c = n * weight).
+    xlogx = [0.0] + [c * math.log(c) for c in (float(n * weight) for n in range(1, n_units + 1))]
+    # The total never changes, so a candidate's entropy is
+    # (log T - S / T) / log(pool) with S = sum of c log c, in which moving
+    # one unit changes only the two counts it leaves and joins.
+    total = float(n_units * weight)
+    log_total = math.log(total)
     for _attempt in range(max_retries):
-        picks = [candidates[rng.integers(len(candidates))] for candidates in eligible]
-        counts = (np.bincount(picks, minlength=pool_size) * float(weight)).tolist()
-        # The total never changes, so a candidate's entropy is
-        # (log T - S / T) / log(pool) with S = sum of c log c, in which moving
-        # one unit changes only the two counts it leaves and joins.
-        total = sum(counts)
-        log_total = math.log(total)
-        s = sum(xlogx(c) for c in counts)
-        for u in rng.permutation(n_units):
-            old = counts[picks[u]]
-            s += xlogx(old - weight) - xlogx(old)
-            counts[picks[u]] = old - weight
+        # One bounded draw per unit, as ``rng.integers(len(candidates))`` in a loop.
+        picks = [
+            candidates[k] for candidates, k in zip(eligible, rng.integers(0, sizes).tolist())
+        ]
+        units = np.bincount(picks, minlength=pool_size).tolist()
+        s = sum(xlogx[n] for n in units)
+        for u in rng.permutation(n_units).tolist():
+            old = units[picks[u]]
+            s += xlogx[old - 1] - xlogx[old]
+            units[picks[u]] = old - 1
             candidates = eligible[u]
             gaps = [
-                abs(
-                    (log_total - (s - xlogx(counts[c]) + xlogx(counts[c] + weight)) / total)
-                    / log_pool
-                    - target
-                )
+                abs((log_total - (s - xlogx[units[c]] + xlogx[units[c] + 1]) / total) / log_pool
+                    - target)
                 for c in candidates
             ]
             least = min(gaps) + 1e-12
             best = [k for k, gap in enumerate(gaps) if gap <= least]
-            picks[u] = candidates[best[rng.integers(len(best))]]
-            new = counts[picks[u]]
-            s += xlogx(new + weight) - xlogx(new)
-            counts[picks[u]] = new + weight
-        if abs(entropy(np.array(counts)) - target) <= tolerance:
+            # ``integers(1)`` draws nothing, so a lone best candidate needs no draw.
+            picks[u] = candidates[best[rng.integers(len(best))] if len(best) > 1 else best[0]]
+            new = units[picks[u]]
+            s += xlogx[new + 1] - xlogx[new]
+            units[picks[u]] = new + 1
+        if abs(entropy(np.array(units) * float(weight)) - target) <= tolerance:
             chosen = np.zeros((n_systems, *ds.eligible.shape), dtype=bool)
             _mark(chosen, grouping, docs, np.arange(n_units), np.array(symbols)[picks])
             plan = AssignmentPlan(

@@ -160,9 +160,6 @@ def cmd_sweep(args) -> int:
     configs, grid = load_sweep_config(args.config)
     if args.seed is not None:
         configs = [replace(c, master_seed=args.seed) for c in configs]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     result = run_sweep(
         ds,
         configs,
@@ -171,6 +168,9 @@ def cmd_sweep(args) -> int:
         keep_matrices=args.matrices,
         progress=lambda line: print(line, file=sys.stderr),
     )
+    # Only a sweep that ran gets an output directory.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text(result.to_csv())
     with open(out_dir / "sweep.json", "w") as handle:
         json.dump(result.to_json_obj(), handle, indent=2)

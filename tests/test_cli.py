@@ -220,22 +220,30 @@ def test_sweep_config_error_exit_code(synth_tsv, tmp_path, capsys, study, doc_co
     assert "srp=" not in err  # rejected before any sweep point ran
 
 
-def test_sweep_default_grid_on_a_small_pool_exit_code(tmp_path, capsys):
-    # Without doc_counts the default grid starts at 10 documents; this pool has 8.
+def sweep_small_pool(tmp_path, out):
+    """``stabeval sweep`` without doc_counts on an 8-document pool, which the
+    default grid (starting at 10 documents) rejects."""
     gen = tmp_path / "gen.cfg"
     gen.write_text("[generator]\nn_documents = 8\nn_buckets = 2\n")
     tsv = tmp_path / "small.tsv"
     assert main(["gen", "--config", str(gen), "--out", str(tsv)]) == 0
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("[sweep]\nn_simulations = 4\nn_permutations = 50\n[study:a]\n")
-    capsys.readouterr()
-    code = main(["sweep", "--dataset", str(tsv), "--config", str(cfg),
-                 "--out", str(tmp_path / "out")])
+    return main(["sweep", "--dataset", str(tsv), "--config", str(cfg), "--out", str(out)])
+
+
+def test_sweep_default_grid_on_a_small_pool_exit_code(tmp_path, capsys):
+    code = sweep_small_pool(tmp_path, tmp_path / "out")
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "has 8 documents" in err and "smallest count 10" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_rejected_sweep_leaves_no_output_directory(tmp_path):
+    assert sweep_small_pool(tmp_path, tmp_path / "results" / "out") == 1
+    assert not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize("tolerance", ["-0.1", "nan"])

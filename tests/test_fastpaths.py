@@ -1,12 +1,12 @@
 """Differential tests: each vectorized path against the loop it replaced.
 
-- ``significance_matrix`` (one sign draw and one batched product per row of
-  pairs) against a loop of ``_sign_flip_p`` calls, one per pair, and the
+- ``significance_matrix`` (one sign draw and one batched product per block
+  of pairs) against a loop of ``_sign_flip_p`` calls, one per pair, and the
   signs it reads from raw PCG64 words (``_flipped_signs``) against
   ``rng.integers``.
 - ``srp`` (one boolean product over all study pairs) against ``srp_pairs``.
-- ``assign_entropy_target`` (candidates scored from a running sum of c log c)
-  against ``entropy_target_oracle`` below, which recomputes the full entropy
+- ``assign_entropy_target`` (candidates scored from a running sum of c log c
+  read from a table) against ``entropy_target_oracle`` below, which recomputes the full entropy
   for every candidate.
 
 Each pair must agree exactly, including the RNG state afterwards.
@@ -14,7 +14,7 @@ Each pair must agree exactly, including the RNG state afterwards.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stabeval.assignment import (
     Grouping,
@@ -29,6 +29,7 @@ from stabeval.scoring import ScoredStudy
 from stabeval.stats import (
     SignificanceMatrix,
     _flipped_signs,
+    _pair_blocks,
     _sign_flip_p,
     same_documents,
     significance_matrix,
@@ -62,22 +63,17 @@ def significance_oracle(study: ScoredStudy, alpha: float, n_perm: int, rng):
     return means, sig, better
 
 
-@st.composite
-def scored_studies(draw):
-    """A study of 2-15 systems over 1-40 documents of 1-3 segments.
+def make_study(n_sys: int, n_docs: int, seed: int, noisy: bool) -> ScoredStudy:
+    """A study of ``n_sys`` systems over ``n_docs`` documents of 1-3 segments.
 
     Scores are small integers plus optional per-system offsets, so many
     documents tie between systems and many statistics tie with the observed
     one.
     """
-    n_sys = draw(st.integers(2, 15))
-    n_docs = draw(st.integers(1, 40))
-    seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     segs = rng.integers(1, 4, size=n_docs)
     base = rng.integers(0, 3, size=(n_docs, 3)).astype(float)
     offset = rng.choice([0.0, 0.0, 0.5, 1.0], size=n_sys)
-    noisy = draw(st.booleans())
     entries = []
     for s in range(n_sys):
         for d in range(n_docs):
@@ -85,8 +81,15 @@ def scored_studies(draw):
                 score = base[d, g] + offset[s] * rng.integers(0, 2)
                 if noisy:
                     score += rng.normal()
-                entries.append((f"d{d:02d}", g, f"s{s:02d}", "r", float(score), None))
+                entries.append((f"d{d:03d}", g, f"s{s:02d}", "r", float(score), None))
     return study_from_entries(entries)
+
+
+@st.composite
+def scored_studies(draw):
+    """A ``make_study`` study of 2-15 systems over 1-40 documents."""
+    return make_study(draw(st.integers(2, 15)), draw(st.integers(1, 40)),
+                      draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
@@ -152,6 +155,32 @@ def test_significance_matrix_matches_pair_loop(study, n_perm, alpha, seed, predr
         rng.integers(0, 2, size=predraw, dtype=np.int32)
     matrix = significance_matrix(study, alpha, n_perm, fast)
     means, sig, better = significance_oracle(study, alpha, n_perm, slow)
+    assert np.array_equal(matrix.means, means)
+    assert np.array_equal(matrix.sig, sig)
+    assert np.array_equal(matrix.better, better)
+    assert same_state(fast.bit_generator.state, slow.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize(
+    "n_sys, n_docs, n_perm, predraw, n_blocks, pairs_per_block",
+    [
+        (3, 181, 500, 0, 3, 1),  # each pair is larger than the sign budget
+        (15, 10, 500, 0, 9, 13),  # many pairs per block, and a last block of one
+        (15, 33, 499, 1, 35, 3),  # odd block sizes carry the buffered half-word
+    ],
+    ids=["pair_above_budget", "many_pairs_per_block", "odd_blocks_after_odd_predraw"],
+)
+def test_significance_matrix_block_edges(n_sys, n_docs, n_perm, predraw, n_blocks,
+                                         pairs_per_block, bit_generator):
+    blocks = _pair_blocks(n_sys * (n_sys - 1) // 2, n_perm * n_docs)
+    assert (len(blocks), blocks[0].stop - blocks[0].start) == (n_blocks, pairs_per_block)
+    study = make_study(n_sys, n_docs, seed=n_docs, noisy=True)
+    fast, slow = (np.random.Generator(bit_generator(n_perm)) for _ in range(2))
+    for rng in (fast, slow):
+        rng.integers(0, 2, size=predraw, dtype=np.int32)
+    matrix = significance_matrix(study, 0.05, n_perm, fast)
+    means, sig, better = significance_oracle(study, 0.05, n_perm, slow)
     assert np.array_equal(matrix.means, means)
     assert np.array_equal(matrix.sig, sig)
     assert np.array_equal(matrix.better, better)
@@ -265,13 +294,19 @@ def entropy_target_oracle(ds, doc_subset, target, tolerance, rng, max_retries, g
     raise TargetUnreachable("no attempt reached the target")
 
 
+# Buckets of 2, 3 and 4 raters, sharing rater B: units with alphabets of
+# different sizes.  Double rating needs 3-rater buckets, so this layout is
+# single-rated only.
+MIXED_LAYOUT = ([12, 11, 13], [("A", "B"), ("C", "D", "E"), ("B", "F", "G", "H")])
 LAYOUT_DATASETS = {
     name: make_layout_dataset(*layout, n_systems=3)
-    for name, layout in (("rotation", ROTATION_LAYOUT), ("disjoint", DISJOINT_LAYOUT))
+    for name, layout in (
+        ("rotation", ROTATION_LAYOUT), ("disjoint", DISJOINT_LAYOUT), ("mixed", MIXED_LAYOUT)
+    )
 }
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(
     layout=st.sampled_from(sorted(LAYOUT_DATASETS)),
     grouping=st.sampled_from([Grouping.PSXS, Grouping.NO_GROUPING]),
@@ -284,6 +319,7 @@ LAYOUT_DATASETS = {
 def test_entropy_delta_matches_full_recompute(
     layout, grouping, ratings_per_item, n_docs, target, tolerance, seed
 ):
+    assume(layout != "mixed" or ratings_per_item == 1)
     ds = LAYOUT_DATASETS[layout]
     subset = subsample_documents(ds, n_docs, np.random.default_rng(seed))
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -302,3 +338,23 @@ def test_entropy_delta_matches_full_recompute(
     else:
         assert np.array_equal(got, want)
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bounds=st.lists(st.one_of(st.integers(1, 5), st.integers(1, 2**40)), max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    predraw=st.integers(0, 1),
+)
+def test_integers_over_an_array_of_bounds_is_the_scalar_loop(bounds, seed, predraw):
+    """``assign_entropy_target`` draws its initial picks in one call and skips
+    the tie-break draw for a lone best candidate."""
+    vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    # An odd number of earlier 32-bit draws leaves half a 64-bit word buffered.
+    for rng in (vector, scalar):
+        rng.integers(0, 2, size=predraw, dtype=np.int32)
+    got = vector.integers(0, np.array(bounds, dtype=np.int64))
+    assert got.tolist() == [scalar.integers(bound) for bound in bounds]
+    assert vector.bit_generator.state == scalar.bit_generator.state
+    vector.integers(1)
+    assert vector.bit_generator.state == scalar.bit_generator.state
