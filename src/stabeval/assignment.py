@@ -3,8 +3,10 @@ ratings-per-item procedures, plus per-bucket document subsampling."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -52,30 +54,40 @@ class LoadBalancing:
 
 @dataclass
 class AssignmentPlan:
-    """Rater assignment for one simulated study: ``chosen[s, d, r]`` is True iff
-    rater r rates system s's output of document d, over the dataset's
-    ``system_axis``, ``doc_axis`` and ``rater_axis``."""
+    """Rater assignment for one simulated study.
 
-    chosen: np.ndarray  # bool, (system, doc, rater)
-    raters: tuple[str, ...]  # the dataset's rater_axis
+    ``docs`` holds the study's document positions in the dataset's
+    ``doc_axis``, ascending.  ``raters[s, i, k]`` is the ``rater_axis``
+    position of the k-th rater of system s's output of document ``docs[i]``:
+    every item has ``ratings_per_item`` slots, its raters ascending along them.
+    """
+
+    docs: np.ndarray  # intp, (study doc,)
+    raters: np.ndarray  # intp, (system, study doc, slot)
+    rater_axis: tuple[str, ...]  # the dataset's
     grouping: Grouping
     balancing: LoadBalancing
-    ratings_per_item: int
+
+    @property
+    def ratings_per_item(self) -> int:
+        return self.raters.shape[2]
 
     def workload(self) -> dict[str, int]:
         """Item-rating counts per rater, for raters with at least one item."""
-        counts = self.chosen.sum(axis=(0, 1))
-        return {self.raters[r]: int(counts[r]) for r in np.flatnonzero(counts)}
+        counts = np.bincount(self.raters.ravel(), minlength=len(self.rater_axis))
+        return {self.rater_axis[r]: int(counts[r]) for r in np.flatnonzero(counts)}
 
     def validate(self, ds: RatingDataset) -> None:
-        """Every rater is eligible, every item of a covered document has
-        ``ratings_per_item`` raters, and pSxS documents share them."""
-        per_item = self.chosen.sum(axis=2)
-        if (self.chosen & ~ds.eligible).any():
+        """Every rater is eligible, every item's raters are distinct in
+        ascending slots, and pSxS documents share them."""
+        if not ds.eligible[self.docs[:, None], self.raters].all():
             raise ValueError("a rater is assigned outside its document's bucket")
-        if (per_item[:, per_item.any(axis=0)] != self.ratings_per_item).any():
-            raise ValueError(f"an item is not assigned exactly {self.ratings_per_item} raters")
-        if self.grouping is Grouping.PSXS and (self.chosen != self.chosen[:1]).any():
+        if (np.diff(self.raters, axis=2) <= 0).any():
+            raise ValueError(
+                f"an item is not assigned exactly {self.ratings_per_item} distinct raters "
+                "in ascending slots"
+            )
+        if self.grouping is Grouping.PSXS and (self.raters != self.raters[:1]).any():
             raise ValueError("pSxS violated: a document's systems have different raters")
 
 
@@ -104,25 +116,32 @@ def subsample_documents(ds: RatingDataset, n_target: int, rng) -> frozenset[str]
     """Sample documents equally from each bucket to reach the target count.
 
     Each bucket contributes floor(n/n_buckets) documents; the remainder is
-    spread over uniformly chosen distinct buckets.
+    spread over uniformly chosen distinct buckets among those with a document
+    to spare.
     """
     total = len(ds.documents)
     if not (1 <= n_target <= total):
         raise ValueError(f"n_target must be in [1, {total}], got {n_target}")
     buckets = _sorted_buckets(ds)
-    n_buckets = len(buckets)
-    base = n_target // n_buckets
-    remainder = n_target % n_buckets
-    extra = set(rng.choice(n_buckets, size=remainder, replace=False).tolist())
+    base, remainder = divmod(n_target, len(buckets))
+    sizes = [len(bucket.doc_ids) for bucket in buckets]
+    for bucket, size in zip(buckets, sizes):
+        if base > size:
+            raise QuotaExceedsBucket(
+                f"bucket {bucket.bucket_id} has {size} documents, quota is {base}"
+            )
+    spare = [i for i, size in enumerate(sizes) if size > base]
+    if len(spare) < remainder:
+        raise QuotaExceedsBucket(
+            f"{remainder} documents beyond a quota of {base} per bucket need as many "
+            f"buckets with a document to spare; {len(spare)} have one"
+        )
+    # Over every bucket, this is the same draw as ``rng.choice(len(buckets), ...)``.
+    extra = set(rng.choice(spare, size=remainder, replace=False).tolist())
     chosen: set[str] = set()
     for i, bucket in enumerate(buckets):
-        quota = base + (1 if i in extra else 0)
         docs = sorted(bucket.doc_ids)
-        if quota > len(docs):
-            raise QuotaExceedsBucket(
-                f"bucket {bucket.bucket_id} has {len(docs)} documents, quota is {quota}"
-            )
-        picks = rng.choice(len(docs), size=quota, replace=False)
+        picks = rng.choice(len(docs), size=base + (i in extra), replace=False)
         chosen.update(docs[p] for p in picks)
     return frozenset(chosen)
 
@@ -137,15 +156,8 @@ def _deal(n_units: int, alphabet: np.ndarray, rng) -> tuple[np.ndarray, np.ndarr
     return units, alphabet[np.arange(n_units) % len(alphabet)]
 
 
-def _mark(chosen: np.ndarray, grouping: Grouping, docs: np.ndarray, units, slots) -> None:
-    """Set each unit's rater slots in ``chosen``.  Under pSxS a unit indexes
-    ``docs`` and covers every system; otherwise it indexes the (doc, system)
-    items over ``docs`` in doc-major order."""
-    if grouping is Grouping.PSXS:
-        chosen[:, docs[units, None], slots] = True
-    else:
-        n_systems = chosen.shape[0]
-        chosen[units[:, None] % n_systems, docs[units // n_systems, None], slots] = True
+def _study_docs(ds: RatingDataset, doc_subset: Iterable[str]) -> np.ndarray:
+    return np.array(sorted(ds.doc_pos[d] for d in doc_subset), dtype=np.intp)
 
 
 def assign_balanced(
@@ -164,23 +176,27 @@ def assign_balanced(
     document alignment), and a (doc, system) item without grouping.
     """
     subset = set(doc_subset)
+    docs = _study_docs(ds, subset)
     n_systems = len(ds.system_axis)
-    chosen = np.zeros((n_systems, *ds.eligible.shape), dtype=bool)
+    # Every item is dealt exactly once below, so every slot is written.
+    raters = np.empty((n_systems, len(docs), ratings_per_item), dtype=np.intp)
     for bucket in _sorted_buckets(ds):
-        docs = np.array(sorted(ds.doc_pos[d] for d in bucket.doc_ids & subset), dtype=np.intp)
-        if not len(docs):
+        bucket_docs = sorted(ds.doc_pos[d] for d in bucket.doc_ids & subset)
+        if not bucket_docs:
             continue
+        rows = np.searchsorted(docs, bucket_docs)  # the bucket's study docs
         alphabet = np.array(_bucket_alphabet(ds, bucket, ratings_per_item))
         if grouping is Grouping.SYSTEM_BALANCED:
             for s in range(n_systems):
-                units, slots = _deal(len(docs), alphabet, rng)
-                chosen[s, docs[units, None], slots] = True
-        else:
-            n_units = len(docs) * (1 if grouping is Grouping.PSXS else n_systems)
-            _mark(chosen, grouping, docs, *_deal(n_units, alphabet, rng))
-    plan = AssignmentPlan(
-        chosen, ds.rater_axis, grouping, LoadBalancing.fully_balanced(), ratings_per_item
-    )
+                units, slots = _deal(len(rows), alphabet, rng)
+                raters[s, rows[units]] = slots
+        elif grouping is Grouping.PSXS:
+            units, slots = _deal(len(rows), alphabet, rng)
+            raters[:, rows[units]] = slots
+        else:  # a unit is a (doc, system) item, doc-major
+            units, slots = _deal(len(rows) * n_systems, alphabet, rng)
+            raters[units % n_systems, rows[units // n_systems]] = slots
+    plan = AssignmentPlan(docs, raters, ds.rater_axis, grouping, LoadBalancing.fully_balanced())
     plan.validate(ds)
     return plan
 
@@ -223,14 +239,21 @@ def assign_entropy_target(
     symbols = _entropy_pool(ds, ratings_per_item)
     pool_size = len(symbols)
     symbol_pos = {s: i for i, s in enumerate(symbols)}
-    docs = np.array(sorted(ds.doc_pos[d] for d in doc_subset), dtype=np.intp)
+    docs = _study_docs(ds, doc_subset)
     psxs = grouping is Grouping.PSXS
     n_systems = len(ds.system_axis)
     weight = n_systems if psxs else 1  # items per unit
+    doc_buckets = [ds.bucket_of(ds.doc_axis[d]) for d in docs]
+    bucket_docs = Counter(bucket.bucket_id for bucket in doc_buckets)
+    alphabets = {
+        bucket.bucket_id: tuple(_bucket_alphabet(ds, bucket, ratings_per_item))
+        for bucket in _sorted_buckets(ds)
+        if bucket.bucket_id in bucket_docs
+    }
     eligible = []  # per unit: the symbol indices of its bucket's alphabet
-    for d in docs:
-        alphabet = _bucket_alphabet(ds, ds.bucket_of(ds.doc_axis[d]), ratings_per_item)
-        eligible += [[symbol_pos[a] for a in alphabet]] * (1 if psxs else n_systems)
+    for bucket in doc_buckets:
+        candidates = [symbol_pos[a] for a in alphabets[bucket.bucket_id]]
+        eligible += [candidates] * (1 if psxs else n_systems)
     n_units = len(eligible)
     sizes = np.array([len(candidates) for candidates in eligible], dtype=np.int64)
 
@@ -248,7 +271,7 @@ def assign_entropy_target(
     # one unit changes only the two counts it leaves and joins.
     total = float(n_units * weight)
     log_total = math.log(total)
-    for _attempt in range(max_retries):
+    for attempt in range(max_retries):
         # One bounded draw per unit, as ``rng.integers(len(candidates))`` in a loop.
         picks = [
             candidates[k] for candidates, k in zip(eligible, rng.integers(0, sizes).tolist())
@@ -273,21 +296,46 @@ def assign_entropy_target(
             s += xlogx[new + 1] - xlogx[new]
             units[picks[u]] = new + 1
         if abs(entropy(np.array(units) * float(weight)) - target) <= tolerance:
-            chosen = np.zeros((n_systems, *ds.eligible.shape), dtype=bool)
-            _mark(chosen, grouping, docs, np.arange(n_units), np.array(symbols)[picks])
+            rows = np.array(symbols)[picks]  # each unit's raters
+            if psxs:
+                raters = np.repeat(rows[None], n_systems, axis=0)
+            else:  # unit u is system u % n_systems of study doc u // n_systems
+                raters = rows.reshape(len(docs), n_systems, -1).transpose(1, 0, 2).copy()
             plan = AssignmentPlan(
-                chosen,
-                ds.rater_axis,
-                grouping,
+                docs, raters, ds.rater_axis, grouping,
                 LoadBalancing.entropy_target(target, tolerance),
-                ratings_per_item,
             )
             plan.validate(ds)
             return plan
+        # No attempt can end below the layout's least entropy (less a float
+        # margin), so a target below it fails now rather than after every attempt.
+        if attempt == 0 and pool_size > 1:
+            layout = tuple((bucket_docs[b], alphabet) for b, alphabet in alphabets.items())
+            least = _least_entropy(layout, pool_size)
+            if target + tolerance < least - 1e-9:
+                raise TargetUnreachable(
+                    f"no assignment within {tolerance} of entropy target {target}: "
+                    f"the study's buckets allow no workload entropy below {least:.4f}"
+                )
     raise TargetUnreachable(
         f"no assignment within {tolerance} of entropy target {target} "
         f"after {max_retries} attempts"
     )
+
+
+# The most per-bucket symbol choices ``_least_entropy`` brute-forces (~0.1 s).
+_LEAST_ENTROPY_CHOICES = 3**8
+
+
+@functools.lru_cache(maxsize=256)
+def _least_entropy(layout: tuple[tuple[int, tuple], ...], pool_size: int) -> float:
+    """``min_instantiable_entropy`` of ((unit count, alphabet), ...) per bucket,
+    or the trivial bound 0 where the brute force would try more than
+    ``_LEAST_ENTROPY_CHOICES`` choices (3**b for b three-rater buckets)."""
+    counts, alphabets = zip(*layout)
+    if math.prod(len(alphabet) for alphabet in alphabets) > _LEAST_ENTROPY_CHOICES:
+        return 0.0
+    return min_instantiable_entropy(counts, alphabets, pool_size)
 
 
 def min_instantiable_entropy(

@@ -91,30 +91,27 @@ class SimulatedStudy:
 def select_ratings(ds: RatingDataset, plan: AssignmentPlan) -> ScoredStudy:
     """Pull the real ratings selected by an assignment plan into a study.
 
-    The study's arrays are the dataset's, indexed by the plan's systems,
-    documents and raters (sorted positions, so sorted ids) and cut to its
-    longest document's segments, with NaN wherever the plan chooses no
-    rating.  So the cost follows the study's size, not the pool's.
+    The study covers every system and the plan's documents, cut to its
+    longest document's segments; slot k of an item holds the ratings of the
+    plan's k-th rater for it, gathered from the dataset's arrays in one
+    indexing step.  Its raters are those the plan uses (sorted positions, so
+    sorted ids).  So the cost follows the study's ratings, not the pool's.
     """
-    chosen = plan.chosen
-    systems = np.flatnonzero(chosen.any(axis=(1, 2)))
-    docs = np.flatnonzero(chosen.any(axis=(0, 2)))
-    raters = np.flatnonzero(chosen.any(axis=(0, 1)))
-
-    def study_cells(array):  # a C-contiguous copy of the study's part of a dataset array
-        return array[systems[:, None], docs].take(raters, axis=-1)
-
-    n_segs = ds.seg_counts[docs].max(initial=0)
-    unchosen = ~study_cells(chosen)[:, :, None, :]
-    scores, n_errors = (study_cells(a[:, :, :n_segs]) for a in (ds.scores, ds.n_errors))
-    np.copyto(scores, np.nan, where=unchosen)
-    np.copyto(n_errors, np.nan, where=unchosen)
+    docs, raters = plan.docs, plan.raters
+    n_systems, n_docs, n_segs, n_raters = ds.scores.shape
+    study_segs = ds.seg_counts[docs].max(initial=0)
+    # The flat index of dataset cell (s, docs[d], g, raters[s, d, k]).
+    item = (np.arange(n_systems)[:, None] * n_docs + docs) * n_segs
+    cells = ((item[:, :, None, None] + np.arange(study_segs)[:, None]) * n_raters
+             + raters[:, :, None, :])
+    study_raters, slots = np.unique(raters, return_inverse=True)
     return ScoredStudy(
-        [ds.system_axis[i] for i in systems],
-        [ds.rater_axis[i] for i in raters],
+        ds.system_axis,
+        [ds.rater_axis[i] for i in study_raters],
         [ds.doc_axis[i] for i in docs],
-        scores,
-        n_errors,
+        ds.scores.take(cells),
+        ds.n_errors.take(cells),
+        slots,
     )
 
 

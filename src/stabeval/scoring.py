@@ -122,25 +122,37 @@ def ordered_sums(scores: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]
 
 
 class ScoredStudy:
-    """The ratings of one (simulated) study, in the dataset's layout.
+    """The ratings of one (simulated) study, by rater slot.
 
-    ``scores`` and ``n_errors`` are dense (system, doc, seg, rater) arrays
-    over the study's systems, documents and raters, NaN in every cell the
-    study has no rating for; ``rated`` marks the cells it has.  Ratings are
-    ordered as those cells in C order.  Error counts are NaN where the
-    underlying data is score-only.
+    ``scores`` and ``n_errors`` are (system, doc, seg, slot) arrays over the
+    study's systems and documents.  ``slots[s, d, k]`` is the position in
+    ``raters`` of the rater in slot k of system s's output of document d;
+    each item's raters ascend along its slots.  NaN marks a cell without a
+    rating (in a selected study, only segments past a document's end), and
+    ``rated`` marks the cells with one.  Ratings are ordered as those cells
+    in C order, which with ascending slots is (system, doc, seg, rater)
+    order.  Error counts are NaN where the underlying data is score-only.
     """
 
-    def __init__(self, systems, raters, docs, scores, n_errors):
+    def __init__(self, systems, raters, docs, scores, n_errors, slots):
         self.systems = tuple(systems)
         self.raters = tuple(raters)
         self.docs = tuple(docs)
         self.scores = np.asarray(scores, dtype=np.float64)
         self.n_errors = np.asarray(n_errors, dtype=np.float64)
+        self.slots = np.asarray(slots, dtype=np.intp)
         shape = self.scores.shape
-        axes = (len(self.systems), len(self.docs), len(self.raters))
-        if len(shape) != 4 or shape != self.n_errors.shape or shape[:2] + shape[3:] != axes:
-            raise ValueError(f"study arrays of shape {shape} do not fit its axes {axes}")
+        axes = (len(self.systems), len(self.docs))
+        if (
+            len(shape) != 4
+            or shape != self.n_errors.shape
+            or self.slots.shape != shape[:2] + shape[3:]
+            or shape[:2] != axes
+        ):
+            raise ValueError(
+                f"study arrays of shape {shape} and slots of shape {self.slots.shape} "
+                f"do not fit its axes {axes}"
+            )
         self.rated = ~np.isnan(self.scores)
 
     def __len__(self) -> int:
@@ -150,11 +162,16 @@ class ScoredStudy:
     def study_mean(self) -> float:
         return float(self.scores[self.rated].mean())
 
+    def per_cell(self, per_rater: np.ndarray) -> np.ndarray:
+        """A per-rater array read at each slot's rater, shaped to broadcast
+        against ``scores``."""
+        return per_rater[self.slots][:, :, None, :]
+
     def rater_sums(self, *values: np.ndarray) -> list[np.ndarray]:
         """The per-rater rating counts, then the per-rater sums of each
         per-rating array in ``values``, added in rating order."""
         n = len(self.raters)
-        rater = np.broadcast_to(np.arange(n), self.rated.shape)[self.rated]
+        rater = np.broadcast_to(self.slots[:, :, None, :], self.scores.shape)[self.rated]
         return [np.bincount(rater, minlength=n)] + [
             np.bincount(rater, weights=v, minlength=n) for v in values
         ]
@@ -170,8 +187,8 @@ class ScoredStudy:
         return study
 
     def effective_scores(self) -> np.ndarray:
-        """The (system, doc, seg) mean of each cell's ratings over the rater
-        axis, added in rater order; NaN where the cell has none."""
+        """The (system, doc, seg) mean of each cell's ratings over the slot
+        axis, added in slot (so rater) order; NaN where the cell has none."""
         sums, counts = ordered_sums(self.scores, axis=3)
         with np.errstate(invalid="ignore"):
             return sums / counts
@@ -203,7 +220,10 @@ def normalize(study: ScoredStudy, scheme: NormalizationScheme) -> ScoredStudy:
         stds = np.sqrt(np.maximum(var, 0.0))
         # A constant rater's ratings map to 0; cells without a rating stay NaN.
         scaled = np.where(study.rated, 0.0, np.nan)
-        np.divide(study.scores - means, stds, out=scaled, where=stds > 0)
+        np.divide(
+            study.scores - study.per_cell(means), study.per_cell(stds), out=scaled,
+            where=study.per_cell(stds > 0),
+        )
         return study.with_scores(scaled)
 
     # Mean and Error schemes are multiplicative.
@@ -215,7 +235,7 @@ def normalize(study: ScoredStudy, scheme: NormalizationScheme) -> ScoredStudy:
         raise DegenerateRater(
             f"rater mean score is 0 for {bad}; multiplicative normalization undefined"
         )
-    scores = study.scores * (values.mean() / means)
+    scores = study.scores * study.per_cell(values.mean() / means)
     if scheme is NormalizationScheme.MEAN:
         return study.with_scores(scores)
 
@@ -227,4 +247,4 @@ def normalize(study: ScoredStudy, scheme: NormalizationScheme) -> ScoredStudy:
     if denom == 0:
         raise DegenerateRater("no errors identified by any rater; error scheme undefined")
     c = len(values) / denom
-    return study.with_scores(scores * (c * errors))
+    return study.with_scores(scores * study.per_cell(c * errors))

@@ -117,7 +117,8 @@ def rating_dict(ds: RatingDataset) -> dict:
 
 def study_from_entries(entries) -> ScoredStudy:
     """A study from (doc, seg, system, rater, score, n_errors-or-None) tuples,
-    one per rated cell."""
+    one per rated cell, in the dense layout: slot k of every item is the
+    study's k-th rater, NaN where that rater has no rating."""
     systems, docs, raters = (sorted({e[i] for e in entries}) for i in (2, 0, 3))
     sys_pos, doc_pos, rater_pos = (
         {x: i for i, x in enumerate(ids)} for ids in (systems, docs, raters)
@@ -129,7 +130,8 @@ def study_from_entries(entries) -> ScoredStudy:
         assert np.isnan(scores[cell]), f"two entries for {(doc, seg, system, rater)}"
         scores[cell] = score
         n_errors[cell] = np.nan if errors is None else float(errors)
-    return ScoredStudy(systems, raters, docs, scores, n_errors)
+    slots = np.broadcast_to(np.arange(len(raters)), (len(systems), len(docs), len(raters)))
+    return ScoredStudy(systems, raters, docs, scores, n_errors, slots)
 
 # Bucket layouts with 181 documents, mirroring the two released datasets:
 # a 7-bucket rotation over raters A..G and a 2-bucket disjoint split.
@@ -197,10 +199,20 @@ def make_layout_dataset(
 
 
 def plan_items(plan, ds):
-    """Yield (doc_id, system_id, frozenset of rater ids) per item of a plan."""
-    for s, d in np.argwhere(plan.chosen.any(axis=2)):
-        raters = frozenset(ds.rater_axis[r] for r in np.flatnonzero(plan.chosen[s, d]))
-        yield ds.doc_axis[d], ds.system_axis[s], raters
+    """Yield (doc_id, system_id, frozenset of rater ids) per item of a plan,
+    system-major."""
+    for s, i in np.ndindex(plan.raters.shape[:2]):
+        raters = frozenset(ds.rater_axis[r] for r in plan.raters[s, i])
+        yield ds.doc_axis[plan.docs[i]], ds.system_axis[s], raters
+
+
+def plan_mask(plan, ds):
+    """The plan as a (system, doc, rater) mask over the dataset's axes:
+    True iff the rater rates the system's output of the document."""
+    chosen = np.zeros((len(ds.system_axis), *ds.eligible.shape), dtype=bool)
+    systems = np.arange(len(ds.system_axis))[:, None, None]
+    chosen[systems, plan.docs[:, None], plan.raters] = True
+    return chosen
 
 
 TINY_HEADER = (

@@ -1,7 +1,9 @@
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stabeval.assignment import (
     Grouping,
@@ -152,12 +154,40 @@ class TestEntropyTarget:
         with pytest.raises(TargetUnreachable):
             assign_entropy_target(ds, ds.documents, 0.30, rng=rng, max_retries=15)
 
+    @pytest.mark.parametrize("grouping", [Grouping.PSXS, Grouping.NO_GROUPING])
+    @pytest.mark.parametrize("ratings_per_item", [1, 2])
+    def test_below_minimum_fails_after_one_attempt(self, grouping, ratings_per_item):
+        # The rotation layout's least entropy at 90 documents is ~0.51
+        # (single raters) or ~0.52 (rater pairs).
+        ds = make_layout_dataset(*ROTATION_LAYOUT, n_systems=15)
+        subset = subsample_documents(ds, 90, np.random.default_rng(1))
+        attempted = np.random.default_rng(5)
+        with pytest.raises(TargetUnreachable, match="no workload entropy below 0.5"):
+            assign_entropy_target(ds, subset, 0.3, rng=attempted, grouping=grouping,
+                                  ratings_per_item=ratings_per_item)
+        one = np.random.default_rng(5)  # the draws of a single attempt
+        with pytest.raises(TargetUnreachable):
+            assign_entropy_target(ds, subset, 0.3, rng=one, max_retries=1, grouping=grouping,
+                                  ratings_per_item=ratings_per_item)
+        assert attempted.bit_generator.state == one.bit_generator.state
+
     def test_intermediate_targets_within_tolerance(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
         for target in (0.6, 0.8):
             plan = assign_entropy_target(ds, ds.documents, target, rng=rng, max_retries=50)
             entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
             assert abs(entropy - target) <= 0.03
+
+
+    def test_many_buckets_skip_the_brute_force(self):
+        # 3**12 per-bucket choices would take seconds; past 3**8 the early
+        # check gives way to the attempts.
+        ds = make_layout_dataset([2] * 12, [(f"a{i}", f"b{i}", f"c{i}") for i in range(12)])
+        start = time.perf_counter()
+        with pytest.raises(TargetUnreachable, match="after 2 attempts"):
+            assign_entropy_target(ds, ds.documents, 0.0, tolerance=0.0,
+                                  rng=np.random.default_rng(0), max_retries=2)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMinInstantiableEntropy:
@@ -214,6 +244,62 @@ class TestSubsampleDocuments:
         with pytest.raises(QuotaExceedsBucket):
             subsample_documents(ds, 9, rng)
 
+    def test_fewer_spare_buckets_than_remainder(self, rng):
+        # A base quota of 2 leaves one bucket with a document to spare, not two.
+        ds = make_layout_dataset([4, 2, 2], [(f"a{i}", f"b{i}", f"c{i}") for i in range(3)])
+        with pytest.raises(QuotaExceedsBucket, match="1 have one"):
+            subsample_documents(ds, 8, rng)
+
+    @pytest.mark.parametrize("seed", [1, 2, 77])
+    def test_full_rotation_pool(self, seed):
+        # Base quota 25: the remainder of 6 fits only the six 26-document buckets.
+        ds = make_layout_dataset(*ROTATION_LAYOUT)
+        rng = np.random.default_rng(seed)
+        assert subsample_documents(ds, 181, rng) == frozenset(ds.documents)
+
+
+def subsample_documents_before_cap(ds, n_target, rng):
+    """``subsample_documents`` as it drew before the remainder was confined to
+    buckets with a document to spare."""
+    buckets = sorted(ds.buckets, key=lambda b: b.bucket_id)
+    base, remainder = divmod(n_target, len(buckets))
+    extra = set(rng.choice(len(buckets), size=remainder, replace=False).tolist())
+    chosen = set()
+    for i, bucket in enumerate(buckets):
+        quota = base + (1 if i in extra else 0)
+        docs = sorted(bucket.doc_ids)
+        if quota > len(docs):
+            raise QuotaExceedsBucket(f"bucket {bucket.bucket_id} has {len(docs)} documents")
+        picks = rng.choice(len(docs), size=quota, replace=False)
+        chosen.update(docs[p] for p in picks)
+    return frozenset(chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.integers(0, 4),
+    spares=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    remainder=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_capped_remainder_is_the_old_draw_when_every_bucket_has_room(
+    base, spares, remainder, seed
+):
+    """Where every bucket holds more than the base quota, the capped draw
+    picks the same documents and leaves the generator in the same state."""
+    remainder %= len(spares)
+    assume(base * len(spares) + remainder >= 1)
+    ds = make_layout_dataset(
+        [base + spare for spare in spares],
+        [(f"a{i}", f"b{i}", f"c{i}") for i in range(len(spares))],
+    )
+    n_target = base * len(spares) + remainder
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert subsample_documents(ds, n_target, new) == subsample_documents_before_cap(
+        ds, n_target, old
+    )
+    assert new.bit_generator.state == old.bit_generator.state
+
 
 class TestBuildPlan:
     @pytest.mark.parametrize("grouping", list(Grouping))
@@ -234,7 +320,8 @@ class TestBuildPlan:
                 ds, ds.documents, grouping, LoadBalancing.fully_balanced(), 1,
                 np.random.default_rng(11),
             )
-            assert np.array_equal(p1.chosen, p2.chosen)
+            assert np.array_equal(p1.docs, p2.docs)
+            assert np.array_equal(p1.raters, p2.raters)
 
     def test_system_balanced_rejects_entropy_target(self, rng):
         ds = make_layout_dataset([4], [("r1", "r2", "r3")])
@@ -261,20 +348,27 @@ class TestPlanValidate:
 
     def test_ineligible_rater(self):
         ds, plan = self.plan(Grouping.PSXS)
-        plan.chosen[:, ds.doc_pos["d000"]] = False
-        plan.chosen[:, ds.doc_pos["d000"], ds.rater_pos["r4"]] = True
+        plan.raters[:, list(plan.docs).index(ds.doc_pos["d000"])] = ds.rater_pos["r4"]
         with pytest.raises(ValueError, match="outside its document's bucket"):
             plan.validate(ds)
 
     def test_wrong_rater_count(self):
         ds, plan = self.plan(Grouping.NO_GROUPING, ratings_per_item=2)
-        plan.chosen[1, ds.doc_pos["d004"], ds.rater_pos["r4"]:] = True
-        with pytest.raises(ValueError, match="not assigned exactly 2 raters"):
+        plan.raters[1, list(plan.docs).index(ds.doc_pos["d004"])] = ds.rater_pos["r4"]
+        with pytest.raises(ValueError, match="not assigned exactly 2 distinct raters"):
+            plan.validate(ds)
+
+    def test_descending_slots(self):
+        ds, plan = self.plan(Grouping.NO_GROUPING, ratings_per_item=2)
+        item = (1, list(plan.docs).index(ds.doc_pos["d004"]))
+        plan.raters[item] = plan.raters[item][::-1].copy()
+        with pytest.raises(ValueError, match="in ascending slots"):
             plan.validate(ds)
 
     def test_psxs_violation(self):
         ds, plan = self.plan(Grouping.PSXS)
-        d = ds.doc_pos["d001"]
-        plan.chosen[1, d, :3] = np.roll(plan.chosen[1, d, :3], 1)  # r1..r3 of d001's bucket
+        i = list(plan.docs).index(ds.doc_pos["d001"])
+        bucket = [ds.rater_pos[r] for r in ("r1", "r2", "r3")]  # d001's bucket
+        plan.raters[1, i, 0] = bucket[(bucket.index(plan.raters[1, i, 0]) + 1) % 3]
         with pytest.raises(ValueError, match="pSxS violated"):
             plan.validate(ds)

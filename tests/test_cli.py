@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import stabeval
 from stabeval.cli import main
+from stabeval.corpus import export_tsv
 
-from conftest import tiny_tsv_rows
+from conftest import ROTATION_LAYOUT, make_layout_dataset, tiny_tsv_rows
 
 GEN_CFG = """\
 [generator]
@@ -421,6 +423,25 @@ def test_runtime_error_exit_code(synth_tsv, tmp_path, capsys, rows, study, messa
     assert code == 3
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_unreachable_entropy_target_fails_fast(tmp_path, capsys):
+    # The rotation layout's least workload entropy at 90 documents is ~0.51.
+    tsv = tmp_path / "rotation.tsv"
+    tsv.write_text(export_tsv(make_layout_dataset(*ROTATION_LAYOUT, n_systems=15)))
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(
+        "[study]\nnum_documents = 90\nn_permutations = 50\nitem_grouping = no_grouping\n"
+        "load_balancing = entropy_target:0.3\n"
+    )
+    start = time.perf_counter()
+    code = main(["simulate", "--dataset", str(tsv), "--config", str(cfg)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: no assignment within 0.03 of entropy target 0.3: ")
+    assert "no workload entropy below 0.5" in err
+    assert elapsed < 2.0  # all 1,000 attempts took ~3.4 s
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -1,11 +1,13 @@
 """Identity checks for the dense rating arrays, the round-robin dealer and
-the (system, doc, rater) plan mask.
+the plans' rater slots.
 
-``select_ratings`` reads the dataset's (system, doc, seg, rater) score array;
-``select_ratings_oracle`` below walks the plan's cells back to ids and looks
-each rating up in the per-rating dict, the reference it must match bit for
-bit.  ``generate_synthetic_oracle`` is the per-rating generator loop that
-``generate_synthetic``'s column fill replaced.
+``select_ratings`` gathers a study's (system, doc, seg, slot) ratings from
+the dataset's (system, doc, seg, rater) arrays; ``select_ratings_oracle``
+below walks the plan's (system, doc, rater) cells back to ids, looks each
+rating up in the per-rating dict and builds the dense study, the reference
+the slot study must match bit for bit.  ``generate_synthetic_oracle`` is
+the per-rating generator loop that ``generate_synthetic``'s column fill
+replaced.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ from stabeval.experiment import (
     select_ratings,
 )
 from stabeval.scoring import NormalizationScheme, ScoredStudy, normalize
+from stabeval.stats import significance_matrix
 
 from conftest import (
     DISJOINT_LAYOUT,
@@ -32,6 +35,7 @@ from conftest import (
     SegmentRating,
     assert_same_ratings,
     make_layout_dataset,
+    plan_mask,
     rating_dict,
     rating_fields,
     study_from_entries,
@@ -44,7 +48,7 @@ DOCS_PER_BUCKET = 4
 
 def select_ratings_oracle(ds, plan) -> ScoredStudy:
     entries, ratings = [], rating_dict(ds)
-    for s, d, r in np.argwhere(plan.chosen):
+    for s, d, r in np.argwhere(plan_mask(plan, ds)):
         doc_id, system_id, rater_id = ds.doc_axis[d], ds.system_axis[s], ds.rater_axis[r]
         for seg in range(ds.documents[doc_id]):
             rating = ratings[(doc_id, seg, system_id, rater_id)]
@@ -86,10 +90,22 @@ def annotated_dataset(seed: int, score_only: bool) -> RatingDataset:
     return ds
 
 
+def study_ratings(study: ScoredStudy):
+    """Each rating's (system, doc, seg, rater) positions in the study's axes,
+    its score and its error count, in rating order."""
+    system, doc, seg, _ = np.nonzero(study.rated)
+    rater = np.broadcast_to(study.slots[:, :, None, :], study.rated.shape)[study.rated]
+    return (
+        np.stack([system, doc, seg, rater]),
+        study.scores[study.rated],
+        study.n_errors[study.rated],
+    )
+
+
 def assert_same_study(got: ScoredStudy, want: ScoredStudy) -> None:
+    """The same ratings, in the same order, whatever the two studies' slots."""
     assert (got.systems, got.raters, got.docs) == (want.systems, want.raters, want.docs)
-    for name in ("scores", "n_errors"):
-        a, b = getattr(got, name), getattr(want, name)
+    for name, a, b in zip(("cells", "scores", "n_errors"), study_ratings(got), study_ratings(want)):
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b, equal_nan=True), name
 
@@ -136,18 +152,19 @@ def test_select_ratings_matches_dict_oracle(
             assert got_n is want_n
 
 
+def cell_score(doc_id, seg, system_id, rater_id):  # distinct enough to tell cells apart
+    return (int(doc_id[1:]) * 7 + seg * 3 + int(system_id[1:]) * 5 + ord(rater_id)) % 11 / 4
+
+
 def edge_plans():
     """Plans over the first, the last, both, or one middle document position.
 
     Single- and double-rated, grouped (psxs) and not, on the shuffled-id
     annotated dataset and on the 181-document rotation layout.
     """
-    def score(doc_id, seg, system_id, rater_id):  # distinct enough to tell cells apart
-        return (int(doc_id[1:]) * 7 + seg * 3 + int(system_id[1:]) * 5 + ord(rater_id)) % 11 / 4
-
     datasets = [annotated_dataset(seed, score_only=False) for seed in range(3)]
     datasets.append(make_layout_dataset(*ROTATION_LAYOUT, n_systems=3, segs_per_doc=2,
-                                        score_fn=score))
+                                        score_fn=cell_score))
     for ds in datasets:
         last = len(ds.doc_axis) - 1
         for positions in ([0], [last], [0, last], [last // 2], [0, last // 2, last]):
@@ -163,10 +180,74 @@ def edge_plans():
 def test_select_ratings_at_the_pool_edges():
     n_plans = 0
     for ds, positions, plan in edge_plans():
-        assert np.flatnonzero(plan.chosen.any(axis=(0, 2))).tolist() == positions
+        assert plan.docs.tolist() == positions
         assert_same_study(select_ratings(ds, plan), select_ratings_oracle(ds, plan))
         n_plans += 1
     assert n_plans == 4 * 5 * 2 * 2
+
+
+SLOT_DATASETS = {
+    "rotation": make_layout_dataset(*ROTATION_LAYOUT, n_systems=3, segs_per_doc=2,
+                                    score_fn=cell_score),
+    "disjoint": make_layout_dataset(*DISJOINT_LAYOUT, n_systems=3, segs_per_doc=2,
+                                    score_fn=cell_score),
+    "synthetic": generate_synthetic(
+        GeneratorSpec(n_documents=18, segments_per_doc=3, n_systems=4, n_buckets=3,
+                      harshness=(0.5, 1.0, 2.0), item_noise_sigma=0.5, rater_noise_sigma=0.5),
+        np.random.default_rng(7),
+    ),
+    # 1-4 segments per document and error counts.
+    "annotated": annotated_dataset(11, score_only=False),
+}
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(SLOT_DATASETS)),
+    grouping=st.sampled_from(list(Grouping)),
+    balancing=balancings,
+    ratings_per_item=st.sampled_from([1, 2]),
+    n_docs=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slot_study_matches_dense_study(
+    layout, grouping, balancing, ratings_per_item, n_docs, seed
+):
+    """A selected study keeps one slot per rating of an item; the oracle keeps
+    one per rater of the study.  Every per-rater sum, effective score,
+    normalization and significance test reads the same bits from both."""
+    if grouping is Grouping.SYSTEM_BALANCED:
+        balancing = LoadBalancing.fully_balanced()
+    ds = SLOT_DATASETS[layout]
+    rng = np.random.default_rng(seed)
+    subset = subsample_documents(ds, n_docs, rng)
+    plan = build_plan(ds, subset, grouping, balancing, ratings_per_item, rng)
+    slot, dense = select_ratings(ds, plan), select_ratings_oracle(ds, plan)
+    assert slot.slots.shape == (len(ds.systems), n_docs, ratings_per_item)
+    # NaN marks only the segments past a document's end.
+    in_doc = np.arange(slot.scores.shape[2]) < ds.seg_counts[plan.docs][:, None]
+    assert np.array_equal(slot.rated, np.broadcast_to(in_doc[:, :, None], slot.rated.shape))
+    for scheme in NormalizationScheme:
+        got, want = normalized_or_error(slot, scheme), normalized_or_error(dense, scheme)
+        if not isinstance(want, ScoredStudy):
+            assert got is want
+            continue
+        assert_same_study(got, want)
+        for got_sum, want_sum in zip(
+            got.rater_sums(got.scores[got.rated]), want.rater_sums(want.scores[want.rated])
+        ):
+            assert same_bits(got_sum, want_sum)
+        assert same_bits(got.effective_scores(), want.effective_scores())
+        got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got_m = significance_matrix(got, 0.05, 20, got_rng, doc_set=subset)
+        want_m = significance_matrix(want, 0.05, 20, want_rng, doc_set=subset)
+        assert same_bits(got_m.means, want_m.means)
+        assert same_bits(got_m.sig, want_m.sig) and same_bits(got_m.better, want_m.better)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_dataset_arrays_hold_every_rating():
@@ -303,8 +384,9 @@ def test_golden_sweep_csv():
 
 
 
-# Concatenated np.packbits(plan.chosen) over golden_plans(), computed from the
-# (doc, system) -> rater-set dict plans that the mask replaced.
+# Concatenated np.packbits of each plan's (system, doc, rater) mask over
+# golden_plans(), computed from the (doc, system) -> rater-set dict plans that
+# the mask, and then the rater slots, replaced.
 GOLDEN_PLAN_SHA256 = "53c346e807d859eeacda81605d10f79aa9d639aeff2f1d7ea8c9a3d8f1899eab"
 
 
@@ -325,11 +407,13 @@ def golden_plans():
                         for ratings_per_item in (1, 2):
                             rng = np.random.default_rng(seed)
                             subset = subsample_documents(ds, n_docs, rng)
-                            yield build_plan(ds, subset, grouping, balancing, ratings_per_item, rng)
+                            yield ds, build_plan(
+                                ds, subset, grouping, balancing, ratings_per_item, rng
+                            )
 
 
 def test_golden_plans():
     digest = hashlib.sha256()
-    for plan in golden_plans():
-        digest.update(np.packbits(plan.chosen).tobytes())
+    for ds, plan in golden_plans():
+        digest.update(np.packbits(plan_mask(plan, ds)).tobytes())
     assert digest.hexdigest() == GOLDEN_PLAN_SHA256

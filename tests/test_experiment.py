@@ -129,10 +129,10 @@ class TestRunSweep:
         assert ref() is None
 
     def test_worker_error_reaches_caller_and_pool_shuts_down(self):
-        # A 5-document study over buckets of 2 and 3 documents exceeds the
-        # smaller bucket's quota whenever the extra document lands there; the
-        # per-study mode subsamples inside the workers.
-        ds = make_layout_dataset([2, 3], [("A", "B", "C"), ("D", "E", "F")], n_systems=3)
+        # A 5-document study over buckets of 1 and 4 documents exceeds the
+        # smaller bucket's quota of 2; the per-study mode subsamples inside
+        # the workers.
+        ds = make_layout_dataset([1, 4], [("A", "B", "C"), ("D", "E", "F")], n_systems=3)
         config = StudyConfig(
             n_documents=5, n_simulations=40, n_permutations=50,
             doc_resampling=Resampling.PER_STUDY,

@@ -20,8 +20,8 @@ from stabeval.assignment import (
     Grouping,
     _bucket_alphabet,
     _entropy_pool,
-    _mark,
     assign_entropy_target,
+    min_instantiable_entropy,
     subsample_documents,
 )
 from stabeval.errors import MismatchedDocuments, StabevalError, SystemSetMismatch, TargetUnreachable
@@ -37,7 +37,13 @@ from stabeval.stats import (
     srp_pairs,
 )
 
-from conftest import DISJOINT_LAYOUT, ROTATION_LAYOUT, make_layout_dataset, study_from_entries
+from conftest import (
+    DISJOINT_LAYOUT,
+    ROTATION_LAYOUT,
+    make_layout_dataset,
+    plan_mask,
+    study_from_entries,
+)
 
 
 def significance_oracle(study: ScoredStudy, alpha: float, n_perm: int, rng):
@@ -257,7 +263,10 @@ def test_srp_rejects_other_filters():
 def entropy_target_oracle(ds, doc_subset, target, tolerance, rng, max_retries, grouping,
                           ratings_per_item):
     """``assign_entropy_target``'s greedy loop with the full entropy recomputed
-    for every candidate; returns the plan's ``chosen`` mask."""
+    for every candidate; returns the plan's (system, doc, rater) mask.  Like
+    it, gives up after a first failed attempt when ``min_instantiable_entropy``
+    of the study's buckets exceeds ``target + tolerance`` (every layout here
+    is small enough for that brute force)."""
     symbols = _entropy_pool(ds, ratings_per_item)
     symbol_pos = {s: i for i, s in enumerate(symbols)}
     docs = np.array(sorted(ds.doc_pos[d] for d in doc_subset), dtype=np.intp)
@@ -274,7 +283,15 @@ def entropy_target_oracle(ds, doc_subset, target, tolerance, rng, max_retries, g
         p = counts[counts > 0] / counts.sum()
         return float(-(p * np.log(p)).sum() / log_pool)
 
-    for _ in range(max_retries):
+    buckets = sorted({ds.bucket_of(ds.doc_axis[d]) for d in docs}, key=lambda b: b.bucket_id)
+    least = min_instantiable_entropy(
+        [sum(ds.bucket_of(ds.doc_axis[d]) == b for d in docs) for b in buckets],
+        [_bucket_alphabet(ds, b, ratings_per_item) for b in buckets],
+        len(symbols),
+    )
+    for attempt in range(max_retries):
+        if attempt == 1 and target + tolerance < least - 1e-9:
+            break
         picks = [candidates[rng.integers(len(candidates))] for candidates in eligible]
         counts = np.bincount(picks, minlength=len(symbols)) * float(weight)
         for u in rng.permutation(len(eligible)):
@@ -288,8 +305,15 @@ def entropy_target_oracle(ds, doc_subset, target, tolerance, rng, max_retries, g
             picks[u] = eligible[u][best[rng.integers(len(best))]]
             counts[picks[u]] += weight
         if abs(entropy(counts) - target) <= tolerance:
+            # Under pSxS a unit is a document; otherwise the (doc, system)
+            # items in doc-major order.
             chosen = np.zeros((n_systems, *ds.eligible.shape), dtype=bool)
-            _mark(chosen, grouping, docs, np.arange(len(eligible)), np.array(symbols)[picks])
+            rows = np.array(symbols)[picks]
+            if psxs:
+                chosen[:, docs[:, None], rows] = True
+            else:
+                units = np.arange(len(eligible))
+                chosen[units[:, None] % n_systems, docs[units // n_systems, None], rows] = True
             return chosen
     raise TargetUnreachable("no attempt reached the target")
 
@@ -324,8 +348,8 @@ def test_entropy_delta_matches_full_recompute(
     subset = subsample_documents(ds, n_docs, np.random.default_rng(seed))
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     try:
-        got = assign_entropy_target(ds, subset, target, tolerance, fast, 5, grouping,
-                                    ratings_per_item).chosen
+        got = plan_mask(assign_entropy_target(ds, subset, target, tolerance, fast, 5, grouping,
+                                              ratings_per_item), ds)
     except TargetUnreachable:
         got = TargetUnreachable
     try:
