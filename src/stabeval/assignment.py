@@ -323,7 +323,9 @@ def assign_entropy_target(
     )
 
 
-# The most per-bucket symbol choices ``_least_entropy`` brute-forces (~0.1 s).
+# The most per-bucket symbol choices ``_least_entropy`` brute-forces.  The
+# brute force costs ~10 us a choice: 3**8 take 0.06 s, 3**12 take 5.3 s
+# (2-core Xeon host, CPython 3.11).
 _LEAST_ENTROPY_CHOICES = 3**8
 
 

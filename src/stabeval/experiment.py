@@ -111,7 +111,7 @@ def select_ratings(ds: RatingDataset, plan: AssignmentPlan) -> ScoredStudy:
         [ds.doc_axis[i] for i in docs],
         ds.scores.take(cells),
         ds.n_errors.take(cells),
-        slots,
+        slots.reshape(raters.shape),  # NumPy < 2 returns the inverse flattened
     )
 
 

@@ -3,7 +3,6 @@ significant-ranking-preservation, workload entropy, and rater agreement."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -145,7 +144,7 @@ def _flipped_signs(rng, shapes):
         return
     state = bit_generator.state
     has_half, half = state["has_uint32"], state["uinteger"]
-    sizes = [math.prod(shape) for shape in shapes]
+    sizes = [int(np.prod(shape)) for shape in shapes]
     buffer = np.empty(max(sizes, default=0))
     try:
         for shape, size in zip(shapes, sizes):
@@ -221,7 +220,7 @@ def significance_matrix(
         stats = np.matmul(flipped, neg_diffs[block, :, None])[:, :, 0]
         np.abs(stats, out=stats)
         stats /= total
-        hits[block] = (stats >= threshold[block, None]).sum(axis=1)
+        hits[block] = np.count_nonzero(stats >= threshold[block, None], axis=1)
     reached = (1 + hits) / (1 + n_perm) <= alpha
     lower, higher = means[first] < means[second], means[second] < means[first]
     better = np.zeros((n_sys, n_sys), dtype=bool)

@@ -1,10 +1,10 @@
-import time
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from stabeval import assignment
 from stabeval.assignment import (
     Grouping,
     LoadBalancing,
@@ -179,15 +179,26 @@ class TestEntropyTarget:
             assert abs(entropy - target) <= 0.03
 
 
-    def test_many_buckets_skip_the_brute_force(self):
-        # 3**12 per-bucket choices would take seconds; past 3**8 the early
-        # check gives way to the attempts.
-        ds = make_layout_dataset([2] * 12, [(f"a{i}", f"b{i}", f"c{i}") for i in range(12)])
-        start = time.perf_counter()
+    @pytest.mark.parametrize("n_buckets, brute_forced", [(8, True), (9, False)])
+    def test_many_buckets_skip_the_brute_force(self, monkeypatch, n_buckets, brute_forced):
+        # Up to 3**8 per-bucket choices the early check runs; past them it
+        # gives way to the attempts.
+        calls = []
+
+        def least(counts, alphabets, pool_size):
+            calls.append(len(counts))
+            return 0.0  # rules out nothing, so every attempt runs
+
+        monkeypatch.setattr(assignment, "min_instantiable_entropy", least)
+        assignment._least_entropy.cache_clear()
+        ds = make_layout_dataset(
+            [2] * n_buckets, [(f"a{i}", f"b{i}", f"c{i}") for i in range(n_buckets)]
+        )
         with pytest.raises(TargetUnreachable, match="after 2 attempts"):
             assign_entropy_target(ds, ds.documents, 0.0, tolerance=0.0,
                                   rng=np.random.default_rng(0), max_retries=2)
-        assert time.perf_counter() - start < 1.0
+        assert calls == ([n_buckets] if brute_forced else [])
+        assignment._least_entropy.cache_clear()
 
 
 class TestMinInstantiableEntropy:
@@ -278,16 +289,18 @@ def subsample_documents_before_cap(ds, n_target, rng):
 @settings(max_examples=60, deadline=None)
 @given(
     base=st.integers(0, 4),
-    spares=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    spares=st.lists(st.integers(0, 4), min_size=1, max_size=6),
     remainder=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_capped_remainder_is_the_old_draw_when_every_bucket_has_room(
-    base, spares, remainder, seed
-):
-    """Where every bucket holds more than the base quota, the capped draw
-    picks the same documents and leaves the generator in the same state."""
-    remainder %= len(spares)
+def test_capped_remainder_keeps_the_old_draw(base, spares, remainder, seed):
+    """Where every bucket holds more than the base quota, or there is no
+    remainder, the capped draw picks the same documents and leaves the
+    generator in the same state.  So only a document count whose base quota
+    fills some bucket and leaves a remainder can draw differently: 176-181
+    documents on the rotation layout, 181 on the disjoint one."""
+    assume(base > 0 or min(spares) > 0)  # no empty bucket
+    remainder = remainder % len(spares) if min(spares) > 0 else 0
     assume(base * len(spares) + remainder >= 1)
     ds = make_layout_dataset(
         [base + spare for spare in spares],

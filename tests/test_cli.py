@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -434,14 +433,12 @@ def test_unreachable_entropy_target_fails_fast(tmp_path, capsys):
         "[study]\nnum_documents = 90\nn_permutations = 50\nitem_grouping = no_grouping\n"
         "load_balancing = entropy_target:0.3\n"
     )
-    start = time.perf_counter()
     code = main(["simulate", "--dataset", str(tsv), "--config", str(cfg)])
-    elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code == 3
+    # The early check's message, not the one after all 1,000 attempts.
     assert err.startswith("error: no assignment within 0.03 of entropy target 0.3: ")
     assert "no workload entropy below 0.5" in err
-    assert elapsed < 2.0  # all 1,000 attempts took ~3.4 s
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -186,6 +186,24 @@ def test_select_ratings_at_the_pool_edges():
     assert n_plans == 4 * 5 * 2 * 2
 
 
+def test_select_ratings_with_a_flat_unique_inverse(monkeypatch):
+    # NumPy 1.x returns ``np.unique``'s inverse flattened, NumPy 2 shaped like its input.
+    plans = [(ds, plan) for ds, positions, plan in edge_plans() if len(positions) == 3]
+    wants = [select_ratings_oracle(ds, plan) for ds, plan in plans]
+    unique = np.unique
+
+    def flat_inverse_unique(ar, return_inverse=False):
+        assert return_inverse
+        values, inverse = unique(ar, return_inverse=True)
+        return values, inverse.ravel()
+
+    monkeypatch.setattr(np, "unique", flat_inverse_unique)
+    for (ds, plan), want in zip(plans, wants):
+        got = select_ratings(ds, plan)
+        assert got.slots.shape == plan.raters.shape
+        assert_same_study(got, want)
+
+
 SLOT_DATASETS = {
     "rotation": make_layout_dataset(*ROTATION_LAYOUT, n_systems=3, segs_per_doc=2,
                                     score_fn=cell_score),
