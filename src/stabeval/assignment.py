@@ -16,6 +16,7 @@ import numpy as np
 from .corpus import Bucket, RatingDataset
 from .errors import (
     BucketArityUnsupported,
+    ConfigError,
     QuotaExceedsBucket,
     TargetUnreachable,
 )
@@ -30,25 +31,20 @@ class Grouping(str, Enum):
 
 @dataclass(frozen=True)
 class LoadBalancing:
-    kind: str  # "fully_balanced" | "entropy_target"
+    """Fully balanced when ``target`` is None, else an entropy target."""
+
     target: Optional[float] = None
     tolerance: float = 0.03
 
-    @classmethod
-    def fully_balanced(cls) -> "LoadBalancing":
-        return cls("fully_balanced")
-
-    @classmethod
-    def entropy_target(cls, target: float, tolerance: float = 0.03) -> "LoadBalancing":
-        if not (0.0 <= target <= 1.0):
-            raise ValueError(f"entropy target must be in [0, 1], got {target}")
-        if not tolerance >= 0.0:
-            raise ValueError(f"entropy_tolerance must be >= 0, got {tolerance}")
-        return cls("entropy_target", target, tolerance)
+    def __post_init__(self):
+        if self.target is not None and not (0.0 <= self.target <= 1.0):
+            raise ConfigError(f"entropy target must be in [0, 1], got {self.target}")
+        if not self.tolerance >= 0.0:
+            raise ConfigError(f"entropy_tolerance must be >= 0, got {self.tolerance}")
 
     def __str__(self) -> str:
-        if self.kind == "fully_balanced":
-            return self.kind
+        if self.target is None:
+            return "fully_balanced"
         return f"entropy_target:{self.target:g}"
 
 
@@ -196,7 +192,7 @@ def assign_balanced(
         else:  # a unit is a (doc, system) item, doc-major
             units, slots = _deal(len(rows) * n_systems, alphabet, rng)
             raters[units % n_systems, rows[units // n_systems]] = slots
-    plan = AssignmentPlan(docs, raters, ds.rater_axis, grouping, LoadBalancing.fully_balanced())
+    plan = AssignmentPlan(docs, raters, ds.rater_axis, grouping, LoadBalancing())
     plan.validate(ds)
     return plan
 
@@ -303,7 +299,7 @@ def assign_entropy_target(
                 raters = rows.reshape(len(docs), n_systems, -1).transpose(1, 0, 2).copy()
             plan = AssignmentPlan(
                 docs, raters, ds.rater_axis, grouping,
-                LoadBalancing.entropy_target(target, tolerance),
+                LoadBalancing(target, tolerance),
             )
             plan.validate(ds)
             return plan
@@ -374,7 +370,7 @@ def build_plan(
     rng,
 ) -> AssignmentPlan:
     """Dispatch to the procedure implied by (grouping, balancing)."""
-    if balancing.kind == "fully_balanced":
+    if balancing.target is None:
         return assign_balanced(ds, doc_subset, grouping, rng, ratings_per_item)
     return assign_entropy_target(
         ds,

@@ -8,7 +8,7 @@ import csv
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,9 +37,9 @@ class Resampling:
 class StudyConfig:
     """One evaluation methodology plus simulation sizes and seed."""
 
-    n_documents: int
+    n_documents: int = 1
     grouping: Grouping = Grouping.PSXS
-    balancing: LoadBalancing = field(default_factory=LoadBalancing.fully_balanced)
+    balancing: LoadBalancing = LoadBalancing()
     normalization: NormalizationScheme = NormalizationScheme.UNNORMALIZED
     ratings_per_item: int = 1
     doc_resampling: str = Resampling.PER_50
@@ -70,7 +70,7 @@ class StudyConfig:
             raise ConfigError(
                 f"n_permutations={self.n_permutations} can never reach alpha={self.alpha:g}"
             )
-        if self.grouping is Grouping.SYSTEM_BALANCED and self.balancing.kind != "fully_balanced":
+        if self.grouping is Grouping.SYSTEM_BALANCED and self.balancing.target is not None:
             raise ConfigError("system_balanced grouping is only defined with fully_balanced")
 
     @property
@@ -160,69 +160,46 @@ class SweepPoint:
     matrices: Optional[list[SignificanceMatrix]] = None
 
 
+def methodology(config: StudyConfig) -> dict:
+    """The config's columns in ``sweep.csv`` and ``sweep.json``, keyed by
+    their names in a config file."""
+    return {
+        "item_grouping": config.grouping.value,
+        "load_balancing": str(config.balancing),
+        "normalization": config.normalization.value,
+        "ratings_per_item": config.ratings_per_item,
+        "doc_resampling": config.doc_resampling,
+        "n_simulations": config.n_simulations,
+        "n_permutations": config.n_permutations,
+        "alpha": config.alpha,
+        "seed": config.master_seed,
+    }
+
+
 @dataclass
 class SweepResult:
     points: list[SweepPoint]
 
-    CSV_COLUMNS = (
-        "label",
-        "item_grouping",
-        "load_balancing",
-        "normalization",
-        "ratings_per_item",
-        "doc_resampling",
-        "n_simulations",
-        "n_permutations",
-        "alpha",
-        "seed",
-        "n_documents",
-        "srp",
-        "n_pairs",
-    )
+    CSV_COLUMNS = ("label", *methodology(StudyConfig()), "n_documents", "srp", "n_pairs")
 
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.CSV_COLUMNS)
         for point in self.points:
-            cfg = point.config
-            writer.writerow(
-                [
-                    point.label,
-                    cfg.grouping.value,
-                    str(cfg.balancing),
-                    cfg.normalization.value,
-                    cfg.ratings_per_item,
-                    cfg.doc_resampling,
-                    cfg.n_simulations,
-                    cfg.n_permutations,
-                    f"{cfg.alpha:g}",
-                    cfg.master_seed,
-                    point.n_documents,
-                    f"{point.srp:.6f}",
-                    point.n_pairs,
-                ]
-            )
+            cfg = methodology(point.config)
+            cfg["alpha"] = f"{cfg['alpha']:g}"
+            writer.writerow([point.label, *cfg.values(), point.n_documents,
+                             f"{point.srp:.6f}", point.n_pairs])
         return out.getvalue()
 
     def to_json_obj(self) -> dict:
         """Every point, with its significance matrices where it kept them."""
         points = []
         for point in self.points:
-            cfg = point.config
             entry = {
                 "label": point.label,
-                "config": {
-                    "item_grouping": cfg.grouping.value,
-                    "load_balancing": str(cfg.balancing),
-                    "normalization": cfg.normalization.value,
-                    "ratings_per_item": cfg.ratings_per_item,
-                    "doc_resampling": cfg.doc_resampling,
-                    "n_simulations": cfg.n_simulations,
-                    "n_permutations": cfg.n_permutations,
-                    "alpha": cfg.alpha,
-                    "seed": cfg.master_seed,
-                },
+                "config": methodology(point.config),
                 "n_documents": point.n_documents,
                 "srp": point.srp,
                 "n_pairs": point.n_pairs,
@@ -464,69 +441,78 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
 # Config file parsing (flat sectioned key-value format)
 
 
-def _parse_balancing(value: str, tolerance: float) -> LoadBalancing:
+def _parse_balancing(value: str) -> Optional[float]:
+    """The entropy target a load_balancing value names; None for full balancing."""
     if value == "fully_balanced":
-        return LoadBalancing.fully_balanced()
-    if value.startswith("entropy_target:"):
+        return None
+    kind, _, target = value.partition(":")
+    if kind != "entropy_target":
+        raise ValueError("expected fully_balanced or entropy_target:<H>")
+    return float(target)
+
+
+# Each study config key: the field it sets and the parser of its value.  The
+# two balancing keys set LoadBalancing's fields, the others StudyConfig's.
+# Every default lives on those dataclasses.
+_STUDY_KEYS = {
+    "num_documents": ("n_documents", int),
+    "item_grouping": ("grouping", Grouping),
+    "load_balancing": ("target", _parse_balancing),
+    "entropy_tolerance": ("tolerance", float),
+    "normalization": ("normalization", NormalizationScheme),
+    "ratings_per_item": ("ratings_per_item", int),
+    "doc_resampling": ("doc_resampling", str),
+    "n_simulations": ("n_simulations", int),
+    "n_permutations": ("n_permutations", int),
+    "alpha": ("alpha", float),
+    "seed": ("master_seed", int),
+}
+
+
+def _study_fields(section: str, values: dict) -> dict:
+    """Parse a section's study keys into the fields they set."""
+    parsed = {}
+    for key, value in values.items():
+        if key not in _STUDY_KEYS:
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
+        name, parse = _STUDY_KEYS[key]
         try:
-            return LoadBalancing.entropy_target(float(value.split(":", 1)[1]), tolerance)
+            parsed[name] = parse(value)
         except ValueError as exc:
-            raise ConfigError(f"invalid load_balancing value {value!r}: {exc}") from None
-    raise ConfigError(f"invalid load_balancing value {value!r}")
-
-
-def _study_from_section(section, defaults: dict, label: str) -> StudyConfig:
-    values = dict(defaults)
-    values.update(section)
-    try:
-        grouping = Grouping(values.get("item_grouping", "psxs"))
-    except ValueError:
-        raise ConfigError(f"invalid item_grouping {values.get('item_grouping')!r}") from None
-    try:
-        normalization = NormalizationScheme(values.get("normalization", "unnormalized"))
-    except ValueError:
-        raise ConfigError(f"invalid normalization {values.get('normalization')!r}") from None
-    try:
-        tolerance = float(values.get("entropy_tolerance", 0.03))
-        return StudyConfig(
-            n_documents=int(values.get("num_documents", 1)),
-            grouping=grouping,
-            balancing=_parse_balancing(values.get("load_balancing", "fully_balanced"), tolerance),
-            normalization=normalization,
-            ratings_per_item=int(values.get("ratings_per_item", 1)),
-            doc_resampling=values.get("doc_resampling", Resampling.PER_50),
-            n_simulations=int(values.get("n_simulations", 250)),
-            n_permutations=int(values.get("n_permutations", 500)),
-            alpha=float(values.get("alpha", 0.05)),
-            master_seed=int(values.get("seed", 0)),
-            label=label,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid study config value: {exc}") from None
+            raise ConfigError(f"invalid {key} value {value!r} in [{section}]: {exc}") from None
+    return parsed
 
 
 def load_sweep_config(path) -> tuple[list[StudyConfig], Optional[list[int]]]:
     """Parse a sweep config: a [sweep] section with shared defaults and the
     document-count grid, plus one [study:NAME] section per methodology."""
     sections = read_config(path)
-    defaults = dict(sections.get("sweep", {}))
+    where = "sweep" if "sweep" in sections else "DEFAULT"
+    shared = dict(sections[where])
     grid = None
-    if "doc_counts" in defaults:
+    if "doc_counts" in shared:
         try:
-            grid = [int(x) for x in defaults.pop("doc_counts").split()]
+            grid = [int(x) for x in shared.pop("doc_counts").split()]
         except ValueError:
             raise ConfigError("invalid doc_counts list") from None
         if not grid:
             raise ConfigError("doc_counts is empty")
+    shared = _study_fields(where, shared)
     configs = []
     for name, section in sections.items():
-        if name == "study":
-            label = "study"
-        elif name.startswith("study:"):
-            label = name.split(":", 1)[1]
-        else:
+        if name in ("DEFAULT", "sweep"):
             continue
-        configs.append(_study_from_section(section, defaults, label))
+        kind, colon, label = name.partition(":")
+        if kind != "study":
+            raise ConfigError(
+                f"unknown section [{name}]: expected [sweep], [study] or [study:NAME]"
+            )
+        # [DEFAULT] entries reach every section, its doc_counts too: that is the grid.
+        own = {k: v for k, v in section.items()
+               if k != "doc_counts" or k not in sections["DEFAULT"]}
+        cfg = {**shared, **_study_fields(name, own)}
+        balancing = LoadBalancing(**{k: cfg.pop(k) for k in ("target", "tolerance") if k in cfg})
+        configs.append(StudyConfig(balancing=balancing, label=label if colon else kind, **cfg))
     if not configs:
         raise ConfigError("no [study:NAME] sections found")
     return configs, grid
@@ -539,31 +525,24 @@ def load_study_config(path) -> StudyConfig:
 
 
 def load_generator_spec(path) -> GeneratorSpec:
-    values = read_config(path).get("generator")
-    if values is None:
+    """Parse a [generator] section.  Each key is a GeneratorSpec field, read
+    by the type of its default; a tuple is written as space-separated numbers."""
+    sections = read_config(path)
+    if "generator" not in sections:
         raise ConfigError("generator spec needs a [generator] section")
-
-    def get_float_pair(key, default):
-        if key not in values:
-            return default
-        parts = values[key].split()
-        if len(parts) != 2:
+    extra = sorted(sections.keys() - {"DEFAULT", "generator"})
+    if extra:
+        raise ConfigError(f"unknown section [{extra[0]}]: expected [generator]")
+    spec_fields = {f.name: f for f in fields(GeneratorSpec)}
+    spec = {}
+    for key, value in sections["generator"].items():
+        if key not in spec_fields:
+            raise ConfigError(f"unknown key {key!r} in [generator]")
+        kind = type(spec_fields[key].default)
+        try:
+            spec[key] = tuple(map(float, value.split())) if kind is tuple else kind(value)
+        except ValueError as exc:
+            raise ConfigError(f"invalid {key} value {value!r} in [generator]: {exc}") from None
+        if spec_fields[key].type == "tuple[float, float]" and len(spec[key]) != 2:
             raise ConfigError(f"{key} needs two numbers")
-        return (float(parts[0]), float(parts[1]))
-
-    try:
-        return GeneratorSpec(
-            n_documents=int(values.get("n_documents", 40)),
-            segments_per_doc=int(values.get("segments_per_doc", 5)),
-            n_systems=int(values.get("n_systems", 6)),
-            quality_range=get_float_pair("quality_range", (0.0, 2.0)),
-            n_buckets=int(values.get("n_buckets", 2)),
-            harshness=tuple(float(h) for h in values.get("harshness", "1.0").split()),
-            base_range=get_float_pair("base_range", (0.5, 1.5)),
-            item_noise_sigma=float(values.get("item_noise_sigma", 0.0)),
-            rater_noise_sigma=float(values.get("rater_noise_sigma", 0.0)),
-            doc_preference_sigma=float(values.get("doc_preference_sigma", 0.0)),
-            language_pair=values.get("language_pair", "synthetic"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid generator spec value: {exc}") from None
+    return GeneratorSpec(**spec)

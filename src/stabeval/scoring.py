@@ -211,19 +211,18 @@ def normalize(study: ScoredStudy, scheme: NormalizationScheme) -> ScoredStudy:
         return study
     values = study.scores[study.rated]
     if scheme is NormalizationScheme.ZSCORE:
-        counts, sums, squares = study.rater_sums(values, values**2)
-        means = sums / counts
-        # Sample (n-1) standard deviation per rater; 0 where undefined.
+        counts, sums = study.rater_sums(values)
+        centred = study.scores - study.per_cell(sums / counts)
+        # Sample (n-1) standard deviation per rater from the centred ratings (two
+        # passes keep scores far from 0 precise); 0 where undefined.
+        squares = study.rater_sums(centred[study.rated] ** 2)[1]
         var = np.zeros(len(study.raters))
         multi = counts > 1
-        var[multi] = (squares[multi] - counts[multi] * means[multi] ** 2) / (counts[multi] - 1)
-        stds = np.sqrt(np.maximum(var, 0.0))
+        var[multi] = squares[multi] / (counts[multi] - 1)
+        stds = np.sqrt(var)
         # A constant rater's ratings map to 0; cells without a rating stay NaN.
         scaled = np.where(study.rated, 0.0, np.nan)
-        np.divide(
-            study.scores - study.per_cell(means), study.per_cell(stds), out=scaled,
-            where=study.per_cell(stds > 0),
-        )
+        np.divide(centred, study.per_cell(stds), out=scaled, where=study.per_cell(stds > 0))
         return study.with_scores(scaled)
 
     # Mean and Error schemes are multiplicative.

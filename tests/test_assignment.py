@@ -125,7 +125,7 @@ class TestNoGrouping:
     def test_entropy_zero_single_bucket(self, rng):
         ds = make_layout_dataset([4], [("r1", "r2", "r3")], n_systems=3)
         plan = build_plan(
-            ds, ds.documents, Grouping.NO_GROUPING, LoadBalancing.entropy_target(0.0), 1, rng
+            ds, ds.documents, Grouping.NO_GROUPING, LoadBalancing(0.0), 1, rng
         )
         assert len({r for _doc, _sys, raters in plan_items(plan, ds) for r in raters}) == 1
 
@@ -318,7 +318,7 @@ class TestBuildPlan:
     @pytest.mark.parametrize("grouping", list(Grouping))
     def test_eligibility_invariant(self, grouping, rng):
         ds = make_layout_dataset([4, 5], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=3)
-        plan = build_plan(ds, ds.documents, grouping, LoadBalancing.fully_balanced(), 1, rng)
+        plan = build_plan(ds, ds.documents, grouping, LoadBalancing(), 1, rng)
         for doc, _sys, raters in plan_items(plan, ds):
             assert raters <= ds.bucket_of(doc).rater_ids
 
@@ -326,11 +326,11 @@ class TestBuildPlan:
         ds = make_layout_dataset([5, 5], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=3)
         for grouping in Grouping:
             p1 = build_plan(
-                ds, ds.documents, grouping, LoadBalancing.fully_balanced(), 1,
+                ds, ds.documents, grouping, LoadBalancing(), 1,
                 np.random.default_rng(11),
             )
             p2 = build_plan(
-                ds, ds.documents, grouping, LoadBalancing.fully_balanced(), 1,
+                ds, ds.documents, grouping, LoadBalancing(), 1,
                 np.random.default_rng(11),
             )
             assert np.array_equal(p1.docs, p2.docs)
@@ -341,13 +341,13 @@ class TestBuildPlan:
         with pytest.raises(ValueError):
             build_plan(
                 ds, ds.documents, Grouping.SYSTEM_BALANCED,
-                LoadBalancing.entropy_target(0.5), 1, rng,
+                LoadBalancing(0.5), 1, rng,
             )
 
     def test_fully_balanced_near_max_entropy(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT, n_systems=3)
         plan = build_plan(
-            ds, ds.documents, Grouping.PSXS, LoadBalancing.fully_balanced(), 1, rng
+            ds, ds.documents, Grouping.PSXS, LoadBalancing(), 1, rng
         )
         entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
         assert entropy >= 1.0 - 0.01

@@ -190,6 +190,9 @@ def test_dataset_not_utf8_exit_code(tmp_path, capsys, command, prefix):
         ("", "6\ndoc_counts = 12"),
         ("alpha = 5%\n", "6"),
         ("", ""),
+        ("n_simulation = 3\n", "6"),
+        ("normalisation = zscore\n", "6"),
+        ("[studies:x]\nitem_grouping = psxs\n", "6"),
     ],
     ids=[
         "entropy_target_above_one",
@@ -202,6 +205,9 @@ def test_dataset_not_utf8_exit_code(tmp_path, capsys, command, prefix):
         "duplicate_key_in_sweep",
         "percent_in_value",
         "empty_doc_counts",
+        "misspelt_n_simulations",
+        "misspelt_normalization",
+        "unknown_section",
     ],
 )
 def test_sweep_config_error_exit_code(synth_tsv, tmp_path, capsys, study, doc_counts):
@@ -219,6 +225,37 @@ def test_sweep_config_error_exit_code(synth_tsv, tmp_path, capsys, study, doc_co
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert "srp=" not in err  # rejected before any sweep point ran
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("sweep", SWEEP_CFG.replace("seed = 3", "n_simulation = 3"),
+         "unknown key 'n_simulation' in [sweep]"),
+        ("sweep", SWEEP_CFG + "normalisation = zscore\n",
+         "unknown key 'normalisation' in [study:zscore]"),
+        ("sweep", SWEEP_CFG + "[studies:x]\n", "unknown section [studies:x]"),
+        ("simulate", STUDY_CFG + "num_document = 4\n", "unknown key 'num_document' in [study]"),
+        ("gen", GEN_CFG + "n_document = 4\n", "unknown key 'n_document' in [generator]"),
+        ("gen", GEN_CFG + "[generate]\n", "unknown section [generate]"),
+    ],
+    ids=["sweep_key", "study_key", "sweep_section", "simulate_key", "generator_key",
+         "generator_section"],
+)
+def test_unknown_config_key_or_section_exit_code(synth_tsv, tmp_path, capsys, command, config,
+                                                 message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    argv = [command, "--config", str(cfg)]
+    if command != "gen":
+        argv += ["--dataset", str(synth_tsv)]
+    if command != "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err
+    assert "Traceback" not in err and "srp=" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def sweep_small_pool(tmp_path, out):

@@ -118,9 +118,9 @@ def normalized_or_error(study, scheme):
 
 
 balancings = st.one_of(
-    st.just(LoadBalancing.fully_balanced()),
+    st.just(LoadBalancing()),
     # A tolerance of 1 accepts the first greedy pass, so every target is reachable.
-    st.floats(0.0, 1.0).map(lambda t: LoadBalancing.entropy_target(t, tolerance=1.0)),
+    st.floats(0.0, 1.0).map(lambda t: LoadBalancing(t, tolerance=1.0)),
 )
 
 
@@ -137,7 +137,7 @@ def test_select_ratings_matches_dict_oracle(
     seed, grouping, balancing, ratings_per_item, n_docs, score_only
 ):
     if grouping is Grouping.SYSTEM_BALANCED:
-        balancing = LoadBalancing.fully_balanced()
+        balancing = LoadBalancing()
     ds = annotated_dataset(seed % 1000, score_only)
     rng = np.random.default_rng(seed)
     subset = subsample_documents(ds, n_docs, rng)
@@ -172,7 +172,7 @@ def edge_plans():
             for grouping in (Grouping.PSXS, Grouping.NO_GROUPING):
                 for ratings_per_item in (1, 2):
                     rng = np.random.default_rng(len(positions))
-                    plan = build_plan(ds, subset, grouping, LoadBalancing.fully_balanced(),
+                    plan = build_plan(ds, subset, grouping, LoadBalancing(),
                                       ratings_per_item, rng)
                     yield ds, positions, plan
 
@@ -239,7 +239,7 @@ def test_slot_study_matches_dense_study(
     one per rater of the study.  Every per-rater sum, effective score,
     normalization and significance test reads the same bits from both."""
     if grouping is Grouping.SYSTEM_BALANCED:
-        balancing = LoadBalancing.fully_balanced()
+        balancing = LoadBalancing()
     ds = SLOT_DATASETS[layout]
     rng = np.random.default_rng(seed)
     subset = subsample_documents(ds, n_docs, rng)
@@ -384,10 +384,10 @@ def golden_sweep() -> str:
                     label="sysbal"),
         StudyConfig(**common, grouping=Grouping.NO_GROUPING, normalization=N.ZSCORE,
                     label="nogroup"),
-        StudyConfig(**common, balancing=LoadBalancing.entropy_target(0.87),
+        StudyConfig(**common, balancing=LoadBalancing(0.87),
                     label="psxs_entropy"),
         StudyConfig(**common, grouping=Grouping.NO_GROUPING,
-                    balancing=LoadBalancing.entropy_target(0.6), normalization=N.ZSCORE,
+                    balancing=LoadBalancing(0.6), normalization=N.ZSCORE,
                     label="nogroup_entropy"),
         StudyConfig(**per_50, ratings_per_item=2, label="double"),
         StudyConfig(**common, grouping=Grouping.SYSTEM_BALANCED, ratings_per_item=2,
@@ -410,9 +410,9 @@ GOLDEN_PLAN_SHA256 = "53c346e807d859eeacda81605d10f79aa9d639aeff2f1d7ea8c9a3d8f1
 
 def golden_plans():
     balancings = (
-        LoadBalancing.fully_balanced(),
-        LoadBalancing.entropy_target(0.7, 0.05),
-        LoadBalancing.entropy_target(0.85, 0.05),
+        LoadBalancing(),
+        LoadBalancing(0.7, 0.05),
+        LoadBalancing(0.85, 0.05),
     )
     for layout in (ROTATION_LAYOUT, DISJOINT_LAYOUT):
         ds = make_layout_dataset(*layout, n_systems=3)

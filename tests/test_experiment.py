@@ -1,11 +1,16 @@
 import gc
+import math
 import multiprocessing
+import re
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stabeval.assignment import Grouping
+from stabeval.assignment import Grouping, LoadBalancing
 from stabeval.errors import InvalidSpec, QuotaExceedsBucket
 from stabeval.experiment import (
     GeneratorSpec,
@@ -13,7 +18,9 @@ from stabeval.experiment import (
     StudyConfig,
     generate_synthetic,
     load_generator_spec,
+    load_study_config,
     load_sweep_config,
+    methodology,
     run_sweep,
     simulate_study,
 )
@@ -237,3 +244,66 @@ class TestConfigFiles:
         assert spec.n_documents == 16
         assert spec.harshness == (0.5, 1.0, 2.0)
         assert spec.item_noise_sigma == 0.4
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\ndoc_counts = 6 12\nseed = 9\n[study:a]\n",
+            "[DEFAULT]\ndoc_counts = 6 12\n[sweep]\nseed = 9\n[study:a]\n",
+        ],
+        ids=["without_sweep", "with_sweep"],
+    )
+    def test_default_section_doc_counts_is_the_grid(self, tmp_path, text):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(text)
+        configs, grid = load_sweep_config(path)
+        assert grid == [6, 12]
+        assert [(c.label, c.master_seed) for c in configs] == [("a", 9)]
+
+    def test_readme_examples_load(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        sweep, generator = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        (tmp_path / "sweep.cfg").write_text(sweep, encoding="utf-8")
+        (tmp_path / "gen.cfg").write_text(generator, encoding="utf-8")
+        configs, grid = load_sweep_config(tmp_path / "sweep.cfg")
+        spec = load_generator_spec(tmp_path / "gen.cfg")
+        assert [c.label for c in configs] == ["psxs", "imbalanced"] and grid
+        assert spec.harshness == (0.5, 1.0, 2.0)
+
+
+@st.composite
+def study_configs(draw) -> StudyConfig:
+    grouping = draw(st.sampled_from(Grouping))
+    # load_balancing writes the target with :g, six significant digits.
+    target = None if grouping is Grouping.SYSTEM_BALANCED else draw(
+        st.none() | st.integers(0, 1000).map(lambda k: k / 1000)
+    )
+    alpha = draw(st.floats(1e-3, 1.0, exclude_max=True))
+    return StudyConfig(
+        n_documents=draw(st.integers(1, 10**4)),
+        grouping=grouping,
+        balancing=LoadBalancing(target, draw(st.floats(0.0, 1.0))),
+        normalization=draw(st.sampled_from(NormalizationScheme)),
+        ratings_per_item=draw(st.sampled_from([1, 2])),
+        doc_resampling=draw(st.sampled_from([Resampling.PER_STUDY, Resampling.PER_50])),
+        n_simulations=draw(st.integers(2, 10**6)),
+        n_permutations=draw(st.integers(math.ceil(1 / alpha), 10**6)),
+        alpha=alpha,
+        master_seed=draw(st.integers(0, 2**63)),
+        label="study",
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(study_configs())
+def test_study_config_round_trips_through_its_sweep_columns(config):
+    """Every methodology column of sweep.csv is a study key the parser reads back."""
+    values = {
+        **methodology(config),
+        "num_documents": config.n_documents,
+        "entropy_tolerance": config.balancing.tolerance,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "study.cfg"
+        path.write_text("[study]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert load_study_config(path) == config

@@ -39,7 +39,7 @@ def test_traced_replica_reproduces_run_sweep():
     configs = [
         StudyConfig(**common, label="psxs"),
         StudyConfig(**common, grouping=Grouping.NO_GROUPING,
-                    balancing=LoadBalancing.entropy_target(0.8, 0.1),
+                    balancing=LoadBalancing(0.8, 0.1),
                     normalization=NormalizationScheme.ZSCORE,
                     doc_resampling=Resampling.PER_STUDY, label="zscore_entropy"),
         StudyConfig(**common, ratings_per_item=2, label="double"),

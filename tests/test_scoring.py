@@ -126,6 +126,22 @@ class TestNormalize:
         out = normalize(study, NormalizationScheme.ZSCORE)
         np.testing.assert_allclose(out.scores[out.rated], [0.0, 0.0])
 
+    def test_zscore_precise_on_offset_scores(self):
+        # Unit-spread ratings far from 0: a one-pass variance, Σx² − n·mean²,
+        # cancels away most of its digits (errors of ~1e-3 at 1e6, more at 1e8).
+        noise = np.random.default_rng(4).standard_normal((2, 400))
+        for offset in (1e4, 1e6, 1e8):
+            values = noise + [[offset], [offset / 3]]
+            study = study_from(
+                [(f"d{d:03d}", 0, "a", rater, float(values[r, d]), 1)
+                 for r, rater in enumerate(("r1", "r2")) for d in range(values.shape[1])]
+            )
+            out = normalize(study, NormalizationScheme.ZSCORE)
+            centred = values - values.mean(axis=1, keepdims=True)
+            want = centred / centred.std(axis=1, ddof=1, keepdims=True)
+            # Rated cells in C order are (doc, rater), so each doc's two ratings in turn.
+            np.testing.assert_allclose(out.scores[out.rated], want.T.ravel(), rtol=0, atol=1e-7)
+
     def test_equal_error_counts_error_equals_mean(self):
         rows = [
             ("d1", 0, "a", "r1", 2.0, 2),
