@@ -6,14 +6,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Bucket, RatingDataset
+from .corpus import RatingDataset
 from .errors import (
     BucketArityUnsupported,
     ConfigError,
@@ -74,8 +73,11 @@ class AssignmentPlan:
         return {self.rater_axis[r]: int(counts[r]) for r in np.flatnonzero(counts)}
 
     def validate(self, ds: RatingDataset) -> None:
-        """Every rater is eligible, every item's raters are distinct in
-        ascending slots, and pSxS documents share them."""
+        """The documents are distinct ascending positions, every rater is
+        eligible, every item's raters are distinct in ascending slots, and
+        pSxS documents share them."""
+        if (np.diff(self.docs) <= 0).any():
+            raise ValueError("the plan's documents are not distinct ascending positions")
         if not ds.eligible[self.docs[:, None], self.raters].all():
             raise ValueError("a rater is assigned outside its document's bucket")
         if (np.diff(self.raters, axis=2) <= 0).any():
@@ -87,59 +89,53 @@ class AssignmentPlan:
             raise ValueError("pSxS violated: a document's systems have different raters")
 
 
-def _bucket_alphabet(
-    ds: RatingDataset, bucket: Bucket, ratings_per_item: int
-) -> list[tuple[int, ...]]:
-    """The bucket's raters (or rater pairs) as sorted rater-position tuples."""
-    raters = sorted(ds.rater_pos[r] for r in bucket.rater_ids)
+def _bucket_alphabet(ds: RatingDataset, b: int, ratings_per_item: int) -> list[tuple[int, ...]]:
+    """Bucket b's raters (or rater pairs) as ascending rater-position tuples."""
+    raters = ds.bucket_raters[b].tolist()
     if ratings_per_item == 1:
         return [(r,) for r in raters]
     if ratings_per_item == 2:
         if len(raters) != 3:
             raise BucketArityUnsupported(
                 f"double-rating requires buckets of exactly 3 raters; "
-                f"bucket {bucket.bucket_id} has {len(raters)}"
+                f"bucket {ds.bucket_axis[b].bucket_id} has {len(raters)}"
             )
         return list(itertools.combinations(raters, 2))
     raise BucketArityUnsupported(f"unsupported ratings_per_item={ratings_per_item}")
 
 
-def _sorted_buckets(ds: RatingDataset) -> list[Bucket]:
-    return sorted(ds.buckets, key=lambda b: b.bucket_id)
-
-
-def subsample_documents(ds: RatingDataset, n_target: int, rng) -> frozenset[str]:
-    """Sample documents equally from each bucket to reach the target count.
+def subsample_documents(ds: RatingDataset, n_target: int, rng) -> tuple[int, ...]:
+    """Sample documents equally from each bucket to reach the target count;
+    returns their ascending ``doc_axis`` positions.
 
     Each bucket contributes floor(n/n_buckets) documents; the remainder is
     spread over uniformly chosen distinct buckets among those with a document
     to spare.
     """
-    total = len(ds.documents)
+    total = len(ds.doc_axis)
     if not (1 <= n_target <= total):
         raise ValueError(f"n_target must be in [1, {total}], got {n_target}")
-    buckets = _sorted_buckets(ds)
-    base, remainder = divmod(n_target, len(buckets))
-    sizes = [len(bucket.doc_ids) for bucket in buckets]
-    for bucket, size in zip(buckets, sizes):
-        if base > size:
-            raise QuotaExceedsBucket(
-                f"bucket {bucket.bucket_id} has {size} documents, quota is {base}"
-            )
-    spare = [i for i, size in enumerate(sizes) if size > base]
+    n_buckets = len(ds.bucket_axis)
+    base, remainder = divmod(n_target, n_buckets)
+    sizes = np.bincount(ds.doc_bucket, minlength=n_buckets)
+    if (sizes < base).any():
+        b = int(np.argmax(sizes < base))
+        raise QuotaExceedsBucket(
+            f"bucket {ds.bucket_axis[b].bucket_id} has {sizes[b]} documents, quota is {base}"
+        )
+    spare = np.flatnonzero(sizes > base)
     if len(spare) < remainder:
         raise QuotaExceedsBucket(
             f"{remainder} documents beyond a quota of {base} per bucket need as many "
             f"buckets with a document to spare; {len(spare)} have one"
         )
-    # Over every bucket, this is the same draw as ``rng.choice(len(buckets), ...)``.
+    # Over every bucket, this is the same draw as ``rng.choice(n_buckets, ...)``.
     extra = set(rng.choice(spare, size=remainder, replace=False).tolist())
-    chosen: set[str] = set()
-    for i, bucket in enumerate(buckets):
-        docs = sorted(bucket.doc_ids)
-        picks = rng.choice(len(docs), size=base + (i in extra), replace=False)
-        chosen.update(docs[p] for p in picks)
-    return frozenset(chosen)
+    chosen = []
+    for b in range(n_buckets):
+        docs = np.flatnonzero(ds.doc_bucket == b)
+        chosen += docs[rng.choice(len(docs), size=base + (b in extra), replace=False)].tolist()
+    return tuple(sorted(chosen))
 
 
 def _deal(n_units: int, alphabet: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -152,36 +148,30 @@ def _deal(n_units: int, alphabet: np.ndarray, rng) -> tuple[np.ndarray, np.ndarr
     return units, alphabet[np.arange(n_units) % len(alphabet)]
 
 
-def _study_docs(ds: RatingDataset, doc_subset: Iterable[str]) -> np.ndarray:
-    return np.array(sorted(ds.doc_pos[d] for d in doc_subset), dtype=np.intp)
-
-
 def assign_balanced(
     ds: RatingDataset,
-    doc_subset: Iterable[str],
+    docs: Sequence[int],
     grouping: Grouping,
     rng,
     ratings_per_item: int = 1,
 ) -> AssignmentPlan:
-    """Fully balanced assignment: per bucket, shuffle the units and the
-    bucket's raters (or rater pairs), then deal the units round-robin.
+    """Fully balanced assignment of the documents at the ascending ``doc_axis``
+    positions ``docs``: per bucket, shuffle the units and the bucket's raters
+    (or rater pairs), then deal the units round-robin.
 
     The unit is a document for pSxS (every system output of a document shares
     its raters), a document within one system for system-balanced grouping
     (one deal per system, so every system spreads evenly over raters without
     document alignment), and a (doc, system) item without grouping.
     """
-    subset = set(doc_subset)
-    docs = _study_docs(ds, subset)
+    docs = np.asarray(docs, dtype=np.intp)
+    doc_bucket = ds.doc_bucket[docs]
     n_systems = len(ds.system_axis)
     # Every item is dealt exactly once below, so every slot is written.
     raters = np.empty((n_systems, len(docs), ratings_per_item), dtype=np.intp)
-    for bucket in _sorted_buckets(ds):
-        bucket_docs = sorted(ds.doc_pos[d] for d in bucket.doc_ids & subset)
-        if not bucket_docs:
-            continue
-        rows = np.searchsorted(docs, bucket_docs)  # the bucket's study docs
-        alphabet = np.array(_bucket_alphabet(ds, bucket, ratings_per_item))
+    for b in np.unique(doc_bucket).tolist():
+        rows = np.flatnonzero(doc_bucket == b)  # the bucket's study docs
+        alphabet = np.array(_bucket_alphabet(ds, b, ratings_per_item))
         if grouping is Grouping.SYSTEM_BALANCED:
             for s in range(n_systems):
                 units, slots = _deal(len(rows), alphabet, rng)
@@ -201,16 +191,16 @@ def _entropy_pool(ds: RatingDataset, ratings_per_item: int) -> list[tuple[int, .
     """Workload alphabet over the whole dataset: single raters, or rater pairs
     when double-rated (entropy is then computed over pair workloads)."""
     if ratings_per_item == 1:
-        return [(ds.rater_pos[r],) for r in sorted(ds.raters)]
+        return [(r,) for r in range(len(ds.rater_axis))]
     symbols = set()
-    for bucket in _sorted_buckets(ds):
-        symbols.update(_bucket_alphabet(ds, bucket, ratings_per_item))
+    for b in range(len(ds.bucket_axis)):
+        symbols.update(_bucket_alphabet(ds, b, ratings_per_item))
     return sorted(symbols)
 
 
 def assign_entropy_target(
     ds: RatingDataset,
-    doc_subset: Iterable[str],
+    docs: Sequence[int],
     target: float,
     tolerance: float = 0.03,
     rng=None,
@@ -218,7 +208,8 @@ def assign_entropy_target(
     grouping: Grouping = Grouping.PSXS,
     ratings_per_item: int = 1,
 ) -> AssignmentPlan:
-    """Entropy-targeted assignment.
+    """Entropy-targeted assignment of the documents at the ascending
+    ``doc_axis`` positions ``docs``.
 
     Each attempt starts from a uniform-random eligible assignment, then visits
     the units once in random order, greedily re-assigning each to the eligible
@@ -234,32 +225,27 @@ def assign_entropy_target(
         raise ValueError("system-balanced grouping is only defined with full balancing")
     symbols = _entropy_pool(ds, ratings_per_item)
     pool_size = len(symbols)
+    if pool_size < 2:  # the entropy is normalized by log(pool_size)
+        raise TargetUnreachable(
+            f"entropy target {target} needs a pool of at least 2 raters; the pool has {pool_size}"
+        )
     symbol_pos = {s: i for i, s in enumerate(symbols)}
-    docs = _study_docs(ds, doc_subset)
+    docs = np.asarray(docs, dtype=np.intp)
     psxs = grouping is Grouping.PSXS
     n_systems = len(ds.system_axis)
     weight = n_systems if psxs else 1  # items per unit
-    doc_buckets = [ds.bucket_of(ds.doc_axis[d]) for d in docs]
-    bucket_docs = Counter(bucket.bucket_id for bucket in doc_buckets)
-    alphabets = {
-        bucket.bucket_id: tuple(_bucket_alphabet(ds, bucket, ratings_per_item))
-        for bucket in _sorted_buckets(ds)
-        if bucket.bucket_id in bucket_docs
-    }
-    eligible = []  # per unit: the symbol indices of its bucket's alphabet
-    for bucket in doc_buckets:
-        candidates = [symbol_pos[a] for a in alphabets[bucket.bucket_id]]
-        eligible += [candidates] * (1 if psxs else n_systems)
+    # The study's buckets, each study document's index into them, and their sizes.
+    buckets, study_bucket, bucket_docs = np.unique(
+        ds.doc_bucket[docs], return_inverse=True, return_counts=True
+    )
+    alphabets = [tuple(_bucket_alphabet(ds, b, ratings_per_item)) for b in buckets.tolist()]
+    candidates = [[symbol_pos[a] for a in alphabet] for alphabet in alphabets]
+    # Per unit: the symbol indices of its bucket's alphabet.
+    eligible = [candidates[b] for b in np.repeat(study_bucket, 1 if psxs else n_systems).tolist()]
     n_units = len(eligible)
-    sizes = np.array([len(candidates) for candidates in eligible], dtype=np.int64)
+    sizes = np.array([len(c) for c in eligible], dtype=np.int64)
 
     log_pool = float(np.log(pool_size))
-
-    def entropy(counts: np.ndarray) -> float:
-        total = counts.sum()
-        p = counts[counts > 0] / total
-        return float(-(p * np.log(p)).sum() / log_pool)
-
     # c log c of a symbol's item count c, by its unit count n (c = n * weight).
     xlogx = [0.0] + [c * math.log(c) for c in (float(n * weight) for n in range(1, n_units + 1))]
     # The total never changes, so a candidate's entropy is
@@ -269,29 +255,27 @@ def assign_entropy_target(
     log_total = math.log(total)
     for attempt in range(max_retries):
         # One bounded draw per unit, as ``rng.integers(len(candidates))`` in a loop.
-        picks = [
-            candidates[k] for candidates, k in zip(eligible, rng.integers(0, sizes).tolist())
-        ]
+        picks = [c[k] for c, k in zip(eligible, rng.integers(0, sizes).tolist())]
         units = np.bincount(picks, minlength=pool_size).tolist()
         s = sum(xlogx[n] for n in units)
         for u in rng.permutation(n_units).tolist():
             old = units[picks[u]]
             s += xlogx[old - 1] - xlogx[old]
             units[picks[u]] = old - 1
-            candidates = eligible[u]
+            choices = eligible[u]
             gaps = [
                 abs((log_total - (s - xlogx[units[c]] + xlogx[units[c] + 1]) / total) / log_pool
                     - target)
-                for c in candidates
+                for c in choices
             ]
             least = min(gaps) + 1e-12
             best = [k for k, gap in enumerate(gaps) if gap <= least]
             # ``integers(1)`` draws nothing, so a lone best candidate needs no draw.
-            picks[u] = candidates[best[rng.integers(len(best))] if len(best) > 1 else best[0]]
+            picks[u] = choices[best[rng.integers(len(best))] if len(best) > 1 else best[0]]
             new = units[picks[u]]
             s += xlogx[new + 1] - xlogx[new]
             units[picks[u]] = new + 1
-        if abs(entropy(np.array(units) * float(weight)) - target) <= tolerance:
+        if abs(normalized_entropy(units, pool_size) - target) <= tolerance:
             rows = np.array(symbols)[picks]  # each unit's raters
             if psxs:
                 raters = np.repeat(rows[None], n_systems, axis=0)
@@ -305,9 +289,8 @@ def assign_entropy_target(
             return plan
         # No attempt can end below the layout's least entropy (less a float
         # margin), so a target below it fails now rather than after every attempt.
-        if attempt == 0 and pool_size > 1:
-            layout = tuple((bucket_docs[b], alphabet) for b, alphabet in alphabets.items())
-            least = _least_entropy(layout, pool_size)
+        if attempt == 0:
+            least = _least_entropy(tuple(zip(bucket_docs.tolist(), alphabets)), pool_size)
             if target + tolerance < least - 1e-9:
                 raise TargetUnreachable(
                     f"no assignment within {tolerance} of entropy target {target}: "
@@ -363,7 +346,7 @@ def min_instantiable_entropy(
 
 def build_plan(
     ds: RatingDataset,
-    doc_subset: Iterable[str],
+    docs: Sequence[int],
     grouping: Grouping,
     balancing: LoadBalancing,
     ratings_per_item: int,
@@ -371,10 +354,10 @@ def build_plan(
 ) -> AssignmentPlan:
     """Dispatch to the procedure implied by (grouping, balancing)."""
     if balancing.target is None:
-        return assign_balanced(ds, doc_subset, grouping, rng, ratings_per_item)
+        return assign_balanced(ds, docs, grouping, rng, ratings_per_item)
     return assign_entropy_target(
         ds,
-        doc_subset,
+        docs,
         balancing.target,
         tolerance=balancing.tolerance,
         rng=rng,

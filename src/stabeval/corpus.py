@@ -134,8 +134,9 @@ class RatingDataset:
     ``doc_axis`` and ``rater_axis``.  Unrated cells are NaN, and so are the
     error counts of score-only ratings.  Ratings are numbered in the
     (doc, seg, system, rater) order of the rated cells, which is how
-    ``annotations`` refers to them.  ``eligible`` is the (doc, rater) bucket
-    membership matrix.
+    ``annotations`` refers to them.  ``bucket_axis``, ``bucket_raters`` and
+    ``doc_bucket`` give the bucket layout in positions, and ``eligible`` is
+    the (doc, rater) bucket membership matrix.
     """
 
     language_pair: str
@@ -154,22 +155,28 @@ class RatingDataset:
         self.system_pos = {s: i for i, s in enumerate(self.system_axis)}
         self.doc_pos = {d: i for i, d in enumerate(self.doc_axis)}
         self.rater_pos = {r: i for i, r in enumerate(self.rater_axis)}
-        # eligible[d, r]: rater r belongs to document d's bucket.
-        self._doc_bucket = {}
-        self.eligible = np.zeros((len(self.doc_axis), len(self.rater_axis)), dtype=bool)
-        for bucket in self.buckets:
-            for doc in bucket.doc_ids:
-                self._doc_bucket[doc] = bucket
-            docs = [self.doc_pos[d] for d in bucket.doc_ids if d in self.doc_pos]
-            self.eligible[np.ix_(docs, [self.rater_pos[r] for r in bucket.rater_ids])] = True
+        # The bucket layout in positions: bucket b is bucket_axis[b], with the
+        # ascending rater positions bucket_raters[b]; doc_bucket[d] is document
+        # d's bucket, -1 for a document in none (which ``validate`` rejects).
+        self.bucket_axis = tuple(sorted(self.buckets, key=lambda b: b.bucket_id))
+        self.bucket_raters = tuple(
+            np.array(sorted(self.rater_pos[r] for r in b.rater_ids), dtype=np.intp)
+            for b in self.bucket_axis
+        )
+        self.doc_bucket = np.full(len(self.doc_axis), -1, dtype=np.intp)
+        for b, bucket in enumerate(self.bucket_axis):
+            self.doc_bucket[[self.doc_pos[d] for d in bucket.doc_ids if d in self.doc_pos]] = b
+        # eligible[d, r]: rater r belongs to document d's bucket.  The extra
+        # last row of ``member`` is the empty bucket that -1 picks.
+        member = np.zeros((len(self.bucket_axis) + 1, len(self.rater_axis)), dtype=bool)
+        for b, raters in enumerate(self.bucket_raters):
+            member[b, raters] = True
+        self.eligible = member[self.doc_bucket]
         self.seg_counts = np.array([self.documents[d] for d in self.doc_axis], dtype=np.intp)
         n_segs = self.seg_counts.max(initial=0)
         shape = (len(self.system_axis), len(self.doc_axis), n_segs, len(self.rater_axis))
         if not self.scores.shape == self.n_errors.shape == shape:
             raise ValueError(f"rating arrays of shape {self.scores.shape} do not fit axes {shape}")
-
-    def bucket_of(self, doc_id: str) -> Bucket:
-        return self._doc_bucket[doc_id]
 
     def validate(self) -> None:
         """Enforce the structural invariants; raise a CorpusError on violation."""
@@ -220,16 +227,23 @@ class RatingDataset:
 
 def read_config(path, case_sensitive: bool = False, **options) -> dict[str, dict[str, str]]:
     """Read a sectioned key-value config file into {section: {key: value}},
-    ``DEFAULT`` included; a syntax or encoding error becomes a ConfigError."""
+    ``DEFAULT`` included.  Each section holds only the keys it sets itself, so
+    the caller decides what ``DEFAULT`` supplies; a syntax or encoding error
+    becomes a ConfigError."""
     parser = configparser.ConfigParser(**options)
     if case_sensitive:
         parser.optionxform = str
     with open(path, encoding="utf-8") as handle:
         try:
             parser.read_file(handle)
-            return {name: dict(parser.items(name)) for name in ["DEFAULT", *parser.sections()]}
+            # Read with [DEFAULT] in place, which interpolation may refer to.
+            merged = {name: dict(parser.items(name)) for name in ["DEFAULT", *parser.sections()]}
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
+    parser[parser.default_section].clear()  # leaves each section's options its own keys
+    for name in parser.sections():
+        merged[name] = {key: merged[name][key] for key in parser.options(name)}
+    return merged
 
 
 @dataclass
@@ -250,7 +264,7 @@ class ColumnMapping:
     @classmethod
     def from_file(cls, path) -> "ColumnMapping":
         sections = read_config(path, case_sensitive=True)  # column names are case-sensitive
-        return cls(sections.get("columns", sections["DEFAULT"]))
+        return cls({**sections["DEFAULT"], **sections.get("columns", {})})
 
     def resolve(self, header: Sequence[str]) -> dict[str, int]:
         """Return canonical name -> column index for the columns present."""
@@ -589,8 +603,8 @@ def stats(ds: RatingDataset) -> DatasetStats:
 def bucket_layout(ds: RatingDataset) -> list[tuple[str, tuple[str, ...], int]]:
     """One (bucket_id, sorted rater ids, document count) entry per bucket."""
     return [
-        (b.bucket_id, tuple(sorted(b.rater_ids)), len(b.doc_ids))
-        for b in sorted(ds.buckets, key=lambda b: b.bucket_id)
+        (b.bucket_id, tuple(ds.rater_axis[r] for r in raters.tolist()), len(b.doc_ids))
+        for b, raters in zip(ds.bucket_axis, ds.bucket_raters)
     ]
 
 
@@ -599,7 +613,10 @@ def export_tsv(ds: RatingDataset) -> str:
     by_key = (1, 2, 0, 3)  # (doc, seg, system, rater): rating order
     rated = ~np.isnan(ds.scores.transpose(by_key))
     doc, seg, system, rater = (cells.tolist() for cells in np.nonzero(rated))
-    doc_heads = [f"{ds.language_pair}\t{ds.bucket_of(d).bucket_id}\t{d}\t" for d in ds.doc_axis]
+    doc_heads = [
+        f"{ds.language_pair}\t{ds.bucket_axis[b].bucket_id}\t{d}\t"
+        for d, b in zip(ds.doc_axis, ds.doc_bucket.tolist())
+    ]
     heads = [
         f"{doc_heads[d]}{k}\t{ds.system_axis[s]}\t{ds.rater_axis[r]}\t"
         for d, k, s, r in zip(doc, seg, system, rater)

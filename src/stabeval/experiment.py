@@ -83,8 +83,7 @@ class StudyConfig:
 
 @dataclass
 class SimulatedStudy:
-    doc_subset: frozenset[str]
-    plan: AssignmentPlan
+    plan: AssignmentPlan  # its ``docs`` are the study's documents
     scored: ScoredStudy  # post-normalization
 
 
@@ -127,25 +126,22 @@ def simulate_study(
     ds: RatingDataset,
     config: StudyConfig,
     seed,
-    doc_subset: Optional[frozenset[str]] = None,
+    docs: Optional[tuple[int, ...]] = None,
 ) -> tuple[SimulatedStudy, SignificanceMatrix]:
     """Sample one study and rank its systems with significance testing.
 
-    ``seed`` may be anything accepted by numpy's default_rng.  When
-    ``doc_subset`` is given (fixed-document-set mode), subsampling is skipped.
+    ``seed`` may be anything accepted by numpy's default_rng.  When ``docs``
+    is given (fixed-document-set mode: ascending ``doc_axis`` positions, as
+    ``subsample_documents`` returns them), subsampling is skipped.
     """
     rng = np.random.default_rng(seed)
-    if doc_subset is None:
+    if docs is None:
         _check_pool_size(ds, config)
-        doc_subset = subsample_documents(ds, config.effective_documents, rng)
-    plan = build_plan(
-        ds, doc_subset, config.grouping, config.balancing, config.ratings_per_item, rng
-    )
+        docs = subsample_documents(ds, config.effective_documents, rng)
+    plan = build_plan(ds, docs, config.grouping, config.balancing, config.ratings_per_item, rng)
     scored = normalize(select_ratings(ds, plan), config.normalization)
-    matrix = significance_matrix(
-        scored, config.alpha, config.n_permutations, rng, doc_set=doc_subset
-    )
-    return SimulatedStudy(doc_subset, plan, scored), matrix
+    matrix = significance_matrix(scored, config.alpha, config.n_permutations, rng, doc_set=docs)
+    return SimulatedStudy(plan, scored), matrix
 
 
 @dataclass
@@ -227,8 +223,8 @@ def _init_worker(ds: RatingDataset) -> None:
     _WORKER_DS = ds
 
 
-def _rank(ds: RatingDataset, config: StudyConfig, seed_key, doc_subset) -> SignificanceMatrix:
-    return simulate_study(ds, config, np.random.SeedSequence(seed_key), doc_subset)[1]
+def _rank(ds: RatingDataset, config: StudyConfig, seed_key, docs) -> SignificanceMatrix:
+    return simulate_study(ds, config, np.random.SeedSequence(seed_key), docs)[1]
 
 
 def _run_one(task) -> SignificanceMatrix:
@@ -484,20 +480,21 @@ def _study_fields(section: str, values: dict) -> dict:
 
 
 def load_sweep_config(path) -> tuple[list[StudyConfig], Optional[list[int]]]:
-    """Parse a sweep config: a [sweep] section with shared defaults and the
-    document-count grid, plus one [study:NAME] section per methodology."""
+    """Parse a sweep config: [DEFAULT] and then [sweep] set shared study keys
+    and the document-count grid, and one [study:NAME] section per methodology
+    overrides them with the keys it sets itself."""
     sections = read_config(path)
-    where = "sweep" if "sweep" in sections else "DEFAULT"
-    shared = dict(sections[where])
-    grid = None
-    if "doc_counts" in shared:
-        try:
-            grid = [int(x) for x in shared.pop("doc_counts").split()]
-        except ValueError:
-            raise ConfigError("invalid doc_counts list") from None
-        if not grid:
-            raise ConfigError("doc_counts is empty")
-    shared = _study_fields(where, shared)
+    shared, grid = {}, None
+    for where in ("DEFAULT", "sweep"):
+        values = dict(sections.get(where, {}))
+        if "doc_counts" in values:
+            try:
+                grid = [int(x) for x in values.pop("doc_counts").split()]
+            except ValueError:
+                raise ConfigError("invalid doc_counts list") from None
+            if not grid:
+                raise ConfigError("doc_counts is empty")
+        shared.update(_study_fields(where, values))
     configs = []
     for name, section in sections.items():
         if name in ("DEFAULT", "sweep"):
@@ -507,10 +504,7 @@ def load_sweep_config(path) -> tuple[list[StudyConfig], Optional[list[int]]]:
             raise ConfigError(
                 f"unknown section [{name}]: expected [sweep], [study] or [study:NAME]"
             )
-        # [DEFAULT] entries reach every section, its doc_counts too: that is the grid.
-        own = {k: v for k, v in section.items()
-               if k != "doc_counts" or k not in sections["DEFAULT"]}
-        cfg = {**shared, **_study_fields(name, own)}
+        cfg = {**shared, **_study_fields(name, section)}
         balancing = LoadBalancing(**{k: cfg.pop(k) for k in ("target", "tolerance") if k in cfg})
         configs.append(StudyConfig(balancing=balancing, label=label if colon else kind, **cfg))
     if not configs:
@@ -535,7 +529,7 @@ def load_generator_spec(path) -> GeneratorSpec:
         raise ConfigError(f"unknown section [{extra[0]}]: expected [generator]")
     spec_fields = {f.name: f for f in fields(GeneratorSpec)}
     spec = {}
-    for key, value in sections["generator"].items():
+    for key, value in {**sections["DEFAULT"], **sections["generator"]}.items():
         if key not in spec_fields:
             raise ConfigError(f"unknown key {key!r} in [generator]")
         kind = type(spec_fields[key].default)

@@ -73,7 +73,7 @@ class WeightTable:
         # Keys are case-sensitive 'severity:prefix' pairs, so only '=' ends a key.
         sections = read_config(path, case_sensitive=True, delimiters=("=",))
         entries = []
-        for key, value in sections.get("weights", sections["DEFAULT"]).items():
+        for key, value in {**sections["DEFAULT"], **sections.get("weights", {})}.items():
             severity, _, prefix = key.partition(":")
             severity = severity.strip()
             try:

@@ -3,6 +3,7 @@ significant-ranking-preservation, workload entropy, and rater agreement."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -36,7 +37,7 @@ class SignificanceMatrix:
     better: np.ndarray
     alpha: float
     n_permutations: int
-    doc_set: Optional[frozenset] = None
+    doc_set: Optional[tuple] = None  # the study's documents; ``same_documents`` groups by it
 
     def __post_init__(self):
         n = len(self.systems)
@@ -175,7 +176,7 @@ def _pair_blocks(n_pairs: int, pair_size: int) -> list[slice]:
 
 
 def significance_matrix(
-    study: ScoredStudy, alpha: float, n_perm: int, rng, doc_set: Optional[frozenset] = None
+    study: ScoredStudy, alpha: float, n_perm: int, rng, doc_set: Optional[tuple] = None
 ) -> SignificanceMatrix:
     """Run the grouped permutation test for every system pair of a study.
 
@@ -229,7 +230,7 @@ def significance_matrix(
     sig[first, second], sig[second, first] = lower & reached, higher & reached
     return SignificanceMatrix(
         study.systems, means, sig, better, alpha, n_perm,
-        doc_set if doc_set is not None else frozenset(study.docs),
+        doc_set if doc_set is not None else tuple(study.docs),
     )
 
 
@@ -264,7 +265,7 @@ def srp(
     broken = np.stack([~m.better.ravel() for m in aligned])
     admitted = ~np.eye(len(studies), dtype=bool)
     if pair_filter is same_documents:
-        groups: dict[frozenset, int] = {}
+        groups: dict[tuple, int] = {}
         group = np.array(
             [-1 if m.doc_set is None else groups.setdefault(m.doc_set, len(groups)) for m in studies]
         )
@@ -348,44 +349,41 @@ def rater_agreement(ds: RatingDataset, granularity: str) -> AgreementReport:
     """
     if granularity not in ("single_document", "all_shared"):
         raise ValueError(f"unknown granularity {granularity!r}")
-    raters = sorted(ds.raters)
     # Per-(system, doc, rater) score sums, accumulated in segment order.
     sums, counts = ordered_sums(ds.scores, axis=2)
 
-    shared_docs: dict[tuple[str, str], list[int]] = {}
-    for bucket in ds.buckets:
-        bucket_raters = sorted(bucket.rater_ids)
-        for i, r1 in enumerate(bucket_raters):
-            for r2 in bucket_raters[i + 1 :]:
-                shared_docs.setdefault((r1, r2), []).extend(
-                    ds.doc_pos[d] for d in sorted(bucket.doc_ids)
-                )
+    # Each rater pair's shared document positions, bucket by bucket.
+    shared_docs: dict[tuple[int, int], list[int]] = {}
+    for b, bucket_raters in enumerate(ds.bucket_raters):
+        docs = np.flatnonzero(ds.doc_bucket == b).tolist()
+        for pair in itertools.combinations(bucket_raters.tolist(), 2):
+            shared_docs.setdefault(pair, []).extend(docs)
 
     per_pair: dict[tuple[str, str], float] = {}
     skipped: list[tuple[str, str]] = []
-    for i, r1 in enumerate(raters):
-        for r2 in raters[i + 1 :]:
-            docs = shared_docs.get((r1, r2), [])
-            if not docs:
-                skipped.append((r1, r2))
-                continue
-            pair = [ds.rater_pos[r1], ds.rater_pos[r2]]
-            if granularity == "single_document":
-                taus = []
-                for d in docs:
-                    means = sums[:, d, pair] / counts[:, d, pair]
-                    tau = kendalltau(means[:, 0], means[:, 1]).statistic
-                    if not np.isnan(tau):
-                        taus.append(tau)
-                per_pair[(r1, r2)] = float(np.mean(taus)) if taus else float("nan")
-            else:
-                total = np.zeros((len(ds.system_axis), 2))
-                n = np.zeros((len(ds.system_axis), 2))
-                for d in docs:
-                    total += sums[:, d, pair]
-                    n += counts[:, d, pair]
-                means = total / n
-                per_pair[(r1, r2)] = float(kendalltau(means[:, 0], means[:, 1]).statistic)
+    for r1, r2 in itertools.combinations(range(len(ds.rater_axis)), 2):
+        ids = (ds.rater_axis[r1], ds.rater_axis[r2])
+        docs = shared_docs.get((r1, r2), [])
+        if not docs:
+            skipped.append(ids)
+            continue
+        pair = [r1, r2]
+        if granularity == "single_document":
+            taus = []
+            for d in docs:
+                means = sums[:, d, pair] / counts[:, d, pair]
+                tau = kendalltau(means[:, 0], means[:, 1]).statistic
+                if not np.isnan(tau):
+                    taus.append(tau)
+            per_pair[ids] = float(np.mean(taus)) if taus else float("nan")
+        else:
+            total = np.zeros((len(ds.system_axis), 2))
+            n = np.zeros((len(ds.system_axis), 2))
+            for d in docs:
+                total += sums[:, d, pair]
+                n += counts[:, d, pair]
+            means = total / n
+            per_pair[ids] = float(kendalltau(means[:, 0], means[:, 1]).statistic)
     values = [v for v in per_pair.values() if not np.isnan(v)]
     grand = float(np.mean(values)) if values else float("nan")
     return AgreementReport(per_pair, grand, skipped)

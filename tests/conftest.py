@@ -198,6 +198,17 @@ def make_layout_dataset(
     return ds
 
 
+def all_docs(ds):
+    """Every document's ``doc_axis`` position, as ``subsample_documents``
+    returns the documents of a study that takes the whole pool."""
+    return tuple(range(len(ds.doc_axis)))
+
+
+def bucket_of(ds, doc_id):
+    """The bucket in ``ds.buckets`` that lists the document."""
+    return next(bucket for bucket in ds.buckets if doc_id in bucket.doc_ids)
+
+
 def plan_items(plan, ds):
     """Yield (doc_id, system_id, frozenset of rater ids) per item of a plan,
     system-major."""

@@ -21,7 +21,14 @@ from stabeval.errors import (
 )
 from stabeval.stats import normalized_entropy
 
-from conftest import DISJOINT_LAYOUT, ROTATION_LAYOUT, make_layout_dataset, plan_items
+from conftest import (
+    DISJOINT_LAYOUT,
+    ROTATION_LAYOUT,
+    all_docs,
+    bucket_of,
+    make_layout_dataset,
+    plan_items,
+)
 
 
 def doc_counts(plan, ds):
@@ -46,17 +53,17 @@ def full_workload(plan, ds):
 class TestPsxsBalanced:
     def test_divisible_bucket(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=3)
-        plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng)
+        plan = assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng)
         assert sorted(doc_counts(plan, ds).values()) == [2, 2, 2]
 
     def test_pigeonhole_bucket(self, rng):
         ds = make_layout_dataset([7], [("r1", "r2", "r3")], n_systems=2)
-        plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng)
+        plan = assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng)
         assert sorted(doc_counts(plan, ds).values()) == [2, 2, 3]
 
     def test_document_grouping_invariant(self, rng):
         ds = make_layout_dataset([5, 5], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=4)
-        plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng)
+        plan = assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng)
         by_doc = {}
         for doc, _sys, raters in plan_items(plan, ds):
             by_doc.setdefault(doc, set()).add(raters)
@@ -64,7 +71,7 @@ class TestPsxsBalanced:
 
     def test_rotation_layout_near_uniform_entropy(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
-        plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng)
+        plan = assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng)
         entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
         assert entropy >= 0.99
 
@@ -72,7 +79,7 @@ class TestPsxsBalanced:
 class TestSystemBalanced:
     def test_divisible_counts(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=3)
-        plan = assign_balanced(ds, ds.documents, Grouping.SYSTEM_BALANCED, rng)
+        plan = assign_balanced(ds, all_docs(ds), Grouping.SYSTEM_BALANCED, rng)
         per_rater_system = Counter(
             (r, sys) for _doc, sys, raters in plan_items(plan, ds) for r in raters
         )
@@ -80,7 +87,7 @@ class TestSystemBalanced:
 
     def test_spread_bound_on_uneven_layout(self, rng):
         ds = make_layout_dataset([7, 4], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=5)
-        plan = assign_balanced(ds, ds.documents, Grouping.SYSTEM_BALANCED, rng)
+        plan = assign_balanced(ds, all_docs(ds), Grouping.SYSTEM_BALANCED, rng)
         for bucket in ds.buckets:
             for system in ds.systems:
                 counts = Counter()
@@ -96,7 +103,7 @@ class TestSystemBalanced:
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=4)
         split_seen = False
         for seed in range(10):
-            plan = assign_balanced(ds, ds.documents, Grouping.SYSTEM_BALANCED, np.random.default_rng(seed))
+            plan = assign_balanced(ds, all_docs(ds), Grouping.SYSTEM_BALANCED, np.random.default_rng(seed))
             assignments = {(doc, sys): raters for doc, sys, raters in plan_items(plan, ds)}
             for doc in ds.documents:
                 raters = {assignments[(doc, s)] for s in sorted(ds.systems)}
@@ -108,7 +115,7 @@ class TestSystemBalanced:
 class TestNoGrouping:
     def test_item_pigeonhole(self, rng):
         ds = make_layout_dataset([1], [("r1", "r2", "r3")], n_systems=4)
-        plan = assign_balanced(ds, ds.documents, Grouping.NO_GROUPING, rng)
+        plan = assign_balanced(ds, all_docs(ds), Grouping.NO_GROUPING, rng)
         assert sorted(plan.workload().values()) == [1, 1, 2]
 
     def test_breaks_document_grouping(self):
@@ -116,7 +123,7 @@ class TestNoGrouping:
         split_seen = False
         for seed in range(10):
             plan = assign_balanced(
-                ds, ds.documents, Grouping.NO_GROUPING, np.random.default_rng(seed)
+                ds, all_docs(ds), Grouping.NO_GROUPING, np.random.default_rng(seed)
             )
             if len({raters for _doc, _sys, raters in plan_items(plan, ds)}) > 1:
                 split_seen = True
@@ -125,7 +132,7 @@ class TestNoGrouping:
     def test_entropy_zero_single_bucket(self, rng):
         ds = make_layout_dataset([4], [("r1", "r2", "r3")], n_systems=3)
         plan = build_plan(
-            ds, ds.documents, Grouping.NO_GROUPING, LoadBalancing(0.0), 1, rng
+            ds, all_docs(ds), Grouping.NO_GROUPING, LoadBalancing(0.0), 1, rng
         )
         assert len({r for _doc, _sys, raters in plan_items(plan, ds) for r in raters}) == 1
 
@@ -133,26 +140,26 @@ class TestNoGrouping:
 class TestEntropyTarget:
     def test_target_one_drives_uniform(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
-        plan = assign_entropy_target(ds, ds.documents, 1.0, rng=rng, max_retries=50)
+        plan = assign_entropy_target(ds, all_docs(ds), 1.0, rng=rng, max_retries=50)
         entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
         assert entropy >= 0.97
 
     def test_ende_minimum_achievable(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
-        plan = assign_entropy_target(ds, ds.documents, 0.51, rng=rng, max_retries=200)
+        plan = assign_entropy_target(ds, all_docs(ds), 0.51, rng=rng, max_retries=200)
         entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
         assert abs(entropy - 0.51) <= 0.03
 
     def test_enzh_minimum_achievable(self, rng):
         ds = make_layout_dataset(*DISJOINT_LAYOUT)
-        plan = assign_entropy_target(ds, ds.documents, 0.38, rng=rng, max_retries=200)
+        plan = assign_entropy_target(ds, all_docs(ds), 0.38, rng=rng, max_retries=200)
         entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
         assert abs(entropy - 0.38) <= 0.03
 
     def test_below_minimum_unreachable(self, rng):
         ds = make_layout_dataset(*DISJOINT_LAYOUT)
         with pytest.raises(TargetUnreachable):
-            assign_entropy_target(ds, ds.documents, 0.30, rng=rng, max_retries=15)
+            assign_entropy_target(ds, all_docs(ds), 0.30, rng=rng, max_retries=15)
 
     @pytest.mark.parametrize("grouping", [Grouping.PSXS, Grouping.NO_GROUPING])
     @pytest.mark.parametrize("ratings_per_item", [1, 2])
@@ -174,7 +181,7 @@ class TestEntropyTarget:
     def test_intermediate_targets_within_tolerance(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
         for target in (0.6, 0.8):
-            plan = assign_entropy_target(ds, ds.documents, target, rng=rng, max_retries=50)
+            plan = assign_entropy_target(ds, all_docs(ds), target, rng=rng, max_retries=50)
             entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
             assert abs(entropy - target) <= 0.03
 
@@ -195,7 +202,7 @@ class TestEntropyTarget:
             [2] * n_buckets, [(f"a{i}", f"b{i}", f"c{i}") for i in range(n_buckets)]
         )
         with pytest.raises(TargetUnreachable, match="after 2 attempts"):
-            assign_entropy_target(ds, ds.documents, 0.0, tolerance=0.0,
+            assign_entropy_target(ds, all_docs(ds), 0.0, tolerance=0.0,
                                   rng=np.random.default_rng(0), max_retries=2)
         assert calls == ([n_buckets] if brute_forced else [])
         assignment._least_entropy.cache_clear()
@@ -213,32 +220,32 @@ class TestMinInstantiableEntropy:
 class TestPairAssignment:
     def test_pair_round_robin(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=2)
-        plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng, ratings_per_item=2)
+        plan = assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng, ratings_per_item=2)
         assert all(len(raters) == 2 for _doc, _sys, raters in plan_items(plan, ds))
         assert sorted(pair_workload(plan, ds).values()) == [4, 4, 4]  # 2 docs x 2 systems
         assert sorted(doc_counts(plan, ds).values()) == [4, 4, 4]  # each rater in 2 of 3 pairs
 
     def test_pair_entropy_over_pair_workload(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=2)
-        plan = assign_balanced(ds, ds.documents, Grouping.PSXS, rng, ratings_per_item=2)
+        plan = assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng, ratings_per_item=2)
         assert normalized_entropy(pair_workload(plan, ds), 3) == pytest.approx(1.0)
 
     def test_wrong_arity_rejected(self, rng):
         ds = make_layout_dataset([4], [("r1", "r2")], n_systems=2)
         with pytest.raises(BucketArityUnsupported):
-            assign_balanced(ds, ds.documents, Grouping.PSXS, rng, ratings_per_item=2)
+            assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng, ratings_per_item=2)
 
 
 class TestSubsampleDocuments:
     def test_identity_subset(self, rng):
         ds = make_layout_dataset([3, 4], [("r1", "r2", "r3"), ("r4", "r5", "r6")])
-        assert subsample_documents(ds, 7, rng) == frozenset(ds.documents)
+        assert subsample_documents(ds, 7, rng) == all_docs(ds)
 
     def test_even_quota(self, rng):
         sizes = [4] * 7
         raters = [(f"a{i}", f"b{i}", f"c{i}") for i in range(7)]
         ds = make_layout_dataset(sizes, raters)
-        subset = subsample_documents(ds, 14, rng)
+        subset = {ds.doc_axis[d] for d in subsample_documents(ds, 14, rng)}
         for bucket in ds.buckets:
             assert len(bucket.doc_ids & subset) == 2
 
@@ -246,7 +253,7 @@ class TestSubsampleDocuments:
         sizes = [4] * 7
         raters = [(f"a{i}", f"b{i}", f"c{i}") for i in range(7)]
         ds = make_layout_dataset(sizes, raters)
-        subset = subsample_documents(ds, 15, rng)
+        subset = {ds.doc_axis[d] for d in subsample_documents(ds, 15, rng)}
         counts = sorted(len(b.doc_ids & subset) for b in ds.buckets)
         assert counts == [2, 2, 2, 2, 2, 2, 3]
 
@@ -266,12 +273,12 @@ class TestSubsampleDocuments:
         # Base quota 25: the remainder of 6 fits only the six 26-document buckets.
         ds = make_layout_dataset(*ROTATION_LAYOUT)
         rng = np.random.default_rng(seed)
-        assert subsample_documents(ds, 181, rng) == frozenset(ds.documents)
+        assert subsample_documents(ds, 181, rng) == all_docs(ds)
 
 
 def subsample_documents_before_cap(ds, n_target, rng):
     """``subsample_documents`` as it drew before the remainder was confined to
-    buckets with a document to spare."""
+    buckets with a document to spare; returns their positions."""
     buckets = sorted(ds.buckets, key=lambda b: b.bucket_id)
     base, remainder = divmod(n_target, len(buckets))
     extra = set(rng.choice(len(buckets), size=remainder, replace=False).tolist())
@@ -283,7 +290,7 @@ def subsample_documents_before_cap(ds, n_target, rng):
             raise QuotaExceedsBucket(f"bucket {bucket.bucket_id} has {len(docs)} documents")
         picks = rng.choice(len(docs), size=quota, replace=False)
         chosen.update(docs[p] for p in picks)
-    return frozenset(chosen)
+    return tuple(sorted(ds.doc_pos[d] for d in chosen))
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,19 +325,19 @@ class TestBuildPlan:
     @pytest.mark.parametrize("grouping", list(Grouping))
     def test_eligibility_invariant(self, grouping, rng):
         ds = make_layout_dataset([4, 5], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=3)
-        plan = build_plan(ds, ds.documents, grouping, LoadBalancing(), 1, rng)
+        plan = build_plan(ds, all_docs(ds), grouping, LoadBalancing(), 1, rng)
         for doc, _sys, raters in plan_items(plan, ds):
-            assert raters <= ds.bucket_of(doc).rater_ids
+            assert raters <= bucket_of(ds, doc).rater_ids
 
     def test_seed_determinism(self):
         ds = make_layout_dataset([5, 5], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=3)
         for grouping in Grouping:
             p1 = build_plan(
-                ds, ds.documents, grouping, LoadBalancing(), 1,
+                ds, all_docs(ds), grouping, LoadBalancing(), 1,
                 np.random.default_rng(11),
             )
             p2 = build_plan(
-                ds, ds.documents, grouping, LoadBalancing(), 1,
+                ds, all_docs(ds), grouping, LoadBalancing(), 1,
                 np.random.default_rng(11),
             )
             assert np.array_equal(p1.docs, p2.docs)
@@ -340,14 +347,14 @@ class TestBuildPlan:
         ds = make_layout_dataset([4], [("r1", "r2", "r3")])
         with pytest.raises(ValueError):
             build_plan(
-                ds, ds.documents, Grouping.SYSTEM_BALANCED,
+                ds, all_docs(ds), Grouping.SYSTEM_BALANCED,
                 LoadBalancing(0.5), 1, rng,
             )
 
     def test_fully_balanced_near_max_entropy(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT, n_systems=3)
         plan = build_plan(
-            ds, ds.documents, Grouping.PSXS, LoadBalancing(), 1, rng
+            ds, all_docs(ds), Grouping.PSXS, LoadBalancing(), 1, rng
         )
         entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
         assert entropy >= 1.0 - 0.01
@@ -357,7 +364,7 @@ class TestPlanValidate:
     def plan(self, grouping, ratings_per_item=1):
         ds = make_layout_dataset([3, 3], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=2)
         rng = np.random.default_rng(0)
-        return ds, assign_balanced(ds, ds.documents, grouping, rng, ratings_per_item)
+        return ds, assign_balanced(ds, all_docs(ds), grouping, rng, ratings_per_item)
 
     def test_ineligible_rater(self):
         ds, plan = self.plan(Grouping.PSXS)
@@ -377,6 +384,12 @@ class TestPlanValidate:
         plan.raters[item] = plan.raters[item][::-1].copy()
         with pytest.raises(ValueError, match="in ascending slots"):
             plan.validate(ds)
+
+    @pytest.mark.parametrize("docs", [(1, 0, 2), (0, 0, 1)])
+    def test_documents_not_distinct_ascending(self, docs):
+        ds = make_layout_dataset([3, 3], [("r1", "r2", "r3"), ("r4", "r5", "r6")])
+        with pytest.raises(ValueError, match="not distinct ascending positions"):
+            assign_balanced(ds, docs, Grouping.PSXS, np.random.default_rng(0))
 
     def test_psxs_violation(self):
         ds, plan = self.plan(Grouping.PSXS)

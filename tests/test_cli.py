@@ -442,16 +442,18 @@ def test_gen_non_finite_scores_exit_code(tmp_path, extra):
          "double-rating requires buckets of exactly 3 raters"),
         # Four documents over two buckets give each a base quota of 2.
         ("uneven_buckets", "", "bucket b1 has 1 documents, quota is 2"),
+        # The entropy of a one-rater pool is normalized by log(1) = 0.
+        ("one_rater", "load_balancing = entropy_target:0.5\n", "the pool has 1"),
     ],
     ids=["missing_error_counts", "degenerate_rater", "target_unreachable",
-         "bucket_arity_unsupported", "quota_exceeds_bucket"],
+         "bucket_arity_unsupported", "quota_exceeds_bucket", "one_rater_pool"],
 )
 def test_runtime_error_exit_code(synth_tsv, tmp_path, capsys, rows, study, message):
     tsv = synth_tsv
     if rows != "synthetic":
         tsv = tmp_path / "data.tsv"
         tsv.write_text("\n".join(_tiny_rows_with(rows)) + "\n")
-    n_docs = 4 if rows == "uneven_buckets" else 2
+    n_docs = 4 if rows in ("uneven_buckets", "one_rater") else 2
     cfg = tmp_path / "study.cfg"
     cfg.write_text(f"[study]\nnum_documents = {n_docs}\nn_permutations = 50\n{study}")
     code = main(["simulate", "--dataset", str(tsv), "--config", str(cfg)])
@@ -516,6 +518,12 @@ def _tiny_rows_with(case):
             for doc in ("doc2", "doc3", "doc4")
             for system in ("sysA", "sysB")
             for rater in ("r4", "r5", "r6")
+        ]
+    elif case == "one_rater":  # doc1 to doc4, all rated by r1 alone
+        rows = [r for r in rows if "\tr1\t" in r or r == rows[0]] + [
+            f"xx-yy\tb1\t{doc}\t0\t{system}\tr1\t\t\t\t\t\t"
+            for doc in ("doc3", "doc4")
+            for system in ("sysA", "sysB")
         ]
     return rows
 

@@ -34,6 +34,7 @@ from conftest import (
     ROTATION_LAYOUT,
     SegmentRating,
     assert_same_ratings,
+    bucket_of,
     make_layout_dataset,
     plan_mask,
     rating_dict,
@@ -168,11 +169,10 @@ def edge_plans():
     for ds in datasets:
         last = len(ds.doc_axis) - 1
         for positions in ([0], [last], [0, last], [last // 2], [0, last // 2, last]):
-            subset = frozenset(ds.doc_axis[i] for i in positions)
             for grouping in (Grouping.PSXS, Grouping.NO_GROUPING):
                 for ratings_per_item in (1, 2):
                     rng = np.random.default_rng(len(positions))
-                    plan = build_plan(ds, subset, grouping, LoadBalancing(),
+                    plan = build_plan(ds, positions, grouping, LoadBalancing(),
                                       ratings_per_item, rng)
                     yield ds, positions, plan
 
@@ -272,7 +272,7 @@ def test_dataset_arrays_hold_every_rating():
     ds = annotated_dataset(3, score_only=False)
     ratings = rating_dict(ds)
     assert np.count_nonzero(~np.isnan(ds.scores)) == len(ratings) == sum(
-        n_segs * len(ds.bucket_of(doc).rater_ids) * len(ds.systems)
+        n_segs * len(bucket_of(ds, doc).rater_ids) * len(ds.systems)
         for doc, n_segs in ds.documents.items()
     )
     for (doc, seg, system, rater), rating in ratings.items():

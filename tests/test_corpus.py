@@ -1,10 +1,22 @@
 import io
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabeval import corpus
-from stabeval.corpus import ColumnMapping, Severity, bucket_layout, ingest, ingest_lines, stats
+from stabeval.corpus import (
+    Annotations,
+    Bucket,
+    ColumnMapping,
+    RatingDataset,
+    Severity,
+    bucket_layout,
+    ingest,
+    ingest_lines,
+    stats,
+)
 from stabeval.errors import (
     IncompleteRatings,
     InconsistentBuckets,
@@ -12,8 +24,17 @@ from stabeval.errors import (
     ParseError,
     ScoreMismatch,
 )
+from stabeval.experiment import GeneratorSpec, generate_synthetic
 
-from conftest import make_layout_dataset, rating_dict, rating_fields, tiny_tsv_rows
+from conftest import (
+    DISJOINT_LAYOUT,
+    ROTATION_LAYOUT,
+    bucket_of,
+    make_layout_dataset,
+    rating_dict,
+    rating_fields,
+    tiny_tsv_rows,
+)
 
 
 def test_ingest_tiny_fixture(tiny_tsv):
@@ -41,6 +62,65 @@ def test_stats_tiny_fixture(tiny_tsv):
 def test_bucket_layout_single_bucket(tiny_tsv):
     layout = bucket_layout(ingest(tiny_tsv))
     assert layout == [("b1", ("r1", "r2", "r3"), 2)]
+
+
+def assert_layout_follows_buckets(ds):
+    """``bucket_axis``, ``bucket_raters``, ``doc_bucket`` and ``eligible``
+    say in positions what ``ds.buckets`` says in ids."""
+    assert sorted(ds.bucket_axis, key=lambda b: b.bucket_id) == list(ds.bucket_axis)
+    assert set(ds.bucket_axis) == set(ds.buckets) and len(ds.bucket_axis) == len(ds.buckets)
+    assert len(ds.bucket_raters) == len(ds.bucket_axis)
+    for bucket, raters in zip(ds.bucket_axis, ds.bucket_raters):
+        assert raters.dtype == np.intp
+        assert [ds.rater_axis[r] for r in raters.tolist()] == sorted(bucket.rater_ids)
+    assert ds.doc_bucket.dtype == np.intp and ds.doc_bucket.shape == (len(ds.doc_axis),)
+    assert [ds.bucket_axis[b] for b in ds.doc_bucket.tolist()] == [
+        bucket_of(ds, doc) for doc in ds.doc_axis
+    ]
+    want = [[r in bucket_of(ds, doc).rater_ids for r in ds.rater_axis] for doc in ds.doc_axis]
+    assert ds.eligible.dtype == bool and ds.eligible.tolist() == want
+
+
+@pytest.mark.parametrize("layout", [ROTATION_LAYOUT, DISJOINT_LAYOUT, None],
+                         ids=["rotation", "disjoint", "synthetic"])
+def test_bucket_layout_arrays(layout):
+    if layout is None:
+        spec = GeneratorSpec(n_documents=11, n_buckets=3, segments_per_doc=1, n_systems=2)
+        ds = generate_synthetic(spec, np.random.default_rng(0))
+    else:
+        ds = make_layout_dataset(*layout)
+    assert_layout_follows_buckets(ds)
+    assert bucket_layout(ds) == [
+        (b.bucket_id, tuple(sorted(b.rater_ids)), len(b.doc_ids))
+        for b in sorted(ds.buckets, key=lambda b: b.bucket_id)
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    n_raters=st.integers(3, 6),
+    data=st.data(),
+)
+def test_bucket_layout_arrays_on_shuffled_ids(sizes, n_raters, data):
+    """Buckets listed out of id order, documents interleaved across buckets
+    and rater ids out of insertion order."""
+    doc_ids = data.draw(st.permutations([f"d{i:02d}" for i in range(sum(sizes))]))
+    rater_ids = data.draw(st.permutations([f"r{i}" for i in range(n_raters)]))
+    bucket_ids = data.draw(st.permutations([f"b{i}" for i in range(len(sizes))]))
+    buckets, start = [], 0
+    for bucket_id, size in zip(bucket_ids, sizes):
+        raters = data.draw(st.sets(st.sampled_from(rater_ids), min_size=1))
+        buckets.append(Bucket(bucket_id, frozenset(doc_ids[start:start + size]), frozenset(raters)))
+        start += size
+    raters = frozenset().union(*(b.rater_ids for b in buckets))
+    shape = (2, len(doc_ids), 1, len(raters))
+    ds = RatingDataset(
+        "xx-yy", dict.fromkeys(doc_ids, 1), frozenset({"s0", "s1"}), raters, tuple(buckets),
+        np.full(shape, np.nan), np.full(shape, np.nan),
+        Annotations((), *[np.zeros(0, dtype=np.intp)] * 5),
+    )
+    assert_layout_follows_buckets(ds)
 
 
 def test_invalid_severity_rejected(tiny_tsv):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabeval.assignment import Grouping, LoadBalancing
-from stabeval.errors import InvalidSpec, QuotaExceedsBucket
+from stabeval.errors import ConfigError, InvalidSpec, QuotaExceedsBucket
 from stabeval.experiment import (
     GeneratorSpec,
     Resampling,
@@ -27,7 +27,7 @@ from stabeval.experiment import (
 from stabeval.scoring import NormalizationScheme
 from stabeval.stats import same_documents, srp
 
-from conftest import make_layout_dataset, plan_items, rating_dict
+from conftest import all_docs, bucket_of, make_layout_dataset, plan_items, rating_dict
 
 
 def small_dataset(seed=5, **kwargs):
@@ -46,9 +46,9 @@ class TestSimulateStudy:
         ds = small_dataset()
         config = StudyConfig(n_documents=12, n_permutations=100)
         sim, matrix = simulate_study(ds, config, 1)
-        assert sim.doc_subset == frozenset(ds.documents)
+        assert tuple(sim.plan.docs.tolist()) == all_docs(ds)
         for doc, _sys, raters in plan_items(sim.plan, ds):
-            assert raters <= ds.bucket_of(doc).rater_ids
+            assert raters <= bucket_of(ds, doc).rater_ids
         assert matrix.systems == ds.system_axis
         assert np.isfinite(matrix.means).all()
 
@@ -65,7 +65,7 @@ class TestSimulateStudy:
         ds = small_dataset(n_documents=20)
         config = StudyConfig(n_documents=20, ratings_per_item=2, n_permutations=50)
         sim, _ = simulate_study(ds, config, 3)
-        assert len(sim.doc_subset) == 10
+        assert len(sim.plan.docs) == 10
         assert all(len(raters) == 2 for _doc, _sys, raters in plan_items(sim.plan, ds))
 
     def test_fixed_budget_accounting(self):
@@ -172,7 +172,7 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(GeneratorSpec(n_documents=6), np.random.default_rng(0))
         ratings = rating_dict(ds)
         for doc in ds.documents:
-            bucket = ds.bucket_of(doc)
+            bucket = bucket_of(ds, doc)
             for system in ds.systems:
                 scores = {ratings[(doc, 0, system, r)].score for r in bucket.rater_ids}
                 assert len(scores) == 1
@@ -259,6 +259,26 @@ class TestConfigFiles:
         configs, grid = load_sweep_config(path)
         assert grid == [6, 12]
         assert [(c.label, c.master_seed) for c in configs] == [("a", 9)]
+
+    @pytest.mark.parametrize(
+        "study, seed",
+        [("", 2), ("seed = 1\n", 1), ("seed = 3\n", 3)],
+        ids=["from_sweep", "restated_default", "own"],
+    )
+    def test_section_precedence(self, tmp_path, study, seed):
+        # [DEFAULT] < [sweep] < [study:NAME]: configparser hands [DEFAULT]'s
+        # keys to every section, which must not let them beat [sweep].
+        path = tmp_path / "sweep.cfg"
+        path.write_text(f"[DEFAULT]\nseed = 1\n[sweep]\nseed = 2\n[study:a]\n{study}")
+        configs, _ = load_sweep_config(path)
+        assert [c.master_seed for c in configs] == [seed]
+
+    @pytest.mark.parametrize("shared", ["DEFAULT", "sweep"])
+    def test_doc_counts_only_in_shared_sections(self, tmp_path, shared):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(f"[{shared}]\ndoc_counts = 6\n[study:a]\ndoc_counts = 12\n")
+        with pytest.raises(ConfigError, match="unknown key 'doc_counts' in \\[study:a\\]"):
+            load_sweep_config(path)
 
     def test_readme_examples_load(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -260,7 +260,7 @@ def test_srp_rejects_other_filters():
         srp([e, e], lambda e1, e2: True)
 
 
-def entropy_target_oracle(ds, doc_subset, target, tolerance, rng, max_retries, grouping,
+def entropy_target_oracle(ds, study_docs, target, tolerance, rng, max_retries, grouping,
                           ratings_per_item):
     """``assign_entropy_target``'s greedy loop with the full entropy recomputed
     for every candidate; returns the plan's (system, doc, rater) mask.  Like
@@ -269,13 +269,13 @@ def entropy_target_oracle(ds, doc_subset, target, tolerance, rng, max_retries, g
     is small enough for that brute force)."""
     symbols = _entropy_pool(ds, ratings_per_item)
     symbol_pos = {s: i for i, s in enumerate(symbols)}
-    docs = np.array(sorted(ds.doc_pos[d] for d in doc_subset), dtype=np.intp)
+    docs = np.array(study_docs, dtype=np.intp)
     psxs = grouping is Grouping.PSXS
     n_systems = len(ds.system_axis)
     weight = n_systems if psxs else 1
     eligible = []
     for d in docs:
-        alphabet = _bucket_alphabet(ds, ds.bucket_of(ds.doc_axis[d]), ratings_per_item)
+        alphabet = _bucket_alphabet(ds, ds.doc_bucket[d], ratings_per_item)
         eligible += [[symbol_pos[a] for a in alphabet]] * (1 if psxs else n_systems)
     log_pool = np.log(len(symbols))
 
@@ -283,9 +283,9 @@ def entropy_target_oracle(ds, doc_subset, target, tolerance, rng, max_retries, g
         p = counts[counts > 0] / counts.sum()
         return float(-(p * np.log(p)).sum() / log_pool)
 
-    buckets = sorted({ds.bucket_of(ds.doc_axis[d]) for d in docs}, key=lambda b: b.bucket_id)
+    buckets = sorted(set(ds.doc_bucket[docs].tolist()))
     least = min_instantiable_entropy(
-        [sum(ds.bucket_of(ds.doc_axis[d]) == b for d in docs) for b in buckets],
+        [sum(ds.doc_bucket[d] == b for d in docs) for b in buckets],
         [_bucket_alphabet(ds, b, ratings_per_item) for b in buckets],
         len(symbols),
     )

@@ -35,6 +35,7 @@ from stabeval.scoring import WeightTable, segment_score
 from conftest import (
     SegmentRating,
     assert_same_ratings,
+    bucket_of,
     make_layout_dataset,
     rating_dict,
     rating_fields,
@@ -237,7 +238,7 @@ def export_tsv_oracle(ds, ratings):
     out.write("\t".join(columns) + "\n")
     for key in sorted(ratings):
         rating = ratings[key]
-        bucket = ds.bucket_of(rating.doc_id)
+        bucket = bucket_of(ds, rating.doc_id)
         base = [ds.language_pair, bucket.bucket_id, rating.doc_id, str(rating.seg_index),
                 rating.system_id, rating.rater_id]
         score_text = repr(rating.score)
