@@ -98,7 +98,7 @@ def _bucket_alphabet(ds: RatingDataset, b: int, ratings_per_item: int) -> list[t
         if len(raters) != 3:
             raise BucketArityUnsupported(
                 f"double-rating requires buckets of exactly 3 raters; "
-                f"bucket {ds.bucket_axis[b].bucket_id} has {len(raters)}"
+                f"bucket {ds.bucket_axis[b]} has {len(raters)}"
             )
         return list(itertools.combinations(raters, 2))
     raise BucketArityUnsupported(f"unsupported ratings_per_item={ratings_per_item}")
@@ -121,7 +121,7 @@ def subsample_documents(ds: RatingDataset, n_target: int, rng) -> tuple[int, ...
     if (sizes < base).any():
         b = int(np.argmax(sizes < base))
         raise QuotaExceedsBucket(
-            f"bucket {ds.bucket_axis[b].bucket_id} has {sizes[b]} documents, quota is {base}"
+            f"bucket {ds.bucket_axis[b]} has {sizes[b]} documents, quota is {base}"
         )
     spare = np.flatnonzero(sizes > base)
     if len(spare) < remainder:

@@ -105,8 +105,9 @@ def cmd_agreement(args) -> int:
         for pair in single.skipped_pairs:
             writer.writerow([pair[0], pair[1], "no_shared_documents", "no_shared_documents"])
 
-    max_score = np.nanmax(ds.scores)
-    edges = np.arange(0.0, np.floor(max_score) + 2.0)
+    # Unit-width bins from 0 past the top score, or at most 1,000 equal bins.
+    top = np.floor(np.nanmax(ds.scores)) + 1.0
+    edges = np.linspace(0.0, top, int(min(top, 1000)) + 1)
     with open(out_dir / "rater_histograms.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["rater", "bin_left", "bin_right", "count", "mean", "median"])

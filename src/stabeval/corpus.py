@@ -105,15 +105,6 @@ class Annotations:
     end: np.ndarray
 
 
-@dataclass(frozen=True)
-class Bucket:
-    """A set of documents whose items were all rated by the same fixed rater set."""
-
-    bucket_id: str
-    doc_ids: frozenset[str]
-    rater_ids: frozenset[str]
-
-
 @dataclass
 class DatasetStats:
     n_documents: int
@@ -134,16 +125,20 @@ class RatingDataset:
     ``doc_axis`` and ``rater_axis``.  Unrated cells are NaN, and so are the
     error counts of score-only ratings.  Ratings are numbered in the
     (doc, seg, system, rater) order of the rated cells, which is how
-    ``annotations`` refers to them.  ``bucket_axis``, ``bucket_raters`` and
-    ``doc_bucket`` give the bucket layout in positions, and ``eligible`` is
-    the (doc, rater) bucket membership matrix.
+    ``annotations`` refers to them.  The bucket layout is in positions: bucket
+    b is ``bucket_axis[b]`` (the ids sorted), rated by the ascending
+    ``rater_axis`` positions ``bucket_raters[b]``, and ``doc_bucket[d]`` is
+    document d's bucket.  ``eligible`` is the (doc, rater) bucket membership
+    matrix.
     """
 
     language_pair: str
     documents: dict[str, int]  # doc_id -> number of segments
     systems: frozenset[str]
     raters: frozenset[str]
-    buckets: tuple[Bucket, ...]
+    bucket_axis: tuple[str, ...]
+    bucket_raters: tuple[np.ndarray, ...]
+    doc_bucket: np.ndarray
     scores: np.ndarray
     n_errors: np.ndarray
     annotations: Annotations
@@ -151,56 +146,43 @@ class RatingDataset:
     def __post_init__(self):
         self.system_axis = tuple(sorted(self.systems))
         self.doc_axis = tuple(sorted(self.documents))
-        self.rater_axis = tuple(sorted(self.raters.union(*(b.rater_ids for b in self.buckets))))
+        self.rater_axis = tuple(sorted(self.raters))
         self.system_pos = {s: i for i, s in enumerate(self.system_axis)}
         self.doc_pos = {d: i for i, d in enumerate(self.doc_axis)}
         self.rater_pos = {r: i for i, r in enumerate(self.rater_axis)}
-        # The bucket layout in positions: bucket b is bucket_axis[b], with the
-        # ascending rater positions bucket_raters[b]; doc_bucket[d] is document
-        # d's bucket, -1 for a document in none (which ``validate`` rejects).
-        self.bucket_axis = tuple(sorted(self.buckets, key=lambda b: b.bucket_id))
-        self.bucket_raters = tuple(
-            np.array(sorted(self.rater_pos[r] for r in b.rater_ids), dtype=np.intp)
-            for b in self.bucket_axis
-        )
-        self.doc_bucket = np.full(len(self.doc_axis), -1, dtype=np.intp)
-        for b, bucket in enumerate(self.bucket_axis):
-            self.doc_bucket[[self.doc_pos[d] for d in bucket.doc_ids if d in self.doc_pos]] = b
-        # eligible[d, r]: rater r belongs to document d's bucket.  The extra
-        # last row of ``member`` is the empty bucket that -1 picks.
-        member = np.zeros((len(self.bucket_axis) + 1, len(self.rater_axis)), dtype=bool)
+        n_buckets, n_raters = len(self.bucket_axis), len(self.rater_axis)
+        if list(self.bucket_axis) != sorted(set(self.bucket_axis)):
+            raise ValueError(f"bucket ids {self.bucket_axis} are not sorted and distinct")
+        if len(self.bucket_raters) != n_buckets:
+            raise ValueError(f"{len(self.bucket_raters)} rater arrays for {n_buckets} buckets")
+        for raters in self.bucket_raters:
+            if np.any(np.diff(raters) <= 0) or np.any((raters < 0) | (raters >= n_raters)):
+                raise ValueError(f"bucket raters {raters} are not ascending positions < {n_raters}")
+        if self.doc_bucket.shape != (len(self.doc_axis),) or np.any(
+            (self.doc_bucket < 0) | (self.doc_bucket >= n_buckets)
+        ):
+            raise ValueError(f"doc_bucket {self.doc_bucket} does not give each document a bucket")
+        # eligible[d, r]: rater r belongs to document d's bucket.
+        member = np.zeros((n_buckets, n_raters), dtype=bool)
         for b, raters in enumerate(self.bucket_raters):
             member[b, raters] = True
         self.eligible = member[self.doc_bucket]
         self.seg_counts = np.array([self.documents[d] for d in self.doc_axis], dtype=np.intp)
         n_segs = self.seg_counts.max(initial=0)
-        shape = (len(self.system_axis), len(self.doc_axis), n_segs, len(self.rater_axis))
+        shape = (len(self.system_axis), len(self.doc_axis), n_segs, n_raters)
         if not self.scores.shape == self.n_errors.shape == shape:
             raise ValueError(f"rating arrays of shape {self.scores.shape} do not fit axes {shape}")
 
     def validate(self) -> None:
         """Enforce the structural invariants; raise a CorpusError on violation."""
-        seen_docs: set[str] = set()
-        seen_rater_sets: set[frozenset[str]] = set()
-        for bucket in self.buckets:
-            if bucket.rater_ids in seen_rater_sets:
+        seen_rater_sets: set[tuple[int, ...]] = set()
+        for raters in self.bucket_raters:
+            key = tuple(raters.tolist())
+            if key in seen_rater_sets:
                 raise InconsistentBuckets(
-                    f"buckets share the identical rater set {sorted(bucket.rater_ids)}"
+                    f"buckets share the identical rater set {[self.rater_axis[r] for r in key]}"
                 )
-            seen_rater_sets.add(bucket.rater_ids)
-            overlap = seen_docs & bucket.doc_ids
-            if overlap:
-                raise InconsistentBuckets(
-                    f"documents assigned to multiple buckets: {sorted(overlap)[:5]}"
-                )
-            seen_docs |= bucket.doc_ids
-        if seen_docs != set(self.documents):
-            missing = set(self.documents) - seen_docs
-            extra = seen_docs - set(self.documents)
-            raise InconsistentBuckets(
-                f"buckets do not partition the document set "
-                f"(unbucketed={sorted(missing)[:5]}, unknown={sorted(extra)[:5]})"
-            )
+            seen_rater_sets.add(key)
         in_doc = np.arange(self.scores.shape[2]) < self.seg_counts[:, None]
         required = in_doc[None, :, :, None] & self.eligible[None, :, None, :]
         rated = ~np.isnan(self.scores)
@@ -439,6 +421,9 @@ def _ingest_text(text: str, mapping, weights) -> RatingDataset:
         (spread > SCORE_TOLERANCE, lambda k: ParseError(
             f"conflicting score values for {rating_id(k)}", line=int(first_line[k])
         )),
+        (~np.isfinite(computed), lambda k: ParseError(
+            f"error weights of {rating_id(k)} sum to {float(computed[k])}", line=int(first_line[k])
+        )),
         (has_errors & (np.abs(given - computed) > SCORE_TOLERANCE), lambda k: ScoreMismatch(
             f"{rating_id(k)}: file score {float(given[k])} != recomputed {float(computed[k])}"
         )),
@@ -461,23 +446,38 @@ def _ingest_text(text: str, mapping, weights) -> RatingDataset:
         start=np.where(has_span[errors], start[errors], -1),
         end=np.where(has_span[errors], end[errors], -1),
     )
-    documents = dict(zip(docs, n_segs.tolist()))
     rated_by = np.zeros((len(docs), len(raters)), dtype=bool)
     rated_by[r_doc, r_rater] = True
-    doc_raters = {
-        doc_id: {raters[r] for r in np.flatnonzero(row)} for doc_id, row in zip(docs, rated_by)
-    }
-    explicit_buckets = {
-        docs[d]: bucket_ids[b] for d, b in enumerate(doc_bucket.tolist()) if b >= 0
-    }
-
-    buckets = _build_buckets(documents, doc_raters, explicit_buckets)
+    if bucketed.size:
+        unbucketed = np.flatnonzero(doc_bucket < 0)
+        if unbucketed.size:
+            raise InconsistentBuckets(
+                f"documents without a bucket id: {[docs[d] for d in unbucketed[:5].tolist()]}"
+            )
+        offset = int(bucket_ids[0] == "")  # the empty cell is no bucket
+        bucket_axis, doc_bucket = bucket_ids[offset:], doc_bucket - offset
+    else:
+        # Same bucket iff identical rater set, named b000, b001, ... in the
+        # order of each set's first document (sorting puts b1000 before b101).
+        _, first, inverse = np.unique(rated_by, axis=0, return_index=True, return_inverse=True)
+        names = [f"b{i:03d}" for i in np.argsort(np.argsort(first)).tolist()]
+        bucket_axis, code = _factorize(names)
+        doc_bucket = code[inverse.ravel()]
+    member = rated_by[np.unique(doc_bucket, return_index=True)[1]]  # each bucket's first document
+    differs = np.any(rated_by != member[doc_bucket], axis=1)
+    if differs.any():
+        raise InconsistentBuckets(
+            f"bucket {bucket_axis[doc_bucket[differs].min()]} contains documents "
+            "with differing rater sets"
+        )
     ds = RatingDataset(
         language_pair=",".join(langs) or "unknown",
-        documents=documents,
+        documents=dict(zip(docs, n_segs.tolist())),
         systems=frozenset(systems),
         raters=frozenset(raters),
-        buckets=buckets,
+        bucket_axis=bucket_axis,
+        bucket_raters=tuple(map(np.flatnonzero, member)),
+        doc_bucket=doc_bucket,
         scores=scores,
         n_errors=error_counts,
         annotations=annotations,
@@ -556,37 +556,6 @@ def _raise_first(checks) -> None:
         raise next(error(row) for mask, error in checks if mask[row])
 
 
-def _build_buckets(documents, doc_raters, explicit_buckets) -> tuple[Bucket, ...]:
-    if explicit_buckets:
-        missing = set(documents) - set(explicit_buckets)
-        if missing:
-            raise InconsistentBuckets(
-                f"documents without a bucket id: {sorted(missing)[:5]}"
-            )
-        by_id: dict[str, set[str]] = {}
-        for doc, bucket_id in explicit_buckets.items():
-            by_id.setdefault(bucket_id, set()).add(doc)
-        buckets = []
-        for bucket_id in sorted(by_id):
-            docs = by_id[bucket_id]
-            rater_sets = {frozenset(doc_raters[d]) for d in docs}
-            if len(rater_sets) != 1:
-                raise InconsistentBuckets(
-                    f"bucket {bucket_id} contains documents with differing rater sets"
-                )
-            buckets.append(Bucket(bucket_id, frozenset(docs), rater_sets.pop()))
-        return tuple(buckets)
-    # Infer from rater co-occurrence: same bucket iff identical rater set.
-    by_raters: dict[frozenset[str], set[str]] = {}
-    for doc, rs in doc_raters.items():
-        by_raters.setdefault(frozenset(rs), set()).add(doc)
-    buckets = []
-    ordered = sorted(by_raters.items(), key=lambda item: min(item[1]))
-    for i, (rater_set, docs) in enumerate(ordered):
-        buckets.append(Bucket(f"b{i:03d}", frozenset(docs), rater_set))
-    return tuple(buckets)
-
-
 def stats(ds: RatingDataset) -> DatasetStats:
     seg_counts = list(ds.documents.values())
     return DatasetStats(
@@ -596,15 +565,16 @@ def stats(ds: RatingDataset) -> DatasetStats:
         max_segments_per_doc=max(seg_counts),
         n_raters=len(ds.raters),
         n_systems=len(ds.systems),
-        bucket_doc_counts={b.bucket_id: len(b.doc_ids) for b in ds.buckets},
+        bucket_doc_counts={bucket_id: n for bucket_id, _, n in bucket_layout(ds)},
     )
 
 
 def bucket_layout(ds: RatingDataset) -> list[tuple[str, tuple[str, ...], int]]:
     """One (bucket_id, sorted rater ids, document count) entry per bucket."""
+    sizes = np.bincount(ds.doc_bucket, minlength=len(ds.bucket_axis)).tolist()
     return [
-        (b.bucket_id, tuple(ds.rater_axis[r] for r in raters.tolist()), len(b.doc_ids))
-        for b, raters in zip(ds.bucket_axis, ds.bucket_raters)
+        (bucket_id, tuple(ds.rater_axis[r] for r in raters.tolist()), n_docs)
+        for bucket_id, raters, n_docs in zip(ds.bucket_axis, ds.bucket_raters, sizes)
     ]
 
 
@@ -614,7 +584,7 @@ def export_tsv(ds: RatingDataset) -> str:
     rated = ~np.isnan(ds.scores.transpose(by_key))
     doc, seg, system, rater = (cells.tolist() for cells in np.nonzero(rated))
     doc_heads = [
-        f"{ds.language_pair}\t{ds.bucket_axis[b].bucket_id}\t{d}\t"
+        f"{ds.language_pair}\t{ds.bucket_axis[b]}\t{d}\t"
         for d, b in zip(ds.doc_axis, ds.doc_bucket.tolist())
     ]
     heads = [

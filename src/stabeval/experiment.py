@@ -20,7 +20,7 @@ from .assignment import (
     build_plan,
     subsample_documents,
 )
-from .corpus import Annotations, Bucket, RatingDataset, read_config
+from .corpus import Annotations, RatingDataset, _factorize, read_config
 from .errors import ConfigError, InvalidSpec
 from .scoring import NormalizationScheme, ScoredStudy, normalize
 from .stats import SignificanceMatrix, same_documents, significance_matrix, srp
@@ -370,16 +370,13 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
         [spec.harshness[r % len(spec.harshness)] for r in range(len(raters))]
     )
 
-    buckets = []
-    doc_chunks = np.array_split(np.arange(spec.n_documents), spec.n_buckets)
-    for b, chunk in enumerate(doc_chunks):
-        buckets.append(
-            Bucket(
-                f"b{b:03d}",
-                frozenset(docs[d] for d in chunk),
-                frozenset(raters[3 * b : 3 * b + 3]),
-            )
-        )
+    # Sorted id position -> generated index, per axis.  Generated bucket b
+    # holds the b-th chunk of documents and raters 3b..3b+2.
+    by_id = [np.argsort(ids) for ids in (systems, docs, raters)]
+    bucket_axis, bucket_pos = _factorize([f"b{b:03d}" for b in range(spec.n_buckets)])
+    chunks = np.array_split(np.arange(spec.n_documents), spec.n_buckets)
+    doc_bucket = np.repeat(bucket_pos, [len(chunk) for chunk in chunks])[by_id[1]]
+    bucket_raters = np.sort(np.argsort(by_id[2]).reshape(-1, 3), axis=1)
 
     base = rng.uniform(*spec.base_range, size=spec.n_documents)
     preference = (
@@ -392,14 +389,11 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
     values = np.full((spec.n_systems, spec.n_documents, n_segs, len(raters)), np.nan)
     # Overflow shows up below as a non-finite score, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        for bucket in buckets:
-            bucket_raters = sorted(bucket.rater_ids)
-            for doc_id in sorted(bucket.doc_ids):
-                d = docs.index(doc_id)
+        for b in range(spec.n_buckets):  # each in sorted-id order of its documents and raters
+            for d in by_id[1][doc_bucket == bucket_pos[b]].tolist():
                 for s in range(spec.n_systems):
                     item_noise = rng.normal(0.0, spec.item_noise_sigma, size=n_segs)
-                    for rater_id in bucket_raters:
-                        r = raters.index(rater_id)
+                    for r in by_id[2][bucket_raters[b]].tolist():
                         obs_noise = (
                             np.exp(rng.normal(0.0, spec.rater_noise_sigma, size=n_segs))
                             if spec.rater_noise_sigma > 0
@@ -408,7 +402,7 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
                         truth = base[d] + quality[s] + item_noise + preference[r, d]
                         values[s, d, :, r] = harshness[r] * np.maximum(truth, 0.0) * obs_noise
     # Unrated cells are NaN, so every rated cell is finite iff this many cells are.
-    n_rated = n_segs * spec.n_systems * sum(len(b.doc_ids) * len(b.rater_ids) for b in buckets)
+    n_rated = n_segs * spec.n_systems * spec.n_documents * 3
     if np.count_nonzero(np.isfinite(values)) != n_rated:
         raise InvalidSpec(
             "generated scores are not finite: lower the noise sigmas "
@@ -417,14 +411,15 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
             f"doc_preference_sigma={spec.doc_preference_sigma:g})"
         )
     # The dataset's (system, doc, seg, rater) arrays, each id axis in sorted order.
-    by_id = [sorted(range(len(ids)), key=ids.__getitem__) for ids in (systems, docs, raters)]
     scores = values[np.ix_(by_id[0], by_id[1], range(n_segs), by_id[2])]
     ds = RatingDataset(
         language_pair=spec.language_pair,
         documents={d: spec.segments_per_doc for d in docs},
         systems=frozenset(systems),
         raters=frozenset(raters),
-        buckets=tuple(buckets),
+        bucket_axis=bucket_axis,
+        bucket_raters=tuple(bucket_raters[np.argsort(bucket_pos)]),
+        doc_bucket=doc_bucket,
         scores=scores,
         n_errors=np.full(scores.shape, np.nan),
         annotations=Annotations((), *[np.zeros(0, dtype=np.intp)] * 5),

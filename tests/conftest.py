@@ -5,6 +5,9 @@ The library keeps ratings only as dense ``scores`` / ``n_errors`` arrays plus
 ``SegmentRating`` per rating: ``rating_fields`` turns a {key: SegmentRating}
 dict into a dataset's ``scores``, ``n_errors`` and ``annotations`` fields,
 and ``rating_dict`` reads a dataset's arrays back into that dict.
+Likewise ``bucket_fields`` turns {bucket_id: (doc ids, rater ids)} into the
+bucket layout fields, ``bucket_sets`` reads them back, and
+``build_buckets_oracle`` is the id-set bucket builder ingest replaced.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import pytest
 from stabeval.corpus import (
     SEVERITIES,
     Annotations,
-    Bucket,
     ErrorAnnotation,
     RatingDataset,
     _factorize,
 )
+from stabeval.errors import InconsistentBuckets
 from stabeval.scoring import ScoredStudy
 
 
@@ -71,6 +74,75 @@ def rating_fields(ratings, systems, documents, raters) -> dict:
         category, spans[:, 0], spans[:, 1],
     )
     return {"scores": scores, "n_errors": n_errors, "annotations": annotations}
+
+
+def bucket_fields(buckets, documents, raters) -> dict:
+    """The ``bucket_axis``, ``bucket_raters`` and ``doc_bucket`` fields of a
+    dataset with the given doc and rater ids, holding the buckets of a
+    {bucket_id: (doc ids, rater ids)} dict."""
+    bucket_axis = tuple(sorted(buckets))
+    doc_pos, rater_pos = ({x: i for i, x in enumerate(sorted(ids))} for ids in (documents, raters))
+    doc_bucket = np.full(len(doc_pos), -1, dtype=np.intp)
+    for b, bucket_id in enumerate(bucket_axis):
+        doc_bucket[[doc_pos[d] for d in buckets[bucket_id][0]]] = b
+    bucket_raters = tuple(
+        np.array(sorted(rater_pos[r] for r in buckets[bucket_id][1]), dtype=np.intp)
+        for bucket_id in bucket_axis
+    )
+    return {"bucket_axis": bucket_axis, "bucket_raters": bucket_raters, "doc_bucket": doc_bucket}
+
+
+def bucket_sets(ds: RatingDataset) -> dict:
+    """The dataset's buckets as {bucket_id: (frozenset of doc ids, frozenset of
+    rater ids)}, the inverse of ``bucket_fields``."""
+    return {
+        bucket_id: (
+            frozenset(ds.doc_axis[d] for d in np.flatnonzero(ds.doc_bucket == b).tolist()),
+            frozenset(ds.rater_axis[r] for r in raters.tolist()),
+        )
+        for b, (bucket_id, raters) in enumerate(zip(ds.bucket_axis, ds.bucket_raters))
+    }
+
+
+def build_buckets_oracle(documents, doc_raters, explicit_buckets) -> dict:
+    """The id-set bucket builder that ingest's position arrays replaced:
+    {bucket_id: (doc ids, rater ids)} from {doc_id: rater ids} and, if any
+    row names a bucket, {doc_id: bucket_id}."""
+    if explicit_buckets:
+        missing = set(documents) - set(explicit_buckets)
+        if missing:
+            raise InconsistentBuckets(f"documents without a bucket id: {sorted(missing)[:5]}")
+        by_id: dict[str, set[str]] = {}
+        for doc, bucket_id in explicit_buckets.items():
+            by_id.setdefault(bucket_id, set()).add(doc)
+        buckets = {}
+        for bucket_id in sorted(by_id):
+            docs = by_id[bucket_id]
+            rater_sets = {frozenset(doc_raters[d]) for d in docs}
+            if len(rater_sets) != 1:
+                raise InconsistentBuckets(
+                    f"bucket {bucket_id} contains documents with differing rater sets"
+                )
+            buckets[bucket_id] = (frozenset(docs), rater_sets.pop())
+        return buckets
+    # Infer from rater co-occurrence: same bucket iff identical rater set.
+    by_raters: dict[frozenset[str], set[str]] = {}
+    for doc, rs in doc_raters.items():
+        by_raters.setdefault(frozenset(rs), set()).add(doc)
+    ordered = sorted(by_raters.items(), key=lambda item: min(item[1]))
+    return {
+        f"b{i:03d}": (frozenset(docs), rater_set) for i, (rater_set, docs) in enumerate(ordered)
+    }
+
+
+def assert_same_buckets(got: RatingDataset, want: RatingDataset) -> None:
+    """Identity of two datasets' bucket arrays, dtypes included."""
+    assert got.bucket_axis == want.bucket_axis
+    assert len(got.bucket_raters) == len(want.bucket_raters)
+    for a, b in zip(got.bucket_raters, want.bucket_raters):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.doc_bucket.dtype == want.doc_bucket.dtype
+    assert np.array_equal(got.doc_bucket, want.doc_bucket)
 
 
 def assert_same_ratings(got: RatingDataset, want: RatingDataset) -> None:
@@ -165,7 +237,7 @@ def make_layout_dataset(
     """
     systems = [f"s{i:02d}" for i in range(n_systems)]
     documents = {}
-    buckets = []
+    buckets = {}
     ratings = {}
     d = 0
     for b, (size, raters) in enumerate(zip(bucket_sizes, bucket_raters)):
@@ -184,14 +256,14 @@ def make_layout_dataset(
                         ratings[(doc_id, seg, system_id, rater_id)] = SegmentRating(
                             doc_id, seg, system_id, rater_id, None, score
                         )
-        buckets.append(Bucket(f"b{b:03d}", frozenset(doc_ids), frozenset(raters)))
+        buckets[f"b{b:03d}"] = (doc_ids, raters)
     all_raters = frozenset(r for raters in bucket_raters for r in raters)
     ds = RatingDataset(
         language_pair=language_pair,
         documents=documents,
         systems=frozenset(systems),
         raters=all_raters,
-        buckets=tuple(buckets),
+        **bucket_fields(buckets, documents, all_raters),
         **rating_fields(ratings, systems, documents, all_raters),
     )
     ds.validate()
@@ -204,9 +276,10 @@ def all_docs(ds):
     return tuple(range(len(ds.doc_axis)))
 
 
-def bucket_of(ds, doc_id):
-    """The bucket in ``ds.buckets`` that lists the document."""
-    return next(bucket for bucket in ds.buckets if doc_id in bucket.doc_ids)
+def bucket_raters_of(ds, doc_id) -> frozenset:
+    """The rater ids of the document's bucket."""
+    raters = ds.bucket_raters[ds.doc_bucket[ds.doc_pos[doc_id]]]
+    return frozenset(ds.rater_axis[r] for r in raters.tolist())
 
 
 def plan_items(plan, ds):

@@ -25,7 +25,8 @@ from conftest import (
     DISJOINT_LAYOUT,
     ROTATION_LAYOUT,
     all_docs,
-    bucket_of,
+    bucket_raters_of,
+    bucket_sets,
     make_layout_dataset,
     plan_items,
 )
@@ -88,14 +89,14 @@ class TestSystemBalanced:
     def test_spread_bound_on_uneven_layout(self, rng):
         ds = make_layout_dataset([7, 4], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=5)
         plan = assign_balanced(ds, all_docs(ds), Grouping.SYSTEM_BALANCED, rng)
-        for bucket in ds.buckets:
+        for bucket_docs, bucket_raters in bucket_sets(ds).values():
             for system in ds.systems:
                 counts = Counter()
                 for doc, sys, raters in plan_items(plan, ds):
-                    if sys == system and doc in bucket.doc_ids:
+                    if sys == system and doc in bucket_docs:
                         for r in raters:
                             counts[r] += 1
-                values = [counts.get(r, 0) for r in bucket.rater_ids]
+                values = [counts.get(r, 0) for r in bucket_raters]
                 assert max(values) - min(values) <= 1
 
     def test_differs_from_psxs_on_documents(self):
@@ -246,15 +247,15 @@ class TestSubsampleDocuments:
         raters = [(f"a{i}", f"b{i}", f"c{i}") for i in range(7)]
         ds = make_layout_dataset(sizes, raters)
         subset = {ds.doc_axis[d] for d in subsample_documents(ds, 14, rng)}
-        for bucket in ds.buckets:
-            assert len(bucket.doc_ids & subset) == 2
+        for docs, _ in bucket_sets(ds).values():
+            assert len(docs & subset) == 2
 
     def test_remainder_rule(self, rng):
         sizes = [4] * 7
         raters = [(f"a{i}", f"b{i}", f"c{i}") for i in range(7)]
         ds = make_layout_dataset(sizes, raters)
         subset = {ds.doc_axis[d] for d in subsample_documents(ds, 15, rng)}
-        counts = sorted(len(b.doc_ids & subset) for b in ds.buckets)
+        counts = sorted(len(docs & subset) for docs, _ in bucket_sets(ds).values())
         assert counts == [2, 2, 2, 2, 2, 2, 3]
 
     def test_quota_exceeds_bucket(self, rng):
@@ -279,15 +280,15 @@ class TestSubsampleDocuments:
 def subsample_documents_before_cap(ds, n_target, rng):
     """``subsample_documents`` as it drew before the remainder was confined to
     buckets with a document to spare; returns their positions."""
-    buckets = sorted(ds.buckets, key=lambda b: b.bucket_id)
+    buckets = sorted(bucket_sets(ds).items())
     base, remainder = divmod(n_target, len(buckets))
     extra = set(rng.choice(len(buckets), size=remainder, replace=False).tolist())
     chosen = set()
-    for i, bucket in enumerate(buckets):
+    for i, (bucket_id, (doc_ids, _)) in enumerate(buckets):
         quota = base + (1 if i in extra else 0)
-        docs = sorted(bucket.doc_ids)
+        docs = sorted(doc_ids)
         if quota > len(docs):
-            raise QuotaExceedsBucket(f"bucket {bucket.bucket_id} has {len(docs)} documents")
+            raise QuotaExceedsBucket(f"bucket {bucket_id} has {len(docs)} documents")
         picks = rng.choice(len(docs), size=quota, replace=False)
         chosen.update(docs[p] for p in picks)
     return tuple(sorted(ds.doc_pos[d] for d in chosen))
@@ -327,7 +328,7 @@ class TestBuildPlan:
         ds = make_layout_dataset([4, 5], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=3)
         plan = build_plan(ds, all_docs(ds), grouping, LoadBalancing(), 1, rng)
         for doc, _sys, raters in plan_items(plan, ds):
-            assert raters <= bucket_of(ds, doc).rater_ids
+            assert raters <= bucket_raters_of(ds, doc)
 
     def test_seed_determinism(self):
         ds = make_layout_dataset([5, 5], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=3)

@@ -558,3 +558,35 @@ def test_python_m_stabeval_runs_the_cli():
     result = run_cli("--version")
     assert result.returncode == 0
     assert result.stdout.strip() == stabeval.__version__
+
+
+def test_agreement_histogram_bins_bounded_on_a_huge_score(tmp_path, capsys):
+    """Above 1,000 unit bins, each rater gets 1,000 equal bins up to the top score."""
+    path = tmp_path / "huge.tsv"
+    path.write_text(
+        "doc_id\tseg_index\tsystem_id\trater_id\tscore\n"
+        "d1\t0\tsA\tr1\t1e20\nd1\t0\tsB\tr1\t1\nd1\t0\tsA\tr2\t2\nd1\t0\tsB\tr2\t3\n"
+    )
+    out_dir = tmp_path / "agree"
+    assert main(["agreement", "--dataset", str(path), "--out", str(out_dir)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (out_dir / "rater_histograms.csv").read_text().splitlines()[1:]
+    for rater in ("r1", "r2"):
+        bins = [row.split(",") for row in rows if row.startswith(f"{rater},")]
+        assert len(bins) == 1000
+        assert (bins[0][1], bins[-1][2]) == ("0", "1e+20")
+        assert [int(b[3]) for b in bins].count(0) == (998 if rater == "r1" else 999)
+
+
+def test_weights_summing_to_inf_exit_code(tmp_path, capsys):
+    rows = tiny_tsv_rows()
+    rows.insert(2, rows[1].replace("Accuracy/Mistranslation", "Fluency"))
+    path, weights = tmp_path / "two_majors.tsv", tmp_path / "weights.cfg"
+    path.write_text("\n".join(rows) + "\n")
+    weights.write_text("[weights]\nMajor: = 1e308\nMinor: = 1\n")
+    code = main(["validate", "--dataset", str(path), "--weights", str(weights)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (
+        "INVALID: line 2: error weights of doc=doc1 seg=0 system=sysA rater=r1 sum to inf\n"
+    )

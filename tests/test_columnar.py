@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from stabeval.assignment import Grouping, LoadBalancing, build_plan, subsample_documents
-from stabeval.corpus import Bucket, ErrorAnnotation, RatingDataset, Severity, export_tsv
+from stabeval.corpus import ErrorAnnotation, RatingDataset, Severity, export_tsv
 from stabeval.errors import StabevalError
 from stabeval.experiment import (
     GeneratorSpec,
@@ -33,8 +33,10 @@ from conftest import (
     DISJOINT_LAYOUT,
     ROTATION_LAYOUT,
     SegmentRating,
+    assert_same_buckets,
     assert_same_ratings,
-    bucket_of,
+    bucket_fields,
+    bucket_raters_of,
     make_layout_dataset,
     plan_mask,
     rating_dict,
@@ -66,10 +68,10 @@ def annotated_dataset(seed: int, score_only: bool) -> RatingDataset:
     rng = np.random.default_rng(seed)
     names = [f"d{i:02d}" for i in rng.permutation(len(BUCKET_RATERS) * DOCS_PER_BUCKET)]
     systems = ["sysB", "sysA", "sysD", "sysC"]
-    documents, buckets, ratings = {}, [], {}
+    documents, buckets, ratings = {}, {}, {}
     for b, raters in enumerate(BUCKET_RATERS):
         docs = names[b * DOCS_PER_BUCKET : (b + 1) * DOCS_PER_BUCKET]
-        buckets.append(Bucket(f"b{b}", frozenset(docs), frozenset(raters)))
+        buckets[f"b{b}"] = (docs, raters)
         for doc in docs:
             documents[doc] = int(rng.integers(1, 5))
             for seg in range(documents[doc]):
@@ -84,7 +86,8 @@ def annotated_dataset(seed: int, score_only: bool) -> RatingDataset:
                         )
     all_raters = frozenset(r for raters in BUCKET_RATERS for r in raters)
     ds = RatingDataset(
-        "xx-yy", documents, frozenset(systems), all_raters, tuple(buckets),
+        "xx-yy", documents, frozenset(systems), all_raters,
+        **bucket_fields(buckets, documents, all_raters),
         **rating_fields(ratings, systems, documents, all_raters),
     )
     ds.validate()
@@ -272,7 +275,7 @@ def test_dataset_arrays_hold_every_rating():
     ds = annotated_dataset(3, score_only=False)
     ratings = rating_dict(ds)
     assert np.count_nonzero(~np.isnan(ds.scores)) == len(ratings) == sum(
-        n_segs * len(bucket_of(ds, doc).rater_ids) * len(ds.systems)
+        n_segs * len(bucket_raters_of(ds, doc)) * len(ds.systems)
         for doc, n_segs in ds.documents.items()
     )
     for (doc, seg, system, rater), rating in ratings.items():
@@ -288,10 +291,10 @@ def generate_synthetic_oracle(spec: GeneratorSpec, rng) -> RatingDataset:
     quality = np.linspace(*spec.quality_range, spec.n_systems)
     raters = [f"rater{r:02d}" for r in range(3 * spec.n_buckets)]
     harshness = np.array([spec.harshness[r % len(spec.harshness)] for r in range(len(raters))])
-    buckets = [
-        Bucket(f"b{b:03d}", frozenset(docs[d] for d in chunk), frozenset(raters[3 * b : 3 * b + 3]))
+    buckets = {
+        f"b{b:03d}": (frozenset(docs[d] for d in chunk), frozenset(raters[3 * b : 3 * b + 3]))
         for b, chunk in enumerate(np.array_split(np.arange(spec.n_documents), spec.n_buckets))
-    ]
+    }
     base = rng.uniform(*spec.base_range, size=spec.n_documents)
     preference = (
         rng.normal(0.0, spec.doc_preference_sigma, size=(len(raters), spec.n_documents))
@@ -299,12 +302,12 @@ def generate_synthetic_oracle(spec: GeneratorSpec, rng) -> RatingDataset:
         else np.zeros((len(raters), spec.n_documents))
     )
     ratings = {}
-    for bucket in buckets:
-        for doc_id in sorted(bucket.doc_ids):
+    for bucket_docs, bucket_raters in buckets.values():
+        for doc_id in sorted(bucket_docs):
             d = docs.index(doc_id)
             for s, system_id in enumerate(systems):
                 item_noise = rng.normal(0.0, spec.item_noise_sigma, size=spec.segments_per_doc)
-                for rater_id in sorted(bucket.rater_ids):
+                for rater_id in sorted(bucket_raters):
                     r = raters.index(rater_id)
                     obs_noise = (
                         np.exp(rng.normal(0.0, spec.rater_noise_sigma, size=spec.segments_per_doc))
@@ -319,7 +322,8 @@ def generate_synthetic_oracle(spec: GeneratorSpec, rng) -> RatingDataset:
                         )
     documents = {d: spec.segments_per_doc for d in docs}
     ds = RatingDataset(
-        spec.language_pair, documents, frozenset(systems), frozenset(raters), tuple(buckets),
+        spec.language_pair, documents, frozenset(systems), frozenset(raters),
+        **bucket_fields(buckets, documents, raters),
         **rating_fields(ratings, systems, documents, raters),
     )
     ds.validate()
@@ -352,7 +356,7 @@ def test_generate_synthetic_matches_per_rating_oracle(seed, n_buckets, extra_doc
     assert (got.system_axis, got.doc_axis, got.rater_axis) == (
         want.system_axis, want.doc_axis, want.rater_axis
     )
-    assert got.buckets == want.buckets
+    assert_same_buckets(got, want)
     assert_same_ratings(got, want)
     assert export_tsv(got) == export_tsv(want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state

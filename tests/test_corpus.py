@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from stabeval import corpus
 from stabeval.corpus import (
     Annotations,
-    Bucket,
     ColumnMapping,
     RatingDataset,
     Severity,
@@ -29,7 +28,8 @@ from stabeval.experiment import GeneratorSpec, generate_synthetic
 from conftest import (
     DISJOINT_LAYOUT,
     ROTATION_LAYOUT,
-    bucket_of,
+    bucket_fields,
+    bucket_sets,
     make_layout_dataset,
     rating_dict,
     rating_fields,
@@ -39,7 +39,7 @@ from conftest import (
 
 def test_ingest_tiny_fixture(tiny_tsv):
     ds = ingest(tiny_tsv)
-    assert len(ds.buckets) == 1
+    assert ds.bucket_axis == ("b1",)
     ratings = rating_dict(ds)
     assert len(ratings) == 12
     assert ds.language_pair == "xx-yy"
@@ -64,21 +64,30 @@ def test_bucket_layout_single_bucket(tiny_tsv):
     assert layout == [("b1", ("r1", "r2", "r3"), 2)]
 
 
-def assert_layout_follows_buckets(ds):
+def assert_layout_follows_buckets(ds, buckets):
     """``bucket_axis``, ``bucket_raters``, ``doc_bucket`` and ``eligible``
-    say in positions what ``ds.buckets`` says in ids."""
-    assert sorted(ds.bucket_axis, key=lambda b: b.bucket_id) == list(ds.bucket_axis)
-    assert set(ds.bucket_axis) == set(ds.buckets) and len(ds.bucket_axis) == len(ds.buckets)
-    assert len(ds.bucket_raters) == len(ds.bucket_axis)
-    for bucket, raters in zip(ds.bucket_axis, ds.bucket_raters):
-        assert raters.dtype == np.intp
-        assert [ds.rater_axis[r] for r in raters.tolist()] == sorted(bucket.rater_ids)
+    say in positions what ``buckets``, {bucket_id: (doc ids, rater ids)},
+    says in ids."""
+    assert list(ds.bucket_axis) == sorted(buckets)
+    assert bucket_sets(ds) == {
+        bucket_id: (frozenset(docs), frozenset(raters))
+        for bucket_id, (docs, raters) in buckets.items()
+    }
+    for raters in ds.bucket_raters:
+        assert raters.dtype == np.intp and raters.tolist() == sorted(raters.tolist())
     assert ds.doc_bucket.dtype == np.intp and ds.doc_bucket.shape == (len(ds.doc_axis),)
-    assert [ds.bucket_axis[b] for b in ds.doc_bucket.tolist()] == [
-        bucket_of(ds, doc) for doc in ds.doc_axis
-    ]
-    want = [[r in bucket_of(ds, doc).rater_ids for r in ds.rater_axis] for doc in ds.doc_axis]
+    doc_raters = {doc: raters for docs, raters in buckets.values() for doc in docs}
+    want = [[r in doc_raters[doc] for r in ds.rater_axis] for doc in ds.doc_axis]
     assert ds.eligible.dtype == bool and ds.eligible.tolist() == want
+
+
+def layout_buckets(bucket_sizes, bucket_raters, doc_name="d{:03d}", n_docs=0):
+    """The {bucket_id: (doc ids, rater ids)} of ``make_layout_dataset``."""
+    buckets = {}
+    for b, (size, raters) in enumerate(zip(bucket_sizes, bucket_raters)):
+        buckets[f"b{b:03d}"] = ([doc_name.format(d) for d in range(n_docs, n_docs + size)], raters)
+        n_docs += size
+    return buckets
 
 
 @pytest.mark.parametrize("layout", [ROTATION_LAYOUT, DISJOINT_LAYOUT, None],
@@ -87,13 +96,44 @@ def test_bucket_layout_arrays(layout):
     if layout is None:
         spec = GeneratorSpec(n_documents=11, n_buckets=3, segments_per_doc=1, n_systems=2)
         ds = generate_synthetic(spec, np.random.default_rng(0))
+        raters = [[f"rater{r:02d}" for r in range(3 * b, 3 * b + 3)] for b in range(3)]
+        buckets = layout_buckets([4, 4, 3], raters, doc_name="doc{:03d}")
     else:
         ds = make_layout_dataset(*layout)
-    assert_layout_follows_buckets(ds)
+        buckets = layout_buckets(*layout)
+    assert_layout_follows_buckets(ds, buckets)
     assert bucket_layout(ds) == [
-        (b.bucket_id, tuple(sorted(b.rater_ids)), len(b.doc_ids))
-        for b in sorted(ds.buckets, key=lambda b: b.bucket_id)
+        (bucket_id, tuple(sorted(raters)), len(docs))
+        for bucket_id, (docs, raters) in sorted(buckets.items())
     ]
+
+
+def shuffled_buckets(data, sizes, n_raters) -> dict:
+    """{bucket_id: (doc ids, rater ids)} with buckets listed out of id order,
+    documents interleaved across buckets and rater ids out of insertion order."""
+    doc_ids = data.draw(st.permutations([f"d{i:02d}" for i in range(sum(sizes))]))
+    rater_ids = data.draw(st.permutations([f"r{i}" for i in range(n_raters)]))
+    bucket_ids = data.draw(st.permutations([f"b{i}" for i in range(len(sizes))]))
+    buckets, start = {}, 0
+    for bucket_id, size in zip(bucket_ids, sizes):
+        raters = data.draw(st.sets(st.sampled_from(rater_ids), min_size=1))
+        buckets[bucket_id] = (doc_ids[start:start + size], raters)
+        start += size
+    return buckets
+
+
+def empty_dataset(buckets, **fields) -> RatingDataset:
+    """A dataset of two systems and one segment per document, without
+    ratings, over ``buckets``; ``fields`` replace its bucket fields."""
+    documents = dict.fromkeys((d for docs, _ in buckets.values() for d in docs), 1)
+    raters = frozenset().union(*(raters for _, raters in buckets.values()))
+    shape = (2, len(documents), 1, len(raters))
+    return RatingDataset(
+        "xx-yy", documents, frozenset({"s0", "s1"}), raters,
+        **{**bucket_fields(buckets, documents, raters), **fields},
+        scores=np.full(shape, np.nan), n_errors=np.full(shape, np.nan),
+        annotations=Annotations((), *[np.zeros(0, dtype=np.intp)] * 5),
+    )
 
 
 @settings(max_examples=50, deadline=None)
@@ -103,24 +143,29 @@ def test_bucket_layout_arrays(layout):
     data=st.data(),
 )
 def test_bucket_layout_arrays_on_shuffled_ids(sizes, n_raters, data):
-    """Buckets listed out of id order, documents interleaved across buckets
-    and rater ids out of insertion order."""
-    doc_ids = data.draw(st.permutations([f"d{i:02d}" for i in range(sum(sizes))]))
-    rater_ids = data.draw(st.permutations([f"r{i}" for i in range(n_raters)]))
-    bucket_ids = data.draw(st.permutations([f"b{i}" for i in range(len(sizes))]))
-    buckets, start = [], 0
-    for bucket_id, size in zip(bucket_ids, sizes):
-        raters = data.draw(st.sets(st.sampled_from(rater_ids), min_size=1))
-        buckets.append(Bucket(bucket_id, frozenset(doc_ids[start:start + size]), frozenset(raters)))
-        start += size
-    raters = frozenset().union(*(b.rater_ids for b in buckets))
-    shape = (2, len(doc_ids), 1, len(raters))
-    ds = RatingDataset(
-        "xx-yy", dict.fromkeys(doc_ids, 1), frozenset({"s0", "s1"}), raters, tuple(buckets),
-        np.full(shape, np.nan), np.full(shape, np.nan),
-        Annotations((), *[np.zeros(0, dtype=np.intp)] * 5),
-    )
-    assert_layout_follows_buckets(ds)
+    buckets = shuffled_buckets(data, sizes, n_raters)
+    assert_layout_follows_buckets(empty_dataset(buckets), buckets)
+
+
+TWO_BUCKETS = {"b0": (["d0", "d1"], {"r0", "r1"}), "b1": (["d2"], {"r1", "r2"})}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"bucket_axis": ("b1", "b0")}, "not sorted and distinct"),
+    ({"bucket_axis": ("b0", "b0")}, "not sorted and distinct"),
+    ({"bucket_raters": (np.array([0, 1]),)}, "1 rater arrays for 2 buckets"),
+    ({"bucket_raters": (np.array([0, 1]), np.array([1, 3]))}, "not ascending positions < 3"),
+    ({"bucket_raters": (np.array([-1, 1]), np.array([1, 2]))}, "not ascending positions < 3"),
+    ({"bucket_raters": (np.array([1, 0]), np.array([1, 2]))}, "not ascending positions < 3"),
+    ({"bucket_raters": (np.array([0, 0]), np.array([1, 2]))}, "not ascending positions < 3"),
+    ({"doc_bucket": np.array([0, 0])}, "does not give each document a bucket"),
+    ({"doc_bucket": np.array([0, 0, -1])}, "does not give each document a bucket"),
+    ({"doc_bucket": np.array([0, 0, 2])}, "does not give each document a bucket"),
+])
+def test_bucket_arrays_that_do_not_fit_the_axes(fields, message):
+    assert empty_dataset(TWO_BUCKETS).eligible.tolist() == [[1, 1, 0], [1, 1, 0], [0, 1, 1]]
+    with pytest.raises(ValueError, match=message):
+        empty_dataset(TWO_BUCKETS, **fields)
 
 
 def test_invalid_severity_rejected(tiny_tsv):
@@ -239,8 +284,7 @@ def test_bucket_inference_matches_explicit_column(tiny_tsv):
         stripped.append("\t".join(cells))
     explicit = ingest(tiny_tsv)
     inferred = ingest_lines(io.StringIO("\n".join(stripped)))
-    assert {b.doc_ids for b in explicit.buckets} == {b.doc_ids for b in inferred.buckets}
-    assert {b.rater_ids for b in explicit.buckets} == {b.rater_ids for b in inferred.buckets}
+    assert set(bucket_sets(explicit).values()) == set(bucket_sets(inferred).values())
 
 
 def test_column_mapping_renames(tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import multiprocessing
 import re
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabeval.assignment import Grouping, LoadBalancing
+from stabeval.corpus import export_tsv
 from stabeval.errors import ConfigError, InvalidSpec, QuotaExceedsBucket
 from stabeval.experiment import (
     GeneratorSpec,
@@ -27,7 +29,7 @@ from stabeval.experiment import (
 from stabeval.scoring import NormalizationScheme
 from stabeval.stats import same_documents, srp
 
-from conftest import all_docs, bucket_of, make_layout_dataset, plan_items, rating_dict
+from conftest import all_docs, bucket_raters_of, make_layout_dataset, plan_items, rating_dict
 
 
 def small_dataset(seed=5, **kwargs):
@@ -48,7 +50,7 @@ class TestSimulateStudy:
         sim, matrix = simulate_study(ds, config, 1)
         assert tuple(sim.plan.docs.tolist()) == all_docs(ds)
         for doc, _sys, raters in plan_items(sim.plan, ds):
-            assert raters <= bucket_of(ds, doc).rater_ids
+            assert raters <= bucket_raters_of(ds, doc)
         assert matrix.systems == ds.system_axis
         assert np.isfinite(matrix.means).all()
 
@@ -172,9 +174,8 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(GeneratorSpec(n_documents=6), np.random.default_rng(0))
         ratings = rating_dict(ds)
         for doc in ds.documents:
-            bucket = bucket_of(ds, doc)
             for system in ds.systems:
-                scores = {ratings[(doc, 0, system, r)].score for r in bucket.rater_ids}
+                scores = {ratings[(doc, 0, system, r)].score for r in bucket_raters_of(ds, doc)}
                 assert len(scores) == 1
 
     def test_harshness_orders_rater_means(self):
@@ -202,8 +203,22 @@ class TestGenerateSynthetic:
             np.random.default_rng(2),
         )
         ds.validate()
-        assert len(ds.buckets) == 2
-        assert all(len(b.rater_ids) == 3 for b in ds.buckets)
+        assert ds.bucket_axis == ("b000", "b001")
+        assert [raters.size for raters in ds.bucket_raters] == [3, 3]
+
+    # Past 1,000 documents and from bucket 33 on, sorted-id order is not
+    # generation order (doc1000 < doc101, rater100 < rater99), and each
+    # bucket draws its documents and raters in sorted-id order.
+    @pytest.mark.parametrize("spec, digest", [
+        (GeneratorSpec(), "2a21d11c58e4a0687811f0660498e3b0a7dd0165e4d02c6b4cc42e3f2026d780"),
+        (GeneratorSpec(n_documents=1002, n_buckets=2, segments_per_doc=1, n_systems=2),
+         "408f14e17a497458abe16ccb11dbf21954d2304e32bae3ef899b90bbf104853c"),
+        (GeneratorSpec(n_documents=40, n_buckets=35, segments_per_doc=1, n_systems=2),
+         "eb34a55a66e0bfc4b6c460f3d28d3ce5e91af099b71d3dc9cf4d6fabb936bab7"),
+    ], ids=["default", "1002_docs", "35_buckets"])
+    def test_export_bytes_pinned(self, spec, digest):
+        text = export_tsv(generate_synthetic(spec, np.random.default_rng(3)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestConfigFiles:

@@ -23,7 +23,6 @@ from stabeval.corpus import (
     ErrorAnnotation,
     RatingDataset,
     Severity,
-    _build_buckets,
     export_tsv,
     fingerprint,
     ingest,
@@ -34,8 +33,11 @@ from stabeval.scoring import WeightTable, segment_score
 
 from conftest import (
     SegmentRating,
+    assert_same_buckets,
     assert_same_ratings,
-    bucket_of,
+    bucket_fields,
+    bucket_sets,
+    build_buckets_oracle,
     make_layout_dataset,
     rating_dict,
     rating_fields,
@@ -217,14 +219,14 @@ def ingest_lines_oracle(lines, mapping=None, weights=None):
         systems.add(system_id)
         raters.add(rater_id)
 
-    buckets = _build_buckets(documents, doc_raters, explicit_buckets)
+    buckets = build_buckets_oracle(documents, doc_raters, explicit_buckets)
     language_pair = sorted(lang_pairs)[0] if len(lang_pairs) == 1 else ",".join(sorted(lang_pairs))
     ds = RatingDataset(
         language_pair=language_pair or "unknown",
         documents=documents,
         systems=frozenset(systems),
         raters=frozenset(raters),
-        buckets=buckets,
+        **bucket_fields(buckets, documents, raters),
         **rating_fields(ratings, systems, documents, raters),
     )
     ds.validate()
@@ -236,10 +238,10 @@ def export_tsv_oracle(ds, ratings):
     out = io.StringIO()
     columns = [c for c in CANONICAL_COLUMNS if c != "target_text"]
     out.write("\t".join(columns) + "\n")
+    bucket_of = {doc: bucket_id for bucket_id, (docs, _) in bucket_sets(ds).items() for doc in docs}
     for key in sorted(ratings):
         rating = ratings[key]
-        bucket = bucket_of(ds, rating.doc_id)
-        base = [ds.language_pair, bucket.bucket_id, rating.doc_id, str(rating.seg_index),
+        base = [ds.language_pair, bucket_of[rating.doc_id], rating.doc_id, str(rating.seg_index),
                 rating.system_id, rating.rater_id]
         score_text = repr(rating.score)
         if rating.annotations:
@@ -268,7 +270,7 @@ def assert_same_dataset(ds, want, ratings):
         want.system_axis, want.doc_axis, want.rater_axis
     )
     assert (ds.systems, ds.raters) == (want.systems, want.raters)
-    assert ds.buckets == want.buckets
+    assert_same_buckets(ds, want)
     assert ds.language_pair == want.language_pair
     assert_same_ratings(ds, want)
     assert list(rating_dict(ds)) == sorted(ratings)
@@ -479,3 +481,129 @@ def test_non_finite_score_rejected(score):
     rows[4] = rows[4].replace("\t\t\t\t\t\t", f"\t\t\t\t\t{score}\t")
     with pytest.raises(ParseError, match=f"line 5: invalid score: '{score}'"):
         ingest_lines(io.StringIO("\n".join(rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    n_raters=st.integers(1, 4),
+    explicit=st.booleans(),
+    data=st.data(),
+)
+def test_ingest_buckets_match_id_set_oracle(sizes, n_raters, explicit, data):
+    """Ingest's bucket arrays against ``build_buckets_oracle``, with explicit
+    bucket ids or no bucket column, shuffled document, rater and bucket ids,
+    and at times documents short of one rater or one without a bucket id."""
+    doc_ids = data.draw(st.permutations([f"d{i}" for i in range(sum(sizes))]))
+    rater_ids = data.draw(st.permutations([f"r{i}" for i in range(n_raters)]))
+    bucket_ids = data.draw(st.permutations([f"b{i}" for i in range(len(sizes))]))
+    doc_raters, explicit_buckets, start = {}, {}, 0
+    for bucket_id, size in zip(bucket_ids, sizes):
+        raters = data.draw(st.sets(st.sampled_from(rater_ids), min_size=1))
+        for doc in doc_ids[start:start + size]:
+            doc_raters[doc], explicit_buckets[doc] = set(raters), bucket_id
+        start += size
+    for short in data.draw(st.lists(st.sampled_from(doc_ids), max_size=2, unique=True)):
+        if len(doc_raters[short]) > 1:
+            doc_raters[short].discard(min(doc_raters[short]))
+    blank = data.draw(st.sampled_from([None, None, *doc_ids])) if explicit else None
+    rows = [
+        ("" if doc == blank else explicit_buckets[doc], doc, rater)
+        for doc, raters in doc_raters.items() for rater in sorted(raters)
+    ]
+    lines = [f"{b}\t{d}\t0\tsA\t{r}\t1.5\n" for b, d, r in data.draw(st.permutations(rows))]
+    header = "bucket_id\tdoc_id\tseg_index\tsystem_id\trater_id\tscore\n"
+    if not explicit:
+        header, lines = header.partition("\t")[2], [line.partition("\t")[2] for line in lines]
+
+    documents = dict.fromkeys(sorted(doc_raters), 1)
+    raters = frozenset().union(*doc_raters.values())
+    if blank is not None:
+        del explicit_buckets[blank]
+    ratings = {
+        (doc, 0, "sA", rater): SegmentRating(doc, 0, "sA", rater, None, 1.5)
+        for doc, doc_set in doc_raters.items() for rater in doc_set
+    }
+
+    def oracle():
+        buckets = build_buckets_oracle(
+            documents, doc_raters, explicit_buckets if explicit else {}
+        )
+        ds = RatingDataset(
+            "unknown", documents, frozenset({"sA"}), raters,
+            **bucket_fields(buckets, documents, raters),
+            **rating_fields(ratings, {"sA"}, documents, raters),
+        )
+        ds.validate()
+        return ds, buckets
+
+    def errors(build):
+        try:
+            return build(), None
+        except StabevalError as exc:
+            return None, (type(exc), str(exc))
+
+    got, got_error = errors(lambda: ingest_lines([header, *lines]))
+    want, want_error = errors(oracle)
+    assert got_error == want_error
+    if want is not None:
+        want_ds, buckets = want
+        assert_same_buckets(got, want_ds)
+        assert bucket_sets(got) == buckets
+
+
+def test_inferred_bucket_names_past_b999_sort_as_ids():
+    """1,001 rater sets: b1000 sorts before b101, as the oracle's ids do."""
+    raters = [f"r{i}" for i in range(10)]
+    doc_raters = {
+        f"d{n:04d}": {r for i, r in enumerate(raters) if n + 1 >> i & 1} for n in range(1001)
+    }
+    lines = ["doc_id\tseg_index\tsystem_id\trater_id\tscore\n"] + [
+        f"{doc}\t0\tsA\t{r}\t1\n" for doc, doc_set in doc_raters.items() for r in sorted(doc_set)
+    ]
+    ds = ingest_lines(lines)
+    buckets = build_buckets_oracle(dict.fromkeys(doc_raters, 1), doc_raters, {})
+    assert ds.bucket_axis[100:103] == ("b100", "b1000", "b101")
+    assert list(ds.bucket_axis) == sorted(buckets)
+    assert bucket_sets(ds) == buckets
+
+
+def test_bucket_with_differing_rater_sets_rejected():
+    rows = [r for r in tiny_tsv_rows() if "\tdoc2\t0\tsysA\tr3\t" not in r
+            and "\tdoc2\t0\tsysB\tr3\t" not in r]
+    with pytest.raises(InconsistentBuckets) as exc:
+        ingest_lines(io.StringIO("\n".join(rows)))
+    assert str(exc.value) == "bucket b1 contains documents with differing rater sets"
+
+
+def test_lowest_bucket_id_with_differing_rater_sets_named():
+    rater_sets = {
+        ("b2", "d1"): "r1 r2", ("b2", "d2"): "r1", ("b1", "d3"): "r3", ("b1", "d4"): "r3 r4",
+    }
+    lines = ["bucket_id\tdoc_id\tseg_index\tsystem_id\trater_id\tscore\n"] + [
+        f"{bucket}\t{doc}\t0\tsA\t{rater}\t1\n"
+        for (bucket, doc), raters in rater_sets.items() for rater in raters.split()
+    ]
+    with pytest.raises(InconsistentBuckets) as exc:
+        ingest_lines(lines)
+    assert str(exc.value) == "bucket b1 contains documents with differing rater sets"
+
+
+def test_documents_without_a_bucket_id_rejected():
+    rows = [r.replace("\tb1\tdoc2\t", "\t\tdoc2\t") for r in tiny_tsv_rows()]
+    with pytest.raises(InconsistentBuckets) as exc:
+        ingest_lines(io.StringIO("\n".join(rows)))
+    assert str(exc.value) == "documents without a bucket id: ['doc2']"
+
+
+def test_infinite_computed_score_rejected(tmp_path):
+    """Two finite weights can sum to inf: the rating is named, not stored."""
+    rows = tiny_tsv_rows()
+    rows.insert(2, rows[1].replace("Accuracy/Mistranslation", "Fluency"))
+    weights = tmp_path / "weights.cfg"
+    weights.write_text("[weights]\nMajor: = 1e308\nMinor: = 1\n")
+    with pytest.raises(ParseError) as exc:
+        ingest_lines(io.StringIO("\n".join(rows)), weights=WeightTable.from_file(weights))
+    assert str(exc.value) == (
+        "line 2: error weights of doc=doc1 seg=0 system=sysA rater=r1 sum to inf"
+    )
