@@ -81,13 +81,13 @@ def assert_layout_follows_buckets(ds, buckets):
     assert ds.eligible.dtype == bool and ds.eligible.tolist() == want
 
 
-def layout_buckets(bucket_sizes, bucket_raters, doc_name="d{:03d}", n_docs=0):
+def layout_buckets(bucket_sizes, bucket_raters, doc_name="d{:03d}"):
     """The {bucket_id: (doc ids, rater ids)} of ``make_layout_dataset``."""
-    buckets = {}
-    for b, (size, raters) in enumerate(zip(bucket_sizes, bucket_raters)):
-        buckets[f"b{b:03d}"] = ([doc_name.format(d) for d in range(n_docs, n_docs + size)], raters)
-        n_docs += size
-    return buckets
+    ends = np.cumsum(bucket_sizes).tolist()
+    return {
+        f"b{b:03d}": ([doc_name.format(d) for d in range(end - size, end)], raters)
+        for b, (size, end, raters) in enumerate(zip(bucket_sizes, ends, bucket_raters))
+    }
 
 
 @pytest.mark.parametrize("layout", [ROTATION_LAYOUT, DISJOINT_LAYOUT, None],
