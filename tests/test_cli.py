@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,9 @@ from stabeval.cli import main
 from stabeval.corpus import export_tsv
 
 from conftest import ROTATION_LAYOUT, make_layout_dataset, tiny_tsv_rows
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import layouts  # noqa: E402
 
 GEN_CFG = """\
 [generator]
@@ -145,6 +149,35 @@ def test_agreement_outputs(synth_tsv, tmp_path):
     hist_lines = (out_dir / "rater_histograms.csv").read_text().strip().split("\n")
     assert hist_lines[0] == "rater,bin_left,bin_right,count,mean,median"
     assert len(hist_lines) > 1
+
+
+# sha256 of pairwise_tau.csv and rater_histograms.csv from ``agreement`` on
+# perfbench's two layouts at seed 1, as written when the taus came from
+# scipy.stats.kendalltau.
+AGREEMENT_SHA256 = {
+    "rotation": ("957c9ffcce9d745ee25ce82f265feb8ae30573c262ecb2286ba956afe1f17703",
+                 "55a4f874e0e0ef7670004a2a00b04a1159ed629e09789bb47ee6d6c7192b50c9"),
+    "disjoint": ("7f162eec73295ae91f8ecb33db14cee4a50c8754f13a4d30484b05a0c1b7af71",
+                 "9937c5d607a90beb1271422ed629fddbee0f8684e892108bfaf25cc03b9bf158"),
+}
+
+
+@pytest.mark.parametrize("bucket_column", [True, False], ids=["buckets", "inferred"])
+@pytest.mark.parametrize("layout_name", sorted(AGREEMENT_SHA256))
+def test_agreement_bytes_on_perfbench_layouts(layout_name, bucket_column, tmp_path):
+    """The agreement files keep their bytes on both benchmark layouts, with
+    the bucket column and with buckets inferred from the rater sets."""
+    text = layouts.build_tsv(getattr(layouts, layout_name.upper()), 1)
+    if not bucket_column:
+        assert text.startswith("lang_pair\tbucket_id\t")
+        rows = [line.split("\t") for line in text.splitlines(True)]
+        text = "".join("\t".join(row[:1] + row[2:]) for row in rows)
+    path, out_dir = tmp_path / "layout.tsv", tmp_path / "agree"
+    path.write_text(text)
+    assert main(["agreement", "--dataset", str(path), "--out", str(out_dir)]) == 0
+    digests = tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                    for name in ("pairwise_tau.csv", "rater_histograms.csv"))
+    assert digests == AGREEMENT_SHA256[layout_name]
 
 
 def test_usage_error_exit_code():
