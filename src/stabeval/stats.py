@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .corpus import RatingDataset
 from .errors import (
@@ -322,6 +321,30 @@ def normalized_entropy(workload: Mapping[str, int] | Sequence[float], pool_size:
     return min(max(value, 0.0), 1.0)
 
 
+def _tau_b(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kendall's tau-b (Kendall 1945) between ``x`` and ``y`` along axis 0,
+    one value per index of the remaining axes.
+
+    From the signs of all n(n-1)/2 pairs: with ``cmd`` the sum of the products
+    of the x and y signs and ``xtie``/``ytie`` the pairs tied in x/y, tau-b is
+    ``cmd / sqrt(tot - xtie) / sqrt(tot - ytie)`` clipped to [-1, 1].  That is
+    ``scipy.stats.kendalltau``'s expression over the same integers, so the
+    value is its ``statistic`` to the bit, NaN included: for a NaN in x or y,
+    fewer than two values, or all-tied x or y.
+    """
+    i, j = np.triu_indices(len(x), 1)
+    sx = (x[i] < x[j]).astype(np.int64) - (x[i] > x[j])
+    sy = (y[i] < y[j]).astype(np.int64) - (y[i] > y[j])
+    cmd = (sx * sy).sum(axis=0)
+    tot = len(i)
+    xtie = tot - np.count_nonzero(sx, axis=0)
+    ytie = tot - np.count_nonzero(sy, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.minimum(1.0, np.maximum(-1.0, cmd / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)))
+    undefined = np.isnan(x).any(axis=0) | np.isnan(y).any(axis=0) | (xtie == tot) | (ytie == tot)
+    return np.where(undefined, np.nan, tau)
+
+
 def kendall_tau(means1: Mapping[str, float], means2: Mapping[str, float]) -> float:
     """Kendall's tau-b between two system score maps (ascending rankings)."""
     if set(means1) != set(means2):
@@ -329,9 +352,9 @@ def kendall_tau(means1: Mapping[str, float], means2: Mapping[str, float]) -> flo
     if len(means1) < 2:
         raise ValueError("need at least 2 systems")
     systems = sorted(means1)
-    x = [means1[s] for s in systems]
-    y = [means2[s] for s in systems]
-    return float(kendalltau(x, y).statistic)
+    x = np.array([means1[s] for s in systems], dtype=np.float64)
+    y = np.array([means2[s] for s in systems], dtype=np.float64)
+    return float(_tau_b(x, y))
 
 
 @dataclass
@@ -369,13 +392,11 @@ def rater_agreement(ds: RatingDataset, granularity: str) -> AgreementReport:
             continue
         pair = [r1, r2]
         if granularity == "single_document":
-            taus = []
-            for d in docs:
-                means = sums[:, d, pair] / counts[:, d, pair]
-                tau = kendalltau(means[:, 0], means[:, 1]).statistic
-                if not np.isnan(tau):
-                    taus.append(tau)
-            per_pair[ids] = float(np.mean(taus)) if taus else float("nan")
+            # One tau per document, kept in document order for the mean.
+            means = sums[:, docs][..., pair] / counts[:, docs][..., pair]
+            taus = _tau_b(means[..., 0], means[..., 1])
+            taus = taus[~np.isnan(taus)]
+            per_pair[ids] = float(np.mean(taus)) if len(taus) else float("nan")
         else:
             total = np.zeros((len(ds.system_axis), 2))
             n = np.zeros((len(ds.system_axis), 2))
@@ -383,7 +404,7 @@ def rater_agreement(ds: RatingDataset, granularity: str) -> AgreementReport:
                 total += sums[:, d, pair]
                 n += counts[:, d, pair]
             means = total / n
-            per_pair[ids] = float(kendalltau(means[:, 0], means[:, 1]).statistic)
+            per_pair[ids] = float(_tau_b(means[:, 0], means[:, 1]))
     values = [v for v in per_pair.values() if not np.isnan(v)]
     grand = float(np.mean(values)) if values else float("nan")
     return AgreementReport(per_pair, grand, skipped)
