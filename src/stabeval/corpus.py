@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -25,6 +26,7 @@ from .errors import (
     MissingColumn,
     ParseError,
     ScoreMismatch,
+    ScoreOutOfRange,
 )
 
 # Canonical column names; mapping configs translate these to file columns.
@@ -172,6 +174,20 @@ class RatingDataset:
         shape = (len(self.system_axis), len(self.doc_axis), n_segs, n_raters)
         if not self.scores.shape == self.n_errors.shape == shape:
             raise ValueError(f"rating arrays of shape {self.scores.shape} do not fit axes {shape}")
+        # Each squared deviation from a rater mean is at most (2 * max|score|)**2,
+        # so below this bound their sum over all rated cells stays finite.
+        n_rated = np.count_nonzero(~np.isnan(self.scores))
+        bound = math.sqrt(np.finfo(np.float64).max / (4 * max(n_rated, 1)))
+        over = np.abs(self.scores) > bound
+        if over.any():
+            # The first offending rating in rating (doc, seg, system, rater) order.
+            by_rating = over.transpose(1, 2, 0, 3)
+            d, seg, s, r = np.unravel_index(np.argmax(by_rating), by_rating.shape)
+            raise ScoreOutOfRange(
+                f"score {self.scores[s, d, seg, r]:g} for doc={self.doc_axis[d]} seg={seg} "
+                f"system={self.system_axis[s]} rater={self.rater_axis[r]} exceeds "
+                f"{bound:.4g} = sqrt(float max / (4 x {n_rated} rated cells))"
+            )
 
     def validate(self) -> None:
         """Enforce the structural invariants; raise a CorpusError on violation."""

@@ -33,6 +33,10 @@ class ScoreMismatch(CorpusError):
     pass
 
 
+class ScoreOutOfRange(CorpusError):
+    """A score too large for the study statistics to stay finite."""
+
+
 class ConfigError(StabevalError):
     """Invalid configuration file or value."""
 
