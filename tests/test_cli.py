@@ -436,14 +436,54 @@ def test_gen_invalid_spec_exit_code(tmp_path, capsys, recwarn):
     assert not recwarn.list
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
-    """``python -m stabeval`` in a fresh process, so warnings reach its stderr."""
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh process that imports this stabeval."""
     src = str(Path(stabeval.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "stabeval", *argv],
+        [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
     )
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m stabeval`` in a fresh process, so warnings reach its stderr."""
+    return run_python("-m", "stabeval", *argv)
+
+
+def test_import_loads_no_scipy():
+    result = run_python(
+        "-c", "import sys, stabeval, stabeval.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+# With ``sys.modules["scipy"] = None`` any import of scipy raises ImportError.
+NO_SCIPY_COMMANDS = """\
+import sys
+sys.modules["scipy"] = None
+from stabeval.cli import main
+tsv, gen_cfg, sweep_cfg, out = sys.argv[1:]
+print([main(argv) for argv in (
+    ["gen", "--config", gen_cfg, "--out", tsv, "--seed", "7"],
+    ["validate", "--dataset", tsv],
+    ["agreement", "--dataset", tsv, "--out", out + "/agree"],
+    ["sweep", "--dataset", tsv, "--config", sweep_cfg, "--out", out + "/sweep"],
+)])
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    gen_cfg, sweep_cfg = tmp_path / "gen.cfg", tmp_path / "sweep.cfg"
+    gen_cfg.write_text(GEN_CFG)
+    sweep_cfg.write_text(SWEEP_CFG)
+    result = run_python("-c", NO_SCIPY_COMMANDS, str(tmp_path / "synth.tsv"),
+                        str(gen_cfg), str(sweep_cfg), str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
+    assert (tmp_path / "sweep" / "sweep.csv").is_file()
 
 
 @pytest.mark.parametrize(
@@ -585,6 +625,34 @@ def test_ingest_error_exit_code(tmp_path, capsys, case, message, command, prefix
     assert code == 1
     assert err.startswith(prefix) and message in err
     assert "Traceback" not in err
+
+
+def test_scores_past_the_range_bound_exit_code(synth_tsv, tmp_path, capsys):
+    """Every score of a 12-document gen dataset times 1e306 used to pass
+    validate, and a zscore sweep on it then overflowed its squares, exited 0
+    and wrote SRP 1.  Both now stop at the first score past the bound."""
+    rows = [line.split("\t") for line in synth_tsv.read_text().splitlines()]
+    col = rows[0].index("score")
+    for row in rows[1:]:
+        row[col] = repr(float(row[col]) * 1e306)
+    path, cfg, out_dir = tmp_path / "huge.tsv", tmp_path / "sweep.cfg", tmp_path / "out"
+    path.write_text("".join("\t".join(row) + "\n" for row in rows))
+    cfg.write_text(SWEEP_CFG)
+    assert main(["validate", "--dataset", str(path)]) == 1
+    assert main(["sweep", "--dataset", str(path), "--config", str(cfg), "--out", str(out_dir)]) == 1
+    message = ("score 5.94172e+305 for doc=doc000 seg=0 system=sys00 rater=rater00 exceeds "
+               "3.95e+152 = sqrt(float max / (4 x 288 rated cells))")
+    assert capsys.readouterr().err == f"INVALID: {message}\nerror: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_gen_scores_past_the_range_bound_exit_code(tmp_path, capsys):
+    cfg, out = tmp_path / "gen.cfg", tmp_path / "synth.tsv"
+    cfg.write_text(GEN_CFG.replace("harshness = 0.5 1.0 2.0", "harshness = 1e300 1.0 2.0"))
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: score ") and "rater=rater00 exceeds" in err
+    assert not out.exists()
 
 
 def test_python_m_stabeval_runs_the_cli():

@@ -1,4 +1,5 @@
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +23,10 @@ from stabeval.errors import (
     MissingColumn,
     ParseError,
     ScoreMismatch,
+    ScoreOutOfRange,
 )
-from stabeval.experiment import GeneratorSpec, generate_synthetic
+from stabeval.experiment import GeneratorSpec, StudyConfig, generate_synthetic, simulate_study
+from stabeval.scoring import NormalizationScheme
 
 from conftest import (
     DISJOINT_LAYOUT,
@@ -325,3 +328,31 @@ def test_score_only_ingestion():
     ds = ingest_lines(io.StringIO("\n".join(lines)))
     assert all(r.annotations is None for r in rating_dict(ds).values())
     assert all(r.score == 1.5 for r in rating_dict(ds).values())
+
+
+def test_scores_up_to_the_range_bound_keep_zscore_finite():
+    """A dataset accepts |score| up to sqrt(float max / (4 x rated cells)),
+    where zscore's sum of squared deviations is still finite, and names the
+    first rating past it."""
+    bound = math.sqrt(np.finfo(np.float64).max / (4 * 16))  # 2 systems x 4 docs x 2 raters
+    sign = {"d000": 1.0, "d001": -1.0, "d002": -1.0, "d003": -1.0}
+
+    def dataset(top):
+        return make_layout_dataset(
+            [4], [("r1", "r2")], n_systems=2,
+            score_fn=lambda doc, seg, sys, rater: top if doc == "d000" else sign[doc] * bound,
+        )
+
+    ds = dataset(bound)
+    config = StudyConfig(n_documents=4, normalization=NormalizationScheme.ZSCORE,
+                         n_permutations=20, n_simulations=2)
+    study, matrix = simulate_study(ds, config, 0)
+    assert np.isfinite(matrix.means).all()
+    assert np.isfinite(study.scored.scores[study.scored.rated]).all()
+    past = np.nextafter(bound, np.inf)
+    with pytest.raises(ScoreOutOfRange) as exc:
+        dataset(past)
+    assert str(exc.value) == (
+        f"score {past:g} for doc=d000 seg=0 system=s00 rater=r1 exceeds "
+        f"{bound:.4g} = sqrt(float max / (4 x 16 rated cells))"
+    )

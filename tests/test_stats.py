@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import kendalltau
 
 from stabeval.errors import (
     EmptyWorkload,
@@ -23,6 +24,7 @@ from stabeval.stats import (
     sr,
     srp,
 )
+from stabeval.scoring import ordered_sums
 
 from conftest import make_layout_dataset, study_from_entries
 
@@ -260,6 +262,32 @@ class TestKendallTau:
         with pytest.raises(SystemSetMismatch):
             kendall_tau({"a": 1.0, "b": 2.0}, {"a": 1.0, "c": 2.0})
 
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_scipy_statistic(self, data):
+        """The NumPy tau-b is scipy.stats.kendalltau's statistic to the bit,
+        with ties, constant inputs and NaN (NaN on both sides)."""
+        n = data.draw(st.integers(2, 15), label="n")
+
+        def column(label):
+            kind = data.draw(st.sampled_from(["float", "integer", "constant"]), label=label)
+            if kind == "float":
+                values = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+            elif kind == "integer":
+                values = st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n)
+            else:
+                values = st.floats(-1e6, 1e6).map(lambda v: [v] * n)
+            x = np.array(data.draw(values, label=label))
+            if data.draw(st.integers(0, 4), label=f"{label} nan") == 0:
+                x[data.draw(st.integers(0, n - 1))] = np.nan
+            return x
+
+        x, y = column("x"), column("y")
+        systems = [f"s{i:02d}" for i in range(n)]
+        got = kendall_tau(dict(zip(systems, x)), dict(zip(systems, y)))
+        want = kendalltau(x, y).statistic
+        assert got == want or (np.isnan(got) and np.isnan(want)), (got, want)
+
 
 class TestRaterAgreement:
     def test_identical_raters_agree_perfectly(self):
@@ -275,6 +303,44 @@ class TestRaterAgreement:
         assert single.per_pair[("r1", "r2")] == pytest.approx(1.0)
         assert pooled.per_pair[("r1", "r2")] == pytest.approx(1.0)
         assert single.grand_mean == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("granularity", ["single_document", "all_shared"])
+    def test_equals_scipy_loop(self, granularity):
+        """Each pair's tau and the grand mean equal a loop over the shared
+        documents with scipy.stats.kendalltau, on integer scores with ties."""
+        ds = make_layout_dataset(
+            [4, 3, 5],
+            [("A", "B", "C"), ("B", "C", "D"), ("D", "E", "F")],
+            n_systems=6,
+            segs_per_doc=2,
+            score_fn=lambda doc, seg, sys, rater: (7 * int(doc[1:]) + 3 * seg + 5 * int(sys[1:])
+                                                   + ord(rater)) % 4,
+        )
+        sums, counts = ordered_sums(ds.scores, axis=2)
+        want = {}
+        for r1, r2 in itertools.combinations(range(len(ds.rater_axis)), 2):
+            docs = np.flatnonzero(ds.eligible[:, r1] & ds.eligible[:, r2])
+            if len(docs) == 0:
+                continue
+            if granularity == "single_document":
+                taus = [kendalltau(*(sums[:, d, [r1, r2]] / counts[:, d, [r1, r2]]).T).statistic
+                        for d in docs]
+                taus = [t for t in taus if not np.isnan(t)]
+                tau = float(np.mean(taus)) if taus else float("nan")
+            else:
+                total, n = np.zeros((len(ds.system_axis), 2)), np.zeros((len(ds.system_axis), 2))
+                for d in docs:
+                    total += sums[:, d, [r1, r2]]
+                    n += counts[:, d, [r1, r2]]
+                tau = float(kendalltau(*(total / n).T).statistic)
+            want[(ds.rater_axis[r1], ds.rater_axis[r2])] = tau
+        report = rater_agreement(ds, granularity)
+        assert report.per_pair.keys() == want.keys()
+        for pair, tau in want.items():
+            got = report.per_pair[pair]
+            assert got == tau or (np.isnan(got) and np.isnan(tau)), pair
+        values = [v for v in want.values() if not np.isnan(v)]
+        assert report.grand_mean == float(np.mean(values))
 
     def test_no_shared_documents_reported(self):
         ds = make_layout_dataset([2, 2], [("r1", "r2"), ("r3", "r4")], n_systems=2)
