@@ -10,7 +10,7 @@ preserved across repeated studies.
 __version__ = "0.1.0"
 
 from .assignment import Grouping, LoadBalancing
-from .corpus import RatingDataset, ingest, stats
+from .corpus import RatingDataset, ingest
 from .experiment import (
     GeneratorSpec,
     StudyConfig,
@@ -51,6 +51,5 @@ __all__ = [
     "simulate_study",
     "sr",
     "srp",
-    "stats",
     "system_means",
 ]

@@ -61,7 +61,6 @@ class AssignmentPlan:
     raters: np.ndarray  # intp, (system, study doc, slot)
     rater_axis: tuple[str, ...]  # the dataset's
     grouping: Grouping
-    balancing: LoadBalancing
 
     @property
     def ratings_per_item(self) -> int:
@@ -182,7 +181,7 @@ def assign_balanced(
         else:  # a unit is a (doc, system) item, doc-major
             units, slots = _deal(len(rows) * n_systems, alphabet, rng)
             raters[units % n_systems, rows[units // n_systems]] = slots
-    plan = AssignmentPlan(docs, raters, ds.rater_axis, grouping, LoadBalancing())
+    plan = AssignmentPlan(docs, raters, ds.rater_axis, grouping)
     plan.validate(ds)
     return plan
 
@@ -281,10 +280,7 @@ def assign_entropy_target(
                 raters = np.repeat(rows[None], n_systems, axis=0)
             else:  # unit u is system u % n_systems of study doc u // n_systems
                 raters = rows.reshape(len(docs), n_systems, -1).transpose(1, 0, 2).copy()
-            plan = AssignmentPlan(
-                docs, raters, ds.rater_axis, grouping,
-                LoadBalancing(target, tolerance),
-            )
+            plan = AssignmentPlan(docs, raters, ds.rater_axis, grouping)
             plan.validate(ds)
             return plan
         # No attempt can end below the layout's least entropy (less a float

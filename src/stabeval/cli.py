@@ -92,23 +92,20 @@ def cmd_agreement(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    single = rater_agreement(ds, "single_document")
-    pooled = rater_agreement(ds, "all_shared")
-    with open(out_dir / "pairwise_tau.csv", "w", newline="") as handle:
+    report = rater_agreement(ds)
+    with open(out_dir / "pairwise_tau.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["rater_a", "rater_b", "single_document_tau", "all_shared_tau"])
-        for pair in sorted(single.per_pair):
-            writer.writerow(
-                [pair[0], pair[1], f"{single.per_pair[pair]:.6f}", f"{pooled.per_pair[pair]:.6f}"]
-            )
-        writer.writerow(["GRAND_MEAN", "", f"{single.grand_mean:.6f}", f"{pooled.grand_mean:.6f}"])
-        for pair in single.skipped_pairs:
+        for pair in sorted(report.per_pair):
+            writer.writerow([*pair, *(f"{tau:.6f}" for tau in report.per_pair[pair])])
+        writer.writerow(["GRAND_MEAN", "", *(f"{tau:.6f}" for tau in report.grand_mean)])
+        for pair in report.skipped_pairs:
             writer.writerow([pair[0], pair[1], "no_shared_documents", "no_shared_documents"])
 
     # Unit-width bins from 0 past the top score, or at most 1,000 equal bins.
     top = np.floor(np.nanmax(ds.scores)) + 1.0
     edges = np.linspace(0.0, top, int(min(top, 1000)) + 1)
-    with open(out_dir / "rater_histograms.csv", "w", newline="") as handle:
+    with open(out_dir / "rater_histograms.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["rater", "bin_left", "bin_right", "count", "mean", "median"])
         for rater in sorted(ds.raters):
@@ -129,7 +126,7 @@ def cmd_gen(args) -> int:
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(corpus_mod.export_tsv(ds))
+    out.write_text(corpus_mod.export_tsv(ds), encoding="utf-8")
     print(f"wrote {out} ({np.count_nonzero(~np.isnan(ds.scores))} rating rows)")
     return EXIT_OK
 
@@ -147,10 +144,11 @@ def cmd_simulate(args) -> int:
     print("significantly-better matrix (rows beat columns, '*' = significant):")
     header = " ".join(f"{s[:10]:>10s}" for s in matrix.systems)
     print(f"{'':24s} {header}")
+    better = matrix.better
     for i, system in enumerate(matrix.systems):
         cells = []
         for j in range(len(matrix.systems)):
-            cells.append(f"{'*' if matrix.sig[i][j] else ('<' if matrix.better[i][j] else '.'):>10s}")
+            cells.append(f"{'*' if matrix.sig[i][j] else ('<' if better[i][j] else '.'):>10s}")
         print(f"{system:<24s} {' '.join(cells)}")
     return EXIT_OK
 
@@ -172,8 +170,8 @@ def cmd_sweep(args) -> int:
     # Only a sweep that ran gets an output directory.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.csv").write_text(result.to_csv())
-    with open(out_dir / "sweep.json", "w") as handle:
+    (out_dir / "sweep.csv").write_text(result.to_csv(), encoding="utf-8")
+    with open(out_dir / "sweep.json", "w", encoding="utf-8") as handle:
         json.dump(result.to_json_obj(), handle, indent=2)
         handle.write("\n")
     manifest = RunManifest(

@@ -225,7 +225,9 @@ def normalize(study: ScoredStudy, scheme: NormalizationScheme) -> ScoredStudy:
         np.divide(centred, study.per_cell(stds), out=scaled, where=study.per_cell(stds > 0))
         return study.with_scores(scaled)
 
-    # Mean and Error schemes are multiplicative.
+    # Mean and Error schemes are multiplicative.  A rater mean tiny beside the
+    # study mean overflows the rater's factor or ratings, which the check
+    # after them finds, so numpy need not warn.
     counts, sums, errors = study.rater_sums(values, study.n_errors[study.rated])
     means = sums / counts
     zero = means == 0
@@ -234,16 +236,23 @@ def normalize(study: ScoredStudy, scheme: NormalizationScheme) -> ScoredStudy:
         raise DegenerateRater(
             f"rater mean score is 0 for {bad}; multiplicative normalization undefined"
         )
-    scores = study.scores * study.per_cell(values.mean() / means)
-    if scheme is NormalizationScheme.MEAN:
-        return study.with_scores(scores)
-
-    # Error scheme: scale rater r by c*E_r so the study-wide mean is preserved.
-    # E_r is the rater's severity-ignored error count, NaN if any rating lacks one.
-    if np.isnan(errors).any():
-        raise MissingErrorCounts("error-normalization requires annotation-backed ratings")
-    denom = float(np.sum(counts * errors))
-    if denom == 0:
-        raise DegenerateRater("no errors identified by any rater; error scheme undefined")
-    c = len(values) / denom
-    return study.with_scores(scores * study.per_cell(c * errors))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = study.scores * study.per_cell(values.mean() / means)
+        if scheme is NormalizationScheme.ERROR:
+            # Scale rater r by c*E_r so the study-wide mean is preserved.  E_r is the
+            # rater's severity-ignored error count, NaN if any rating lacks one.
+            if np.isnan(errors).any():
+                raise MissingErrorCounts("error-normalization requires annotation-backed ratings")
+            denom = float(np.sum(counts * errors))
+            if denom == 0:
+                raise DegenerateRater("no errors identified by any rater; error scheme undefined")
+            c = len(values) / denom
+            scores = scores * study.per_cell(c * errors)
+    if np.count_nonzero(np.isfinite(scores)) != len(values):
+        broken = study.rater_sums(~np.isfinite(scores[study.rated]))[1]
+        bad = [study.raters[i] for i in np.flatnonzero(broken)]
+        raise DegenerateRater(
+            f"normalized ratings are not finite for {bad}: their mean score is too small "
+            "beside the study mean"
+        )
+    return study.with_scores(scores)

@@ -26,21 +26,23 @@ _REL_TOL = 1e-12
 class SignificanceMatrix:
     """Pairwise comparison result for one study.
 
-    ``better[i][j]`` means system i has a strictly lower (better) mean than j;
-    ``sig[i][j]`` additionally requires the permutation test to reach alpha.
+    ``better[i][j]``, derived from ``means``, means system i has a strictly
+    lower (better) mean than j; ``sig[i][j]`` additionally requires the
+    permutation test to reach alpha.
     """
 
     systems: tuple[str, ...]
     means: np.ndarray
     sig: np.ndarray
-    better: np.ndarray
-    alpha: float
-    n_permutations: int
     doc_set: Optional[tuple] = None  # the study's documents; ``same_documents`` groups by it
 
     def __post_init__(self):
         n = len(self.systems)
-        assert self.sig.shape == (n, n) and self.better.shape == (n, n)
+        assert self.means.shape == (n,) and self.sig.shape == (n, n)
+
+    @property
+    def better(self) -> np.ndarray:
+        return self.means[:, None] < self.means[None, :]
 
     def align_to(self, systems: Sequence[str]) -> "SignificanceMatrix":
         if tuple(systems) == self.systems:
@@ -51,13 +53,7 @@ class SignificanceMatrix:
             )
         perm = np.array([self.systems.index(s) for s in systems])
         return SignificanceMatrix(
-            tuple(systems),
-            self.means[perm],
-            self.sig[np.ix_(perm, perm)],
-            self.better[np.ix_(perm, perm)],
-            self.alpha,
-            self.n_permutations,
-            self.doc_set,
+            tuple(systems), self.means[perm], self.sig[np.ix_(perm, perm)], self.doc_set
         )
 
 
@@ -222,14 +218,11 @@ def significance_matrix(
         stats /= total
         hits[block] = np.count_nonzero(stats >= threshold[block, None], axis=1)
     reached = (1 + hits) / (1 + n_perm) <= alpha
-    lower, higher = means[first] < means[second], means[second] < means[first]
-    better = np.zeros((n_sys, n_sys), dtype=bool)
-    better[first, second], better[second, first] = lower, higher
     sig = np.zeros((n_sys, n_sys), dtype=bool)
-    sig[first, second], sig[second, first] = lower & reached, higher & reached
+    sig[first, second] = reached & (means[first] < means[second])
+    sig[second, first] = reached & (means[second] < means[first])
     return SignificanceMatrix(
-        study.systems, means, sig, better, alpha, n_perm,
-        doc_set if doc_set is not None else tuple(study.docs),
+        study.systems, means, sig, doc_set if doc_set is not None else tuple(study.docs)
     )
 
 
@@ -359,54 +352,47 @@ def kendall_tau(means1: Mapping[str, float], means2: Mapping[str, float]) -> flo
 
 @dataclass
 class AgreementReport:
-    per_pair: dict[tuple[str, str], float]
-    grand_mean: float
+    """Per rater pair, and as grand means over the pairs with a defined tau:
+    (single-document tau, all-shared tau)."""
+
+    per_pair: dict[tuple[str, str], tuple[float, float]]
+    grand_mean: tuple[float, float]
     skipped_pairs: list[tuple[str, str]] = field(default_factory=list)
 
 
-def rater_agreement(ds: RatingDataset, granularity: str) -> AgreementReport:
-    """Average Kendall's tau between rater pairs' system rankings.
+def _defined_mean(values) -> float:
+    """The mean of the non-NaN values; NaN if there are none."""
+    values = np.asarray(values, dtype=np.float64)
+    values = values[~np.isnan(values)]
+    return float(values.mean()) if len(values) else float("nan")
 
-    ``single_document``: mean over shared documents of per-document ranking tau.
+
+def rater_agreement(ds: RatingDataset) -> AgreementReport:
+    """Kendall's tau between rater pairs' system rankings, at two granularities.
+
+    ``single_document``: the mean over shared documents of per-document tau.
     ``all_shared``: one tau from system means pooled over all shared documents.
+    Pairs without a shared document are skipped.
     """
-    if granularity not in ("single_document", "all_shared"):
-        raise ValueError(f"unknown granularity {granularity!r}")
     # Per-(system, doc, rater) score sums, accumulated in segment order.
     sums, counts = ordered_sums(ds.scores, axis=2)
-
-    # Each rater pair's shared document positions, bucket by bucket.
-    shared_docs: dict[tuple[int, int], list[int]] = {}
-    for b, bucket_raters in enumerate(ds.bucket_raters):
-        docs = np.flatnonzero(ds.doc_bucket == b).tolist()
-        for pair in itertools.combinations(bucket_raters.tolist(), 2):
-            shared_docs.setdefault(pair, []).extend(docs)
-
-    per_pair: dict[tuple[str, str], float] = {}
+    per_pair: dict[tuple[str, str], tuple[float, float]] = {}
     skipped: list[tuple[str, str]] = []
     for r1, r2 in itertools.combinations(range(len(ds.rater_axis)), 2):
         ids = (ds.rater_axis[r1], ds.rater_axis[r2])
-        docs = shared_docs.get((r1, r2), [])
-        if not docs:
+        docs = np.flatnonzero(ds.eligible[:, r1] & ds.eligible[:, r2])
+        if not len(docs):
             skipped.append(ids)
             continue
-        pair = [r1, r2]
-        if granularity == "single_document":
-            # One tau per document, kept in document order for the mean.
-            means = sums[:, docs][..., pair] / counts[:, docs][..., pair]
-            taus = _tau_b(means[..., 0], means[..., 1])
-            taus = taus[~np.isnan(taus)]
-            per_pair[ids] = float(np.mean(taus)) if len(taus) else float("nan")
-        else:
-            total = np.zeros((len(ds.system_axis), 2))
-            n = np.zeros((len(ds.system_axis), 2))
-            for d in docs:
-                total += sums[:, d, pair]
-                n += counts[:, d, pair]
-            means = total / n
-            per_pair[ids] = float(_tau_b(means[:, 0], means[:, 1]))
-    values = [v for v in per_pair.values() if not np.isnan(v)]
-    grand = float(np.mean(values)) if values else float("nan")
+        pair_sums, pair_counts = sums[:, docs][..., [r1, r2]], counts[:, docs][..., [r1, r2]]
+        # One tau per document, averaged in document order.
+        means = pair_sums / pair_counts
+        single = _defined_mean(_tau_b(means[..., 0], means[..., 1]))
+        # System means pooled over the shared documents, added in document order.
+        pooled = ordered_sums(pair_sums, axis=1)[0] / pair_counts.sum(axis=1)
+        per_pair[ids] = single, float(_tau_b(pooled[:, 0], pooled[:, 1]))
+    taus = np.array(list(per_pair.values())).reshape(-1, 2)
+    grand = _defined_mean(taus[:, 0]), _defined_mean(taus[:, 1])
     return AgreementReport(per_pair, grand, skipped)
 
 

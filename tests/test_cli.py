@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -436,13 +437,15 @@ def test_gen_invalid_spec_exit_code(tmp_path, capsys, recwarn):
     assert not recwarn.list
 
 
-def run_python(*argv: str) -> subprocess.CompletedProcess:
-    """``python *argv`` in a fresh process that imports this stabeval."""
+def run_python(*argv: str, env: Optional[dict] = None) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh process that imports this stabeval, with
+    ``env`` added to the environment."""
     src = str(Path(stabeval.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *argv],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
+        capture_output=True, text=True, timeout=60,
     )
 
 
@@ -484,6 +487,74 @@ def test_commands_run_without_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
     assert (tmp_path / "sweep" / "sweep.csv").is_file()
+
+
+# gen with a non-ASCII language pair, then agreement and sweep on its dataset
+# with rater00 renamed to a non-ASCII id; prints the exit codes.  The script
+# is ASCII, as the C locale decodes it.
+NON_ASCII_COMMANDS = """\
+import sys
+from pathlib import Path
+from stabeval.cli import main
+gen_cfg, sweep_cfg, out = sys.argv[1:]
+gen_tsv, tsv = Path(out, "gen.tsv"), Path(out, "renamed.tsv")
+codes = [main(["gen", "--config", gen_cfg, "--out", str(gen_tsv), "--seed", "7"])]
+text = gen_tsv.read_text(encoding="utf-8").replace("rater00", "r\\u00e1ter00")
+tsv.write_text(text, encoding="utf-8")
+codes.append(main(["agreement", "--dataset", str(tsv), "--out", out]))
+codes.append(main(["sweep", "--dataset", str(tsv), "--config", sweep_cfg, "--out", out]))
+print(codes)
+"""
+
+
+def test_output_files_are_utf8_in_every_locale(tmp_path):
+    """Under the C locale without UTF-8 mode, a non-ASCII study label ended a
+    sweep in a UnicodeEncodeError after a partial sweep.csv.  Every output
+    file is UTF-8 whatever the locale."""
+    gen_cfg, sweep_cfg = tmp_path / "gen.cfg", tmp_path / "sweep.cfg"
+    gen_cfg.write_text(GEN_CFG + "language_pair = en-dë\n", encoding="utf-8")
+    sweep_cfg.write_text(SWEEP_CFG.replace("[study:balanced]", "[study:naïve]"),
+                         encoding="utf-8")
+    outputs = {}
+    for name, env in (
+        ("c", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}),
+        ("utf8", {"PYTHONUTF8": "1"}),
+    ):
+        out = tmp_path / name
+        out.mkdir()
+        result = run_python("-c", NON_ASCII_COMMANDS, str(gen_cfg), str(sweep_cfg), str(out),
+                            env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[0, 0, 0]"
+        outputs[name] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    assert sorted(outputs["c"]) == ["gen.tsv", "pairwise_tau.csv", "rater_histograms.csv",
+                                    "renamed.tsv", "sweep.csv", "sweep.json"]
+    assert outputs["c"] == outputs["utf8"]
+    assert "naïve,psxs".encode() in outputs["c"]["sweep.csv"]
+    assert "ráter00".encode() in outputs["c"]["pairwise_tau.csv"]
+    assert "en-dë".encode() in outputs["c"]["gen.tsv"]
+
+
+def test_mean_normalization_of_a_tiny_rater_mean_exit_code(synth_tsv, tmp_path):
+    """rater00's scores times 1e-300 and the others' times 1e100 pass validate,
+    but the mean scheme's factor, study mean / rater mean, overflows for
+    rater00.  The sweep used to warn, print SRP 1 for its first point and exit
+    3 blaming the systems' segments; it now names the rater and writes nothing."""
+    rows = [line.split("\t") for line in synth_tsv.read_text().splitlines()]
+    score, rater = rows[0].index("score"), rows[0].index("rater_id")
+    for row in rows[1:]:
+        row[score] = repr(float(row[score]) * (1e-300 if row[rater] == "rater00" else 1e100))
+    path, cfg, out_dir = tmp_path / "scaled.tsv", tmp_path / "sweep.cfg", tmp_path / "out"
+    path.write_text("".join("\t".join(row) + "\n" for row in rows))
+    cfg.write_text(SWEEP_CFG.split("[study:")[0] + "[study:mean]\nnormalization = mean\n")
+    assert main(["validate", "--dataset", str(path)]) == 0
+    result = run_cli("sweep", "--dataset", str(path), "--config", str(cfg), "--out", str(out_dir))
+    assert result.returncode == 3
+    assert result.stderr == (
+        "error: normalized ratings are not finite for ['rater00']: their mean score is too "
+        "small beside the study mean\n"
+    )
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -219,10 +219,7 @@ def matrix_sets(draw):
         doc_set = doc_sets[draw(st.integers(0, len(doc_sets) - 1))]
         perm = np.ix_(order, order)
         out.append(
-            SignificanceMatrix(
-                tuple(systems[i] for i in order), means[order], sig[perm], better[perm],
-                0.05, 100, doc_set,
-            )
+            SignificanceMatrix(tuple(systems[i] for i in order), means[order], sig[perm], doc_set)
         )
     return out
 
@@ -244,18 +241,15 @@ def test_srp_matches_pair_loop(studies, pair_filter):
 
 def test_srp_requires_one_system_set():
     """Stricter than the pair loop, which checks only the pairs it admits."""
-    one = SignificanceMatrix(("a", "b"), np.zeros(2), np.zeros((2, 2), bool),
-                             np.zeros((2, 2), bool), 0.05, 100, frozenset({"x"}))
-    other = SignificanceMatrix(("a", "c"), np.zeros(2), np.zeros((2, 2), bool),
-                               np.zeros((2, 2), bool), 0.05, 100, frozenset({"y"}))
+    one = SignificanceMatrix(("a", "b"), np.zeros(2), np.zeros((2, 2), bool), frozenset({"x"}))
+    other = SignificanceMatrix(("a", "c"), np.zeros(2), np.zeros((2, 2), bool), frozenset({"y"}))
     assert srp_pairs([one, one, other], same_documents) == (1.0, 2)
     with pytest.raises(SystemSetMismatch):
         srp([one, one, other], same_documents)
 
 
 def test_srp_rejects_other_filters():
-    e = SignificanceMatrix(("a", "b"), np.zeros(2), np.zeros((2, 2), bool),
-                           np.zeros((2, 2), bool), 0.05, 100)
+    e = SignificanceMatrix(("a", "b"), np.zeros(2), np.zeros((2, 2), bool))
     with pytest.raises(ValueError):
         srp([e, e], lambda e1, e2: True)
 

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from stabeval.assignment import Grouping, LoadBalancing, build_plan
 from stabeval.corpus import ErrorAnnotation, Severity
-from stabeval.errors import DegenerateRater, MissingErrorCounts
+from stabeval.errors import DegenerateRater, MissingErrorCounts, ScoreOutOfRange, StabevalError
+from stabeval.experiment import GeneratorSpec, generate_synthetic, select_ratings
+from stabeval.stats import significance_matrix
 from stabeval.scoring import (
     NormalizationScheme,
     WeightTable,
@@ -217,3 +222,34 @@ class TestNormalize:
         for scheme in NormalizationScheme:
             means = system_means(normalize(study, scheme))
             assert sorted(means, key=means.get) == base_order
+
+
+SCALED_SPEC = GeneratorSpec(n_documents=6, segments_per_doc=2, n_systems=3, item_noise_sigma=0.6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exponents=st.lists(st.integers(-330, 308), min_size=6, max_size=6))
+@example(exponents=[-300] + [100] * 5)  # overflowed the mean scheme's factor
+def test_scores_across_the_exponent_range(exponents):
+    """Each rater's scores times 10**k, k from past the subnormals to the
+    largest power: the dataset is rejected, or each scheme raises a typed
+    error in ``normalize`` or gives finite ratings, study mean and
+    significance means.  pytest turns a numpy RuntimeWarning into an error."""
+    ds = generate_synthetic(SCALED_SPEC, np.random.default_rng(0))
+    with np.errstate(over="ignore"):
+        scores = ds.scores * np.array([float(f"1e{k}") for k in exponents])
+    try:
+        ds = replace(ds, scores=scores, n_errors=np.where(np.isnan(scores), np.nan, 2.0))
+    except ScoreOutOfRange:
+        return
+    rng = np.random.default_rng(1)
+    docs = tuple(range(len(ds.doc_axis)))
+    study = select_ratings(ds, build_plan(ds, docs, Grouping.NO_GROUPING, LoadBalancing(), 1, rng))
+    for scheme in NormalizationScheme:
+        try:
+            scored = normalize(study, scheme)
+        except StabevalError:
+            continue
+        assert np.isfinite(scored.scores[scored.rated]).all(), scheme
+        assert np.isfinite(scored.study_mean), scheme
+        assert np.isfinite(significance_matrix(scored, 0.05, 19, rng).means).all(), scheme

@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -131,15 +132,10 @@ class TestSignificanceMatrix:
 def make_matrix(systems, sig_pairs, means):
     n = len(systems)
     means = np.asarray(means, dtype=float)
-    better = np.zeros((n, n), dtype=bool)
     sig = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if means[i] < means[j]:
-                better[i, j] = True
     for i, j in sig_pairs:
         sig[i, j] = True
-    return SignificanceMatrix(tuple(systems), means, sig, better, 0.05, 500)
+    return SignificanceMatrix(tuple(systems), means, sig)
 
 
 class TestSrAndSrp:
@@ -203,9 +199,7 @@ class TestSrAndSrp:
             better = means[:, None] < means[None, :]
             sig = better & (rng.random((n_systems, n_systems)) < 0.5)
             studies.append(
-                SignificanceMatrix(
-                    tuple(f"s{i}" for i in range(n_systems)), means, sig, better, 0.05, 500
-                )
+                SignificanceMatrix(tuple(f"s{i}" for i in range(n_systems)), means, sig)
             )
         value, n_pairs = srp(studies)
         assert 0.0 <= value <= 1.0
@@ -298,11 +292,11 @@ class TestRaterAgreement:
             segs_per_doc=2,
             score_fn=lambda doc, seg, sys, rater: 1 + int(sys[-1]),
         )
-        single = rater_agreement(ds, "single_document")
-        pooled = rater_agreement(ds, "all_shared")
-        assert single.per_pair[("r1", "r2")] == pytest.approx(1.0)
-        assert pooled.per_pair[("r1", "r2")] == pytest.approx(1.0)
-        assert single.grand_mean == pytest.approx(1.0)
+        report = rater_agreement(ds)
+        single, pooled = report.per_pair[("r1", "r2")]
+        assert single == pytest.approx(1.0)
+        assert pooled == pytest.approx(1.0)
+        assert report.grand_mean[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("granularity", ["single_document", "all_shared"])
     def test_equals_scipy_loop(self, granularity):
@@ -334,17 +328,18 @@ class TestRaterAgreement:
                     n += counts[:, d, [r1, r2]]
                 tau = float(kendalltau(*(total / n).T).statistic)
             want[(ds.rater_axis[r1], ds.rater_axis[r2])] = tau
-        report = rater_agreement(ds, granularity)
+        column = ["single_document", "all_shared"].index(granularity)
+        report = rater_agreement(ds)
         assert report.per_pair.keys() == want.keys()
         for pair, tau in want.items():
-            got = report.per_pair[pair]
+            got = report.per_pair[pair][column]
             assert got == tau or (np.isnan(got) and np.isnan(tau)), pair
         values = [v for v in want.values() if not np.isnan(v)]
-        assert report.grand_mean == float(np.mean(values))
+        assert report.grand_mean[column] == float(np.mean(values))
 
     def test_no_shared_documents_reported(self):
         ds = make_layout_dataset([2, 2], [("r1", "r2"), ("r3", "r4")], n_systems=2)
-        report = rater_agreement(ds, "all_shared")
+        report = rater_agreement(ds)
         assert ("r1", "r3") in report.skipped_pairs
 
 
@@ -385,3 +380,13 @@ class TestRaterDistribution:
         cdf_harsh = np.cumsum(harsh.counts) / harsh.n
         assert (cdf_harsh <= cdf_lenient + 1e-12).all()
         assert harsh.mean > lenient.mean
+
+
+def test_stabeval_stats_is_the_module():
+    """The package once re-exported ``corpus.stats`` as ``stats``, which hid
+    this module: ``import stabeval.stats as m`` gave a function."""
+    import stabeval
+    import stabeval.stats as module
+
+    assert isinstance(module, types.ModuleType) and stabeval.stats is module
+    assert module.srp is srp and module.significance_matrix is significance_matrix
