@@ -147,23 +147,18 @@ def _deal(n_units: int, alphabet: np.ndarray, rng) -> tuple[np.ndarray, np.ndarr
     return units, alphabet[np.arange(n_units) % len(alphabet)]
 
 
-def assign_balanced(
-    ds: RatingDataset,
-    docs: Sequence[int],
-    grouping: Grouping,
-    rng,
-    ratings_per_item: int = 1,
-) -> AssignmentPlan:
-    """Fully balanced assignment of the documents at the ascending ``doc_axis``
-    positions ``docs``: per bucket, shuffle the units and the bucket's raters
-    (or rater pairs), then deal the units round-robin.
+def _balanced_raters(
+    ds: RatingDataset, docs: np.ndarray, grouping: Grouping, ratings_per_item: int, rng
+) -> np.ndarray:
+    """Fully balanced ``raters[system, study doc, slot]``: per bucket, shuffle
+    the units and the bucket's raters (or rater pairs), then deal the units
+    round-robin.
 
     The unit is a document for pSxS (every system output of a document shares
     its raters), a document within one system for system-balanced grouping
     (one deal per system, so every system spreads evenly over raters without
     document alignment), and a (doc, system) item without grouping.
     """
-    docs = np.asarray(docs, dtype=np.intp)
     doc_bucket = ds.doc_bucket[docs]
     n_systems = len(ds.system_axis)
     # Every item is dealt exactly once below, so every slot is written.
@@ -181,9 +176,7 @@ def assign_balanced(
         else:  # a unit is a (doc, system) item, doc-major
             units, slots = _deal(len(rows) * n_systems, alphabet, rng)
             raters[units % n_systems, rows[units // n_systems]] = slots
-    plan = AssignmentPlan(docs, raters, ds.rater_axis, grouping)
-    plan.validate(ds)
-    return plan
+    return raters
 
 
 def _entropy_pool(ds: RatingDataset, ratings_per_item: int) -> list[tuple[int, ...]]:
@@ -197,18 +190,19 @@ def _entropy_pool(ds: RatingDataset, ratings_per_item: int) -> list[tuple[int, .
     return sorted(symbols)
 
 
-def assign_entropy_target(
+# The attempts an entropy-targeted plan makes before it gives up.
+_MAX_ATTEMPTS = 1000
+
+
+def _entropy_targeted_raters(
     ds: RatingDataset,
-    docs: Sequence[int],
-    target: float,
-    tolerance: float = 0.03,
-    rng=None,
-    max_retries: int = 1000,
-    grouping: Grouping = Grouping.PSXS,
-    ratings_per_item: int = 1,
-) -> AssignmentPlan:
-    """Entropy-targeted assignment of the documents at the ascending
-    ``doc_axis`` positions ``docs``.
+    docs: np.ndarray,
+    grouping: Grouping,
+    balancing: LoadBalancing,
+    ratings_per_item: int,
+    rng,
+) -> np.ndarray:
+    """Entropy-targeted ``raters[system, study doc, slot]``.
 
     Each attempt starts from a uniform-random eligible assignment, then visits
     the units once in random order, greedily re-assigning each to the eligible
@@ -218,10 +212,7 @@ def assign_entropy_target(
     assignment and the visit order are resampled.  The unit is a document
     under pSxS and a (doc, system) item without grouping.
     """
-    if not (0.0 <= target <= 1.0):
-        raise ValueError(f"target must be in [0, 1], got {target}")
-    if grouping is Grouping.SYSTEM_BALANCED:
-        raise ValueError("system-balanced grouping is only defined with full balancing")
+    target, tolerance = balancing.target, balancing.tolerance
     symbols = _entropy_pool(ds, ratings_per_item)
     pool_size = len(symbols)
     if pool_size < 2:  # the entropy is normalized by log(pool_size)
@@ -229,7 +220,6 @@ def assign_entropy_target(
             f"entropy target {target} needs a pool of at least 2 raters; the pool has {pool_size}"
         )
     symbol_pos = {s: i for i, s in enumerate(symbols)}
-    docs = np.asarray(docs, dtype=np.intp)
     psxs = grouping is Grouping.PSXS
     n_systems = len(ds.system_axis)
     weight = n_systems if psxs else 1  # items per unit
@@ -252,7 +242,7 @@ def assign_entropy_target(
     # one unit changes only the two counts it leaves and joins.
     total = float(n_units * weight)
     log_total = math.log(total)
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_ATTEMPTS):
         # One bounded draw per unit, as ``rng.integers(len(candidates))`` in a loop.
         picks = [c[k] for c, k in zip(eligible, rng.integers(0, sizes).tolist())]
         units = np.bincount(picks, minlength=pool_size).tolist()
@@ -277,12 +267,9 @@ def assign_entropy_target(
         if abs(normalized_entropy(units, pool_size) - target) <= tolerance:
             rows = np.array(symbols)[picks]  # each unit's raters
             if psxs:
-                raters = np.repeat(rows[None], n_systems, axis=0)
-            else:  # unit u is system u % n_systems of study doc u // n_systems
-                raters = rows.reshape(len(docs), n_systems, -1).transpose(1, 0, 2).copy()
-            plan = AssignmentPlan(docs, raters, ds.rater_axis, grouping)
-            plan.validate(ds)
-            return plan
+                return np.repeat(rows[None], n_systems, axis=0)
+            # Unit u is system u % n_systems of study doc u // n_systems.
+            return rows.reshape(len(docs), n_systems, -1).transpose(1, 0, 2).copy()
         # No attempt can end below the layout's least entropy (less a float
         # margin), so a target below it fails now rather than after every attempt.
         if attempt == 0:
@@ -294,7 +281,7 @@ def assign_entropy_target(
                 )
     raise TargetUnreachable(
         f"no assignment within {tolerance} of entropy target {target} "
-        f"after {max_retries} attempts"
+        f"after {_MAX_ATTEMPTS} attempts"
     )
 
 
@@ -348,15 +335,16 @@ def build_plan(
     ratings_per_item: int,
     rng,
 ) -> AssignmentPlan:
-    """Dispatch to the procedure implied by (grouping, balancing)."""
+    """Assign raters to the documents at the ascending ``doc_axis`` positions
+    ``docs`` by the procedure that (grouping, balancing) names, and check the
+    plan.  System-balanced grouping is defined only with full balancing."""
+    docs = np.asarray(docs, dtype=np.intp)
     if balancing.target is None:
-        return assign_balanced(ds, docs, grouping, rng, ratings_per_item)
-    return assign_entropy_target(
-        ds,
-        docs,
-        balancing.target,
-        tolerance=balancing.tolerance,
-        rng=rng,
-        grouping=grouping,
-        ratings_per_item=ratings_per_item,
-    )
+        raters = _balanced_raters(ds, docs, grouping, ratings_per_item, rng)
+    elif grouping is Grouping.SYSTEM_BALANCED:
+        raise ValueError("system-balanced grouping is only defined with full balancing")
+    else:
+        raters = _entropy_targeted_raters(ds, docs, grouping, balancing, ratings_per_item, rng)
+    plan = AssignmentPlan(docs, raters, ds.rater_axis, grouping)
+    plan.validate(ds)
+    return plan

@@ -253,6 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Ids and labels that the locale cannot encode print escaped, as Python
+    # already prints them on stderr, instead of ending in UnicodeEncodeError.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -499,9 +499,15 @@ def load_sweep_config(path) -> tuple[list[StudyConfig], Optional[list[int]]]:
             raise ConfigError(
                 f"unknown section [{name}]: expected [sweep], [study] or [study:NAME]"
             )
+        # The label names the methodology's rows in the sweep outputs.
+        if colon and not label:
+            raise ConfigError(f"[{name}] has an empty NAME")
+        label = label or kind  # [study] is labelled study
+        if any(c.label == label for c in configs):
+            raise ConfigError(f"two study sections share the label {label!r}")
         cfg = {**shared, **_study_fields(name, section)}
         balancing = LoadBalancing(**{k: cfg.pop(k) for k in ("target", "tolerance") if k in cfg})
-        configs.append(StudyConfig(balancing=balancing, label=label if colon else kind, **cfg))
+        configs.append(StudyConfig(balancing=balancing, label=label, **cfg))
     if not configs:
         raise ConfigError("no [study:NAME] sections found")
     return configs, grid

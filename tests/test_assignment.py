@@ -8,8 +8,6 @@ from stabeval import assignment
 from stabeval.assignment import (
     Grouping,
     LoadBalancing,
-    assign_balanced,
-    assign_entropy_target,
     build_plan,
     min_instantiable_entropy,
     subsample_documents,
@@ -54,17 +52,17 @@ def full_workload(plan, ds):
 class TestPsxsBalanced:
     def test_divisible_bucket(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=3)
-        plan = assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng)
+        plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(), 1, rng)
         assert sorted(doc_counts(plan, ds).values()) == [2, 2, 2]
 
     def test_pigeonhole_bucket(self, rng):
         ds = make_layout_dataset([7], [("r1", "r2", "r3")], n_systems=2)
-        plan = assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng)
+        plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(), 1, rng)
         assert sorted(doc_counts(plan, ds).values()) == [2, 2, 3]
 
     def test_document_grouping_invariant(self, rng):
         ds = make_layout_dataset([5, 5], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=4)
-        plan = assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng)
+        plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(), 1, rng)
         by_doc = {}
         for doc, _sys, raters in plan_items(plan, ds):
             by_doc.setdefault(doc, set()).add(raters)
@@ -72,7 +70,7 @@ class TestPsxsBalanced:
 
     def test_rotation_layout_near_uniform_entropy(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
-        plan = assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng)
+        plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(), 1, rng)
         entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
         assert entropy >= 0.99
 
@@ -80,7 +78,7 @@ class TestPsxsBalanced:
 class TestSystemBalanced:
     def test_divisible_counts(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=3)
-        plan = assign_balanced(ds, all_docs(ds), Grouping.SYSTEM_BALANCED, rng)
+        plan = build_plan(ds, all_docs(ds), Grouping.SYSTEM_BALANCED, LoadBalancing(), 1, rng)
         per_rater_system = Counter(
             (r, sys) for _doc, sys, raters in plan_items(plan, ds) for r in raters
         )
@@ -88,7 +86,7 @@ class TestSystemBalanced:
 
     def test_spread_bound_on_uneven_layout(self, rng):
         ds = make_layout_dataset([7, 4], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=5)
-        plan = assign_balanced(ds, all_docs(ds), Grouping.SYSTEM_BALANCED, rng)
+        plan = build_plan(ds, all_docs(ds), Grouping.SYSTEM_BALANCED, LoadBalancing(), 1, rng)
         for bucket_docs, bucket_raters in bucket_sets(ds).values():
             for system in ds.systems:
                 counts = Counter()
@@ -104,7 +102,8 @@ class TestSystemBalanced:
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=4)
         split_seen = False
         for seed in range(10):
-            plan = assign_balanced(ds, all_docs(ds), Grouping.SYSTEM_BALANCED, np.random.default_rng(seed))
+            plan = build_plan(ds, all_docs(ds), Grouping.SYSTEM_BALANCED, LoadBalancing(), 1,
+                              np.random.default_rng(seed))
             assignments = {(doc, sys): raters for doc, sys, raters in plan_items(plan, ds)}
             for doc in ds.documents:
                 raters = {assignments[(doc, s)] for s in sorted(ds.systems)}
@@ -116,16 +115,15 @@ class TestSystemBalanced:
 class TestNoGrouping:
     def test_item_pigeonhole(self, rng):
         ds = make_layout_dataset([1], [("r1", "r2", "r3")], n_systems=4)
-        plan = assign_balanced(ds, all_docs(ds), Grouping.NO_GROUPING, rng)
+        plan = build_plan(ds, all_docs(ds), Grouping.NO_GROUPING, LoadBalancing(), 1, rng)
         assert sorted(plan.workload().values()) == [1, 1, 2]
 
     def test_breaks_document_grouping(self):
         ds = make_layout_dataset([1], [("r1", "r2", "r3")], n_systems=4)
         split_seen = False
         for seed in range(10):
-            plan = assign_balanced(
-                ds, all_docs(ds), Grouping.NO_GROUPING, np.random.default_rng(seed)
-            )
+            plan = build_plan(ds, all_docs(ds), Grouping.NO_GROUPING, LoadBalancing(), 1,
+                              np.random.default_rng(seed))
             if len({raters for _doc, _sys, raters in plan_items(plan, ds)}) > 1:
                 split_seen = True
         assert split_seen
@@ -141,48 +139,48 @@ class TestNoGrouping:
 class TestEntropyTarget:
     def test_target_one_drives_uniform(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
-        plan = assign_entropy_target(ds, all_docs(ds), 1.0, rng=rng, max_retries=50)
+        plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(1.0), 1, rng)
         entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
         assert entropy >= 0.97
 
     def test_ende_minimum_achievable(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
-        plan = assign_entropy_target(ds, all_docs(ds), 0.51, rng=rng, max_retries=200)
+        plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(0.51), 1, rng)
         entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
         assert abs(entropy - 0.51) <= 0.03
 
     def test_enzh_minimum_achievable(self, rng):
         ds = make_layout_dataset(*DISJOINT_LAYOUT)
-        plan = assign_entropy_target(ds, all_docs(ds), 0.38, rng=rng, max_retries=200)
+        plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(0.38), 1, rng)
         entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
         assert abs(entropy - 0.38) <= 0.03
 
     def test_below_minimum_unreachable(self, rng):
         ds = make_layout_dataset(*DISJOINT_LAYOUT)
         with pytest.raises(TargetUnreachable):
-            assign_entropy_target(ds, all_docs(ds), 0.30, rng=rng, max_retries=15)
+            build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(0.30), 1, rng)
 
     @pytest.mark.parametrize("grouping", [Grouping.PSXS, Grouping.NO_GROUPING])
     @pytest.mark.parametrize("ratings_per_item", [1, 2])
-    def test_below_minimum_fails_after_one_attempt(self, grouping, ratings_per_item):
+    def test_below_minimum_fails_after_one_attempt(self, monkeypatch, grouping,
+                                                   ratings_per_item):
         # The rotation layout's least entropy at 90 documents is ~0.51
         # (single raters) or ~0.52 (rater pairs).
         ds = make_layout_dataset(*ROTATION_LAYOUT, n_systems=15)
         subset = subsample_documents(ds, 90, np.random.default_rng(1))
         attempted = np.random.default_rng(5)
         with pytest.raises(TargetUnreachable, match="no workload entropy below 0.5"):
-            assign_entropy_target(ds, subset, 0.3, rng=attempted, grouping=grouping,
-                                  ratings_per_item=ratings_per_item)
+            build_plan(ds, subset, grouping, LoadBalancing(0.3), ratings_per_item, attempted)
         one = np.random.default_rng(5)  # the draws of a single attempt
+        monkeypatch.setattr(assignment, "_MAX_ATTEMPTS", 1)
         with pytest.raises(TargetUnreachable):
-            assign_entropy_target(ds, subset, 0.3, rng=one, max_retries=1, grouping=grouping,
-                                  ratings_per_item=ratings_per_item)
+            build_plan(ds, subset, grouping, LoadBalancing(0.3), ratings_per_item, one)
         assert attempted.bit_generator.state == one.bit_generator.state
 
     def test_intermediate_targets_within_tolerance(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
         for target in (0.6, 0.8):
-            plan = assign_entropy_target(ds, all_docs(ds), target, rng=rng, max_retries=50)
+            plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(target), 1, rng)
             entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
             assert abs(entropy - target) <= 0.03
 
@@ -198,13 +196,14 @@ class TestEntropyTarget:
             return 0.0  # rules out nothing, so every attempt runs
 
         monkeypatch.setattr(assignment, "min_instantiable_entropy", least)
+        monkeypatch.setattr(assignment, "_MAX_ATTEMPTS", 2)
         assignment._least_entropy.cache_clear()
         ds = make_layout_dataset(
             [2] * n_buckets, [(f"a{i}", f"b{i}", f"c{i}") for i in range(n_buckets)]
         )
         with pytest.raises(TargetUnreachable, match="after 2 attempts"):
-            assign_entropy_target(ds, all_docs(ds), 0.0, tolerance=0.0,
-                                  rng=np.random.default_rng(0), max_retries=2)
+            build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(0.0, 0.0), 1,
+                       np.random.default_rng(0))
         assert calls == ([n_buckets] if brute_forced else [])
         assignment._least_entropy.cache_clear()
 
@@ -221,20 +220,20 @@ class TestMinInstantiableEntropy:
 class TestPairAssignment:
     def test_pair_round_robin(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=2)
-        plan = assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng, ratings_per_item=2)
+        plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(), 2, rng)
         assert all(len(raters) == 2 for _doc, _sys, raters in plan_items(plan, ds))
         assert sorted(pair_workload(plan, ds).values()) == [4, 4, 4]  # 2 docs x 2 systems
         assert sorted(doc_counts(plan, ds).values()) == [4, 4, 4]  # each rater in 2 of 3 pairs
 
     def test_pair_entropy_over_pair_workload(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=2)
-        plan = assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng, ratings_per_item=2)
+        plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(), 2, rng)
         assert normalized_entropy(pair_workload(plan, ds), 3) == pytest.approx(1.0)
 
     def test_wrong_arity_rejected(self, rng):
         ds = make_layout_dataset([4], [("r1", "r2")], n_systems=2)
         with pytest.raises(BucketArityUnsupported):
-            assign_balanced(ds, all_docs(ds), Grouping.PSXS, rng, ratings_per_item=2)
+            build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(), 2, rng)
 
 
 class TestSubsampleDocuments:
@@ -365,7 +364,7 @@ class TestPlanValidate:
     def plan(self, grouping, ratings_per_item=1):
         ds = make_layout_dataset([3, 3], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=2)
         rng = np.random.default_rng(0)
-        return ds, assign_balanced(ds, all_docs(ds), grouping, rng, ratings_per_item)
+        return ds, build_plan(ds, all_docs(ds), grouping, LoadBalancing(), ratings_per_item, rng)
 
     def test_ineligible_rater(self):
         ds, plan = self.plan(Grouping.PSXS)
@@ -390,7 +389,7 @@ class TestPlanValidate:
     def test_documents_not_distinct_ascending(self, docs):
         ds = make_layout_dataset([3, 3], [("r1", "r2", "r3"), ("r4", "r5", "r6")])
         with pytest.raises(ValueError, match="not distinct ascending positions"):
-            assign_balanced(ds, docs, Grouping.PSXS, np.random.default_rng(0))
+            build_plan(ds, docs, Grouping.PSXS, LoadBalancing(), 1, np.random.default_rng(0))
 
     def test_psxs_violation(self):
         ds, plan = self.plan(Grouping.PSXS)

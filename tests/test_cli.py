@@ -272,9 +272,13 @@ def test_sweep_config_error_exit_code(synth_tsv, tmp_path, capsys, study, doc_co
         ("simulate", STUDY_CFG + "num_document = 4\n", "unknown key 'num_document' in [study]"),
         ("gen", GEN_CFG + "n_document = 4\n", "unknown key 'n_document' in [generator]"),
         ("gen", GEN_CFG + "[generate]\n", "unknown section [generate]"),
+        ("sweep", SWEEP_CFG + "[study]\n[study:study]\n",
+         "two study sections share the label 'study'"),
+        # run_sweep would label the third study config2.
+        ("sweep", SWEEP_CFG + "[study:]\n[study:config2]\n", "[study:] has an empty NAME"),
     ],
     ids=["sweep_key", "study_key", "sweep_section", "simulate_key", "generator_key",
-         "generator_section"],
+         "generator_section", "repeated_label", "empty_label"],
 )
 def test_unknown_config_key_or_section_exit_code(synth_tsv, tmp_path, capsys, command, config,
                                                  message):
@@ -496,25 +500,31 @@ NON_ASCII_COMMANDS = """\
 import sys
 from pathlib import Path
 from stabeval.cli import main
-gen_cfg, sweep_cfg, out = sys.argv[1:]
+gen_cfg, sweep_cfg, study_cfg, out = sys.argv[1:]
 gen_tsv, tsv = Path(out, "gen.tsv"), Path(out, "renamed.tsv")
 codes = [main(["gen", "--config", gen_cfg, "--out", str(gen_tsv), "--seed", "7"])]
 text = gen_tsv.read_text(encoding="utf-8").replace("rater00", "r\\u00e1ter00")
 tsv.write_text(text, encoding="utf-8")
 codes.append(main(["agreement", "--dataset", str(tsv), "--out", out]))
 codes.append(main(["sweep", "--dataset", str(tsv), "--config", sweep_cfg, "--out", out]))
+codes += [main([command, "--dataset", str(tsv)]) for command in ("validate", "stats")]
+codes.append(main(["simulate", "--dataset", str(tsv), "--config", study_cfg]))
 print(codes)
 """
 
 
 def test_output_files_are_utf8_in_every_locale(tmp_path):
     """Under the C locale without UTF-8 mode, a non-ASCII study label ended a
-    sweep in a UnicodeEncodeError after a partial sweep.csv.  Every output
-    file is UTF-8 whatever the locale."""
+    sweep in a UnicodeEncodeError after a partial sweep.csv, and a non-ASCII
+    id or label printed on stdout ended validate, stats and simulate in one.
+    Every output file is UTF-8 whatever the locale; stdout escapes what the
+    locale cannot encode."""
     gen_cfg, sweep_cfg = tmp_path / "gen.cfg", tmp_path / "sweep.cfg"
+    study_cfg = tmp_path / "study.cfg"
     gen_cfg.write_text(GEN_CFG + "language_pair = en-dë\n", encoding="utf-8")
     sweep_cfg.write_text(SWEEP_CFG.replace("[study:balanced]", "[study:naïve]"),
                          encoding="utf-8")
+    study_cfg.write_text(STUDY_CFG.replace("[study]", "[study:naïve]"), encoding="utf-8")
     outputs = {}
     for name, env in (
         ("c", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}),
@@ -522,10 +532,13 @@ def test_output_files_are_utf8_in_every_locale(tmp_path):
     ):
         out = tmp_path / name
         out.mkdir()
-        result = run_python("-c", NON_ASCII_COMMANDS, str(gen_cfg), str(sweep_cfg), str(out),
-                            env=env)
+        result = run_python("-c", NON_ASCII_COMMANDS, str(gen_cfg), str(sweep_cfg),
+                            str(study_cfg), str(out), env=env)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[0, 0, 0]"
+        assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"
+        escaped = name == "c"
+        assert ("r\\xe1ter00" if escaped else "ráter00") in result.stdout
+        assert ("ranking (na\\xefve," if escaped else "ranking (naïve,") in result.stdout
         outputs[name] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
     assert sorted(outputs["c"]) == ["gen.tsv", "pairwise_tau.csv", "rater_histograms.csv",
                                     "renamed.tsv", "sweep.csv", "sweep.json"]

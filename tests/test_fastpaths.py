@@ -5,7 +5,7 @@
   signs it reads from raw PCG64 words (``_flipped_signs``) against
   ``rng.integers``.
 - ``srp`` (one boolean product over all study pairs) against ``srp_pairs``.
-- ``assign_entropy_target`` (candidates scored from a running sum of c log c
+- ``build_plan``'s entropy-targeted loop (candidates scored from a running sum of c log c
   read from a table) against ``entropy_target_oracle`` below, which recomputes the full entropy
   for every candidate.
 
@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from stabeval import assignment
 from stabeval.assignment import (
     Grouping,
+    LoadBalancing,
     _bucket_alphabet,
     _entropy_pool,
-    assign_entropy_target,
+    build_plan,
     min_instantiable_entropy,
     subsample_documents,
 )
@@ -256,7 +258,7 @@ def test_srp_rejects_other_filters():
 
 def entropy_target_oracle(ds, study_docs, target, tolerance, rng, max_retries, grouping,
                           ratings_per_item):
-    """``assign_entropy_target``'s greedy loop with the full entropy recomputed
+    """``build_plan``'s entropy-targeted loop with the full entropy recomputed
     for every candidate; returns the plan's (system, doc, rater) mask.  Like
     it, gives up after a first failed attempt when ``min_instantiable_entropy``
     of the study's buckets exceeds ``target + tolerance`` (every layout here
@@ -341,9 +343,12 @@ def test_entropy_delta_matches_full_recompute(
     ds = LAYOUT_DATASETS[layout]
     subset = subsample_documents(ds, n_docs, np.random.default_rng(seed))
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    balancing = LoadBalancing(target, tolerance)
     try:
-        got = plan_mask(assign_entropy_target(ds, subset, target, tolerance, fast, 5, grouping,
-                                              ratings_per_item), ds)
+        # A function-scoped monkeypatch fixture fails hypothesis's health check.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(assignment, "_MAX_ATTEMPTS", 5)
+            got = plan_mask(build_plan(ds, subset, grouping, balancing, ratings_per_item, fast), ds)
     except TargetUnreachable:
         got = TargetUnreachable
     try:
@@ -365,7 +370,7 @@ def test_entropy_delta_matches_full_recompute(
     predraw=st.integers(0, 1),
 )
 def test_integers_over_an_array_of_bounds_is_the_scalar_loop(bounds, seed, predraw):
-    """``assign_entropy_target`` draws its initial picks in one call and skips
+    """The entropy-targeted loop draws its initial picks in one call and skips
     the tie-break draw for a lone best candidate."""
     vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     # An odd number of earlier 32-bit draws leaves half a 64-bit word buffered.
