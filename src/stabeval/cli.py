@@ -126,7 +126,8 @@ def cmd_gen(args) -> int:
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(corpus_mod.export_tsv(ds), encoding="utf-8")
+    with open(out, "w", encoding="utf-8") as handle:
+        handle.writelines(corpus_mod.export_blocks(ds))
     print(f"wrote {out} ({np.count_nonzero(~np.isnan(ds.scores))} rating rows)")
     return EXIT_OK
 

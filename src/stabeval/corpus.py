@@ -12,10 +12,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +49,11 @@ CANONICAL_COLUMNS = (
 REQUIRED_COLUMNS = ("doc_id", "seg_index", "system_id", "rater_id")
 
 SCORE_TOLERANCE = 1e-9
-_BLOCK_ROWS = 8192  # rows that ingest splits into cells at a time
+_BLOCK_ROWS = 8192  # rows that ingest splits into cells, and ratings export writes, at a time
+_READ_CHARS = 1 << 19  # characters that ingest reads from a file at a time
+# Columns whose cells are parsed, not ranked: their codes number the distinct
+# cells in the order the blocks first show them, the empty cell always 0.
+_PARSED_COLUMNS = ("seg_index", "span_start", "span_end", "score", "target_text")
 
 
 class Severity(str, Enum):
@@ -286,34 +291,38 @@ def ingest(path, mapping: Optional[ColumnMapping] = None, weights=None) -> Ratin
     ``weights`` (a scoring.WeightTable) is used to materialize scores from
     annotations where absent and to cross-check precomputed scores.  A
     leading UTF-8 byte order mark is dropped, and CRLF or CR line ends read
-    as LF.
+    as LF.  The file is read in bounded chunks, so the whole text never
+    exists at once.
     """
     with open(path, encoding="utf-8-sig") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
-            ) from None
-    return _ingest_text(text, mapping, weights)
+        return _ingest_chunks(_read_chunks(handle, path), mapping, weights)
 
 
 def ingest_lines(lines: Iterable[str], mapping=None, weights=None) -> RatingDataset:
     """``ingest`` for lines as a text file yields them, each ending in a newline
     except perhaps the last."""
-    return _ingest_text("".join(lines), mapping, weights)
+    return _ingest_chunks(lines, mapping, weights)
 
 
-def _ingest_text(text: str, mapping, weights) -> RatingDataset:
+def _read_chunks(handle, path) -> Iterator[str]:
+    """The text of an open file, ``_READ_CHARS`` characters at a time."""
+    try:
+        while chunk := handle.read(_READ_CHARS):
+            yield chunk
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
+
+
+def _ingest_chunks(chunks: Iterable[str], mapping, weights) -> RatingDataset:
     from .scoring import WeightTable
 
     if weights is None:
         weights = WeightTable.default()
     if mapping is None:
         mapping = ColumnMapping.identity()
-    if not text:
-        raise ParseError("empty file", line=1)
-    lineno, axes, codes = _split_columns(text, mapping)
+    lineno, axes, codes = _split_columns(chunks, mapping)
     n_rows = len(lineno)
     langs = [lang for lang in axes["lang_pair"] if lang]
     target_len = np.array([len(t) for t in axes["target_text"]], dtype=np.int64)[
@@ -458,7 +467,7 @@ def _ingest_text(text: str, mapping, weights) -> RatingDataset:
         categories,
         owner=error_owner,
         severity=severity[errors],
-        category=category[errors],
+        category=category[errors].astype(np.intp),
         start=np.where(has_span[errors], start[errors], -1),
         end=np.where(has_span[errors], end[errors], -1),
     )
@@ -502,56 +511,103 @@ def _ingest_text(text: str, mapping, weights) -> RatingDataset:
     return ds
 
 
-def _split_columns(text: str, mapping: ColumnMapping) -> tuple[np.ndarray, dict, dict]:
+def _split_columns(chunks: Iterable[str], mapping: ColumnMapping) -> tuple[np.ndarray, dict, dict]:
     """Line numbers of the non-blank data lines, and per canonical column its
-    sorted distinct cells and each row's index into them.  A row shorter than
-    the header reads as padded with empty cells, an absent column as empty."""
-    lines = text.split("\n")
+    distinct cells and each row's int32 code into them.  ``chunks`` concatenate
+    to the text.  Parsed columns list their cells as ``_PARSED_COLUMNS``
+    says, the others sorted.  A row shorter than the header reads as padded
+    with empty cells, an absent column as empty."""
+    chunks = iter(chunks)
+    blocks = _line_blocks(chunks)
+    lines = next(blocks, None)
+    if lines is None:
+        raise ParseError("empty file", line=1)
     header = lines[0].split("\t")
-    index = mapping.resolve(header)
+    try:
+        index = mapping.resolve(header)
+    except MissingColumn:
+        deque(chunks, maxlen=0)  # a later undecodable byte is the error to report
+        raise
     del lines[0]
-    lineno = np.flatnonzero(np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))) + 2
-    if not lineno.size:
-        raise ParseError("no data rows", line=2)
-    rows = list(filter(None, lines))
-    del lines
     width = len(header)
-    tabs = np.fromiter(map(str.count, rows, repeat("\t")), dtype=np.intp, count=len(rows))
-    for i in np.flatnonzero(tabs != width - 1).tolist():
-        cells = rows[i].split("\t")[:width]
-        rows[i] = "\t".join(cells + [""] * (width - len(cells)))
     # Split a block of rows at a time, so that only one block's cells exist
     # as strings.  Each column's distinct cells get provisional codes in the
-    # order blocks first show them, ranked by sorted cell at the end.
-    seen = {name: {} for name in index}
-    blocks = {name: [] for name in index}
-    for at in range(0, len(rows), _BLOCK_ROWS):
-        cells = "\t".join(rows[at:at + _BLOCK_ROWS]).split("\t")
+    # order blocks first show them; ranked columns rank them at the end.
+    seen = {name: {"": 0} if name in _PARSED_COLUMNS else {} for name in index}
+    block_codes = {name: [] for name in index}
+    block_lineno, first_line = [], 2
+    for lines in chain([lines], blocks):
+        lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+        block_lineno.append(np.flatnonzero(lengths) + first_line)
+        first_line += len(lines)
+        rows = list(filter(None, lines))
+        if not rows:
+            continue
+        tabs = np.fromiter(map(str.count, rows, repeat("\t")), dtype=np.intp, count=len(rows))
+        for i in np.flatnonzero(tabs != width - 1).tolist():
+            cells = rows[i].split("\t")[:width]
+            rows[i] = "\t".join(cells + [""] * (width - len(cells)))
+        cells = "\t".join(rows).split("\t")
         for name, pos in index.items():
             column, first = cells[pos::width], seen[name]
             for cell in set(column).difference(first):
                 first[cell] = len(first)
-            blocks[name].append(np.fromiter(map(first.__getitem__, column), np.intp, len(column)))
+            block_codes[name].append(
+                np.fromiter(map(first.__getitem__, column), np.int32, len(column))
+            )
+    lineno = np.concatenate(block_lineno)
+    if not lineno.size:
+        raise ParseError("no data rows", line=2)
     axes, codes = {}, {}
     for name in CANONICAL_COLUMNS:
-        if name in index:
-            axes[name], rank = _factorize(list(seen[name]))
-            codes[name] = rank[np.concatenate(blocks[name])]
+        if name not in index:
+            axes[name], codes[name] = ("",), np.zeros(len(lineno), dtype=np.int32)
+            continue
+        code = np.concatenate(block_codes.pop(name))
+        if name in _PARSED_COLUMNS:
+            axes[name], codes[name] = tuple(seen[name]), code
         else:
-            axes[name], codes[name] = ("",), np.zeros(len(rows), dtype=np.intp)
+            axes[name], rank = _factorize(list(seen[name]))
+            codes[name] = rank.astype(np.int32)[code]
     return lineno, axes, codes
+
+
+def _line_blocks(chunks: Iterable[str]) -> Iterator[list[str]]:
+    """The lines of the text that ``chunks`` concatenate to, split at "\\n",
+    in lists of at most ``_BLOCK_ROWS`` lines.  An empty text gives none, and
+    an empty last line that would start a list of its own is left out."""
+    pending, head = [], []  # head: the pieces of the unfinished line, joined once
+    for chunk in chunks:
+        *lines, tail = chunk.split("\n")
+        if lines:
+            lines[0] = "".join(head) + lines[0]
+            head = []
+        head.append(tail)
+        pending += lines
+        full = len(pending) - len(pending) % _BLOCK_ROWS
+        yield from (pending[at:at + _BLOCK_ROWS] for at in range(0, full, _BLOCK_ROWS))
+        del pending[:full]
+    last = "".join(head)
+    if pending or last:
+        yield pending + [last]
 
 
 def _parse_each(texts: Sequence[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Parse each distinct cell text: the values, and a mask of the texts that
-    fail (including integers beyond 64 bits)."""
+    fail (including integers beyond 64 bits).  A leading empty text fails
+    unparsed; the rest are parsed in one pass unless one fails."""
+    skip = int(texts[0] == "")
     values = np.zeros(len(texts), dtype=dtype)
     failed = np.zeros(len(texts), dtype=bool)
-    for i, text in enumerate(texts):
-        try:
-            values[i] = parse(text)
-        except (ValueError, OverflowError):
-            failed[i] = True
+    failed[:skip] = True
+    try:
+        values[skip:] = np.fromiter(map(parse, texts[skip:]), dtype, len(texts) - skip)
+    except (ValueError, OverflowError):
+        for i in range(skip, len(texts)):
+            try:
+                values[i] = parse(texts[i])
+            except (ValueError, OverflowError):
+                failed[i] = True
     return values, failed
 
 
@@ -596,39 +652,53 @@ def bucket_layout(ds: RatingDataset) -> list[tuple[str, tuple[str, ...], int]]:
 
 def export_tsv(ds: RatingDataset) -> str:
     """Serialize to the canonical TSV format (deterministic row order)."""
+    return "".join(export_blocks(ds))
+
+
+def export_blocks(ds: RatingDataset) -> Iterator[str]:
+    """``export_tsv`` in pieces: the header line, then the lines of
+    ``_BLOCK_ROWS`` ratings at a time."""
     by_key = (1, 2, 0, 3)  # (doc, seg, system, rater): rating order
-    rated = ~np.isnan(ds.scores.transpose(by_key))
-    doc, seg, system, rater = (cells.tolist() for cells in np.nonzero(rated))
+    rated = np.flatnonzero(~np.isnan(ds.scores.transpose(by_key)))
+    shape = tuple(ds.scores.shape[axis] for axis in by_key)
     doc_heads = [
         f"{ds.language_pair}\t{ds.bucket_axis[b]}\t{d}\t"
         for d, b in zip(ds.doc_axis, ds.doc_bucket.tolist())
     ]
-    heads = [
-        f"{doc_heads[d]}{k}\t{ds.system_axis[s]}\t{ds.rater_axis[r]}\t"
-        for d, k, s, r in zip(doc, seg, system, rater)
-    ]
-    tails = [f"\t{score!r}" for score in ds.scores.transpose(by_key)[rated].tolist()]
     table = ds.annotations
     severities = [severity.value for severity in SEVERITIES]
-    annotations = [
-        f"{severities[s]}\t{table.categories[c]}\t" + ("\t" if a < 0 else f"{a}\t{b}")
-        for s, c, a, b in zip(
-            table.severity.tolist(), table.category.tolist(),
-            table.start.tolist(), table.end.tolist(),
-        )
-    ]
-    # One line per annotation, or one with empty error fields for a rating without any.
-    n_errors = np.nan_to_num(ds.n_errors.transpose(by_key)[rated]).astype(np.intp)
-    owner = np.repeat(np.arange(len(heads)), np.maximum(n_errors, 1))
-    annotated = n_errors[owner] > 0
-    middles = ["\t\t\t"] * len(owner)
-    for line, text in zip(np.flatnonzero(annotated).tolist(), annotations):
-        middles[line] = text
-    header = "\t".join(c for c in CANONICAL_COLUMNS if c != "target_text")
-    body = [heads[o] + m + tails[o] for o, m in zip(owner.tolist(), middles)]
-    return "\n".join([header, *body]) + "\n"
+    yield "\t".join(c for c in CANONICAL_COLUMNS if c != "target_text") + "\n"
+    next_annotation = 0
+    for at in range(0, len(rated), _BLOCK_ROWS):
+        doc, seg, system, rater = np.unravel_index(rated[at:at + _BLOCK_ROWS], shape)
+        cells = (system, doc, seg, rater)
+        heads = [
+            f"{doc_heads[d]}{k}\t{ds.system_axis[s]}\t{ds.rater_axis[r]}\t"
+            for d, k, s, r in zip(doc.tolist(), seg.tolist(), system.tolist(), rater.tolist())
+        ]
+        tails = [f"\t{score!r}\n" for score in ds.scores[cells].tolist()]
+        # One line per annotation, or one with empty error fields for a rating without any.
+        n_errors = np.nan_to_num(ds.n_errors[cells]).astype(np.intp)
+        rows = slice(next_annotation, next_annotation + int(n_errors.sum()))
+        next_annotation = rows.stop
+        annotations = [
+            f"{severities[s]}\t{table.categories[c]}\t" + ("\t" if a < 0 else f"{a}\t{b}")
+            for s, c, a, b in zip(
+                table.severity[rows].tolist(), table.category[rows].tolist(),
+                table.start[rows].tolist(), table.end[rows].tolist(),
+            )
+        ]
+        owner = np.repeat(np.arange(len(heads)), np.maximum(n_errors, 1))
+        middles = ["\t\t\t"] * len(owner)
+        for line, text in zip(np.flatnonzero(n_errors[owner] > 0).tolist(), annotations):
+            middles[line] = text
+        yield "".join([heads[o] + m + tails[o] for o, m in zip(owner.tolist(), middles)])
 
 
 def fingerprint(ds: RatingDataset) -> str:
-    """Content hash of the dataset; changes iff any rating row changes."""
-    return hashlib.sha256(export_tsv(ds).encode("utf-8")).hexdigest()
+    """Content hash of the dataset; changes iff any rating row changes.  It is
+    the SHA-256 of ``export_tsv(ds)``, hashed a block at a time."""
+    digest = hashlib.sha256()
+    for block in export_blocks(ds):
+        digest.update(block.encode("utf-8"))
+    return digest.hexdigest()

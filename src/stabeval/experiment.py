@@ -272,6 +272,10 @@ def run_sweep(
                 f"the dataset has {len(ds.documents)} documents, fewer than the default "
                 f"grid's smallest count {min(DEFAULT_DOC_GRID)}: set doc_counts"
             )
+    labels = [config.label or f"config{ci}" for ci, config in enumerate(configs)]
+    for ci, label in enumerate(labels):
+        if label in labels[:ci]:
+            raise ConfigError(f"two configs share the sweep label {label!r}")
     for config in configs:
         for n_docs in doc_count_grid:
             _check_pool_size(ds, replace(config, n_documents=n_docs))
@@ -296,7 +300,7 @@ def run_sweep(
                 value, n_pairs = srp(matrices, pair_filter)
                 points.append(
                     SweepPoint(
-                        label=config.label or f"config{ci}",
+                        label=labels[ci],
                         config=config_point,
                         n_documents=n_docs,
                         srp=value,

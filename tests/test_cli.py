@@ -59,6 +59,12 @@ def synth_tsv(tmp_path):
     return out
 
 
+def test_gen_bytes_pinned(synth_tsv):
+    assert hashlib.sha256(synth_tsv.read_bytes()).hexdigest() == (
+        "555ea6759b627e735bf209b328b54878da52b61addcd47ed27164230c88eabe8"
+    )
+
+
 def test_validate_ok(tiny_tsv, capsys):
     assert main(["validate", "--dataset", str(tiny_tsv)]) == 0
     out = capsys.readouterr().out

@@ -121,6 +121,18 @@ class TestRunSweep:
         value, n_pairs = srp(point.matrices, same_documents)
         assert value == point.srp and n_pairs == point.n_pairs
 
+    @pytest.mark.parametrize("labels, repeated", [(["a", "a"], "a"), (["", "config0"], "config0")])
+    def test_repeated_sweep_label_rejected_before_any_study(self, labels, repeated):
+        ds = small_dataset()
+        configs = [
+            StudyConfig(n_simulations=4, n_permutations=20, label=label) for label in labels
+        ]
+        lines = []
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(ds, configs, doc_count_grid=[4], progress=lines.append)
+        assert str(exc.value) == f"two configs share the sweep label {repeated!r}"
+        assert lines == []
+
     def test_thread_independence(self):
         ds = small_dataset()
         config = StudyConfig(n_documents=8, n_simulations=8, n_permutations=50)

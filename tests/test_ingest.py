@@ -5,11 +5,14 @@ kept as the reference: it builds one ``SegmentRating`` per rating and hands
 the dict, as arrays, to ``RatingDataset``.  ``export_tsv_oracle`` is the
 matching per-rating export.  Generated files, valid or with injected faults,
 must give the same dataset or the same error from both, whether ingest
-splits them into cells one row, three rows or its default block at a time.
+splits them into cells one row, three rows or its default block at a time,
+and whether it reads a file a few characters or its default chunk at a time.
 """
 
+import hashlib
 import io
 import math
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -258,8 +261,12 @@ def export_tsv_oracle(ds, ratings):
 
 
 def outcome(parse, text, mapping):
+    return call_outcome(lambda: parse(io.StringIO(text), mapping=mapping))
+
+
+def call_outcome(call):
     try:
-        return parse(io.StringIO(text), mapping=mapping), None
+        return call(), None
     except StabevalError as exc:
         return None, (type(exc), str(exc), getattr(exc, "line", None))
 
@@ -427,6 +434,97 @@ def test_columnar_ingest_matches_row_loop(case, block_rows):
     assert got_error == want_error
     if want is not None:
         assert_same_dataset(got, *want)
+
+
+def ingest_in_chunks(data: bytes, mapping, read_chars: int, block_rows: int):
+    """``ingest`` of a file holding ``data``, read ``read_chars`` characters
+    and split ``block_rows`` rows at a time: (path, dataset, error)."""
+    defaults = corpus._READ_CHARS, corpus._BLOCK_ROWS
+    with tempfile.TemporaryDirectory() as work:
+        path = f"{work}/ratings.tsv"
+        with open(path, "wb") as handle:
+            handle.write(data)
+        corpus._READ_CHARS, corpus._BLOCK_ROWS = read_chars, block_rows
+        try:
+            return (path, *call_outcome(lambda: ingest(path, mapping=mapping)))
+        finally:
+            corpus._READ_CHARS, corpus._BLOCK_ROWS = defaults
+
+
+# 2-, 3- and 4-byte UTF-8 characters in the system ids.
+WIDE_IDS = {"sA": "s\u00c5", "sB": "s\u4e2d\U0001f600"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=tsv_files(),
+    read_chars=st.integers(1, 7),
+    block_rows=st.sampled_from([1, 3, corpus._BLOCK_ROWS]),
+    line_end=st.sampled_from(["\n", "\r\n", "\r"]),
+    bom=st.booleans(),
+    wide=st.booleans(),
+)
+def test_chunked_file_ingest_matches_row_loop(case, read_chars, block_rows, line_end, bom, wide):
+    """A file read a few characters at a time, so that CRLF and CR line ends,
+    multi-byte characters and every row straddle chunks, with or without a
+    byte order mark, blank lines and a final newline."""
+    text, mapping = case
+    if wide:
+        for narrow, wide_id in WIDE_IDS.items():
+            text = text.replace(narrow, wide_id)
+    data = (b"\xef\xbb\xbf" if bom else b"") + text.replace("\n", line_end).encode("utf-8")
+    _, got, got_error = ingest_in_chunks(data, mapping, read_chars, block_rows)
+    want, want_error = outcome(ingest_lines_oracle, text, mapping)
+    assert got_error == want_error
+    if want is not None:
+        assert_same_dataset(got, *want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=tsv_files(),
+    read_chars=st.integers(1, 7),
+    bad=st.sampled_from([
+        (b"x\xffy\n", 0xFF, "invalid start byte"),
+        (b"x\xc3(\n", 0xC3, "invalid continuation byte"),
+        (b"x\xe4\xb8", 0xE4, "unexpected end of data"),
+    ]),
+    header_ok=st.booleans(),
+)
+def test_undecodable_byte_in_a_later_chunk(case, read_chars, bad, header_ok):
+    """A byte that is not UTF-8, 10 KB into the file, is the error reported,
+    as when ingest read the whole file first, even past a header that names
+    no required column."""
+    text, mapping = case
+    if not header_ok:
+        text = "junk" + text[text.index("\n"):]
+    tail, byte, reason = bad
+    data = text.encode("utf-8") + b"\n" * 10_000 + tail
+    path, got, got_error = ingest_in_chunks(data, mapping, read_chars, corpus._BLOCK_ROWS)
+    assert got is None
+    message = f"{path} is not UTF-8 text: byte 0x{byte:02x} ({reason})"
+    assert got_error == (ParseError, message, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tsv_files(), block_rows=st.sampled_from([1, 3, corpus._BLOCK_ROWS]))
+def test_fingerprint_hashes_the_export(case, block_rows):
+    text, mapping = case
+    ds, _ = outcome(ingest_lines, text, mapping)
+    if ds is None:
+        return
+    default, corpus._BLOCK_ROWS = corpus._BLOCK_ROWS, block_rows
+    try:
+        digest = fingerprint(ds)
+    finally:
+        corpus._BLOCK_ROWS = default
+    assert digest == hashlib.sha256(export_tsv(ds).encode("utf-8")).hexdigest()
+
+
+def test_tiny_fixture_fingerprint_pinned(tiny_tsv):
+    assert fingerprint(ingest(tiny_tsv)) == (
+        "b69083956487936b4b2356664f07ad8e409e344626dc8371c5764d96f84cbab6"
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
