@@ -59,17 +59,16 @@ class AssignmentPlan:
 
     docs: np.ndarray  # intp, (study doc,)
     raters: np.ndarray  # intp, (system, study doc, slot)
-    rater_axis: tuple[str, ...]  # the dataset's
     grouping: Grouping
 
     @property
     def ratings_per_item(self) -> int:
         return self.raters.shape[2]
 
-    def workload(self) -> dict[str, int]:
-        """Item-rating counts per rater, for raters with at least one item."""
-        counts = np.bincount(self.raters.ravel(), minlength=len(self.rater_axis))
-        return {self.rater_axis[r]: int(counts[r]) for r in np.flatnonzero(counts)}
+    def workload(self) -> np.ndarray:
+        """Item-rating counts by ``rater_axis`` position, up to the last rater
+        with an item."""
+        return np.bincount(self.raters.ravel())
 
     def validate(self, ds: RatingDataset) -> None:
         """The documents are distinct ascending positions, every rater is
@@ -345,6 +344,6 @@ def build_plan(
         raise ValueError("system-balanced grouping is only defined with full balancing")
     else:
         raters = _entropy_targeted_raters(ds, docs, grouping, balancing, ratings_per_item, rng)
-    plan = AssignmentPlan(docs, raters, ds.rater_axis, grouping)
+    plan = AssignmentPlan(docs, raters, grouping)
     plan.validate(ds)
     return plan

@@ -60,13 +60,6 @@ class Severity(str, Enum):
     MAJOR = "Major"
     MINOR = "Minor"
 
-    @classmethod
-    def parse(cls, text: str) -> "Severity":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"invalid severity {text!r} (expected Major or Minor)")
-
 
 SEVERITIES = tuple(Severity)  # Annotations.severity indexes this
 
@@ -249,6 +242,17 @@ def read_config(path, case_sensitive: bool = False, **options) -> dict[str, dict
     return merged
 
 
+def read_section(path, name: str, **options) -> tuple[dict[str, str], bool]:
+    """``read_config`` for a file of one section: ``[DEFAULT]`` merged with
+    ``[name]``, whose keys win, and whether ``[name]`` is in the file.  Any
+    other section is a ConfigError."""
+    sections = read_config(path, **options)
+    extra = sorted(sections.keys() - {"DEFAULT", name})
+    if extra:
+        raise ConfigError(f"unknown section [{extra[0]}]: expected [{name}]")
+    return {**sections["DEFAULT"], **sections.get(name, {})}, name in sections
+
+
 @dataclass
 class ColumnMapping:
     """Maps canonical column names to the columns of a concrete file."""
@@ -266,8 +270,8 @@ class ColumnMapping:
 
     @classmethod
     def from_file(cls, path) -> "ColumnMapping":
-        sections = read_config(path, case_sensitive=True)  # column names are case-sensitive
-        return cls({**sections["DEFAULT"], **sections.get("columns", {})})
+        # Column names are case-sensitive.
+        return cls(read_section(path, "columns", case_sensitive=True)[0])
 
     def resolve(self, header: Sequence[str]) -> dict[str, int]:
         """Return canonical name -> column index for the columns present."""
@@ -347,7 +351,7 @@ def _ingest_chunks(chunks: Iterable[str], mapping, weights) -> RatingDataset:
     score, bad_score = parsed("score", float, np.float64)
     bad_score |= ~np.isfinite(score)  # NaN marks unrated cells in the score array
     severity, bad_severity = parsed(
-        "severity", lambda text: SEVERITIES.index(Severity.parse(text)), np.intp
+        "severity", lambda text: SEVERITIES.index(Severity(text)), np.intp
     )
     start, bad_start = parsed("span_start", int, np.int64)
     end, bad_end = parsed("span_end", int, np.int64)
@@ -376,7 +380,7 @@ def _ingest_chunks(chunks: Iterable[str], mapping, weights) -> RatingDataset:
         )),
         (has_score & bad_score, line_error(lambda i: f"invalid score: {cell('score', i)!r}")),
         (has_severity & bad_severity, line_error(
-            lambda i: _error_text(Severity.parse, cell("severity", i))
+            lambda i: f"invalid severity {cell('severity', i)!r} (expected Major or Minor)"
         )),
         (has_start & bad_start, line_error(
             lambda i: f"invalid integer for span_start: {cell('span_start', i)!r}"
@@ -609,14 +613,6 @@ def _parse_each(texts: Sequence[str], parse, dtype) -> tuple[np.ndarray, np.ndar
             except (ValueError, OverflowError):
                 failed[i] = True
     return values, failed
-
-
-def _error_text(parse, text: str) -> str:
-    """The message of the ValueError that ``parse(text)`` raises."""
-    try:
-        parse(text)
-    except ValueError as exc:
-        return str(exc)
 
 
 def _raise_first(checks) -> None:

@@ -20,7 +20,7 @@ from .assignment import (
     build_plan,
     subsample_documents,
 )
-from .corpus import Annotations, RatingDataset, _factorize, read_config
+from .corpus import Annotations, RatingDataset, _factorize, read_config, read_section
 from .errors import ConfigError, InvalidSpec
 from .scoring import NormalizationScheme, ScoredStudy, normalize
 from .stats import SignificanceMatrix, same_documents, significance_matrix, srp
@@ -107,7 +107,6 @@ def select_ratings(ds: RatingDataset, plan: AssignmentPlan) -> ScoredStudy:
     return ScoredStudy(
         ds.system_axis,
         [ds.rater_axis[i] for i in study_raters],
-        [ds.doc_axis[i] for i in docs],
         ds.scores.take(cells),
         ds.n_errors.take(cells),
         slots.reshape(raters.shape),  # NumPy < 2 returns the inverse flattened
@@ -132,15 +131,17 @@ def simulate_study(
 
     ``seed`` may be anything accepted by numpy's default_rng.  When ``docs``
     is given (fixed-document-set mode: ascending ``doc_axis`` positions, as
-    ``subsample_documents`` returns them), subsampling is skipped.
+    ``subsample_documents`` returns them), subsampling is skipped and the
+    matrix's ``doc_set`` is ``docs``; otherwise it is None.
     """
     rng = np.random.default_rng(seed)
+    doc_set = docs
     if docs is None:
         _check_pool_size(ds, config)
         docs = subsample_documents(ds, config.effective_documents, rng)
     plan = build_plan(ds, docs, config.grouping, config.balancing, config.ratings_per_item, rng)
     scored = normalize(select_ratings(ds, plan), config.normalization)
-    matrix = significance_matrix(scored, config.alpha, config.n_permutations, rng, doc_set=docs)
+    matrix = significance_matrix(scored, config.alpha, config.n_permutations, rng, doc_set)
     return SimulatedStudy(plan, scored), matrix
 
 
@@ -276,6 +277,9 @@ def run_sweep(
     for ci, label in enumerate(labels):
         if label in labels[:ci]:
             raise ConfigError(f"two configs share the sweep label {label!r}")
+    for gi, n_docs in enumerate(doc_count_grid):
+        if n_docs in doc_count_grid[:gi]:
+            raise ConfigError(f"doc_counts lists {n_docs} twice")
     for config in configs:
         for n_docs in doc_count_grid:
             _check_pool_size(ds, replace(config, n_documents=n_docs))
@@ -526,15 +530,12 @@ def load_study_config(path) -> StudyConfig:
 def load_generator_spec(path) -> GeneratorSpec:
     """Parse a [generator] section.  Each key is a GeneratorSpec field, read
     by the type of its default; a tuple is written as space-separated numbers."""
-    sections = read_config(path)
-    if "generator" not in sections:
+    values, present = read_section(path, "generator")
+    if not present:
         raise ConfigError("generator spec needs a [generator] section")
-    extra = sorted(sections.keys() - {"DEFAULT", "generator"})
-    if extra:
-        raise ConfigError(f"unknown section [{extra[0]}]: expected [generator]")
     spec_fields = {f.name: f for f in fields(GeneratorSpec)}
     spec = {}
-    for key, value in {**sections["DEFAULT"], **sections["generator"]}.items():
+    for key, value in values.items():
         if key not in spec_fields:
             raise ConfigError(f"unknown key {key!r} in [generator]")
         kind = type(spec_fields[key].default)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import ErrorAnnotation, Severity, read_config
+from .corpus import ErrorAnnotation, Severity, read_section
 from .errors import ConfigError, DegenerateRater, MissingErrorCounts
 
 WILDCARD_SEVERITY = "*"
@@ -71,9 +71,9 @@ class WeightTable:
     @classmethod
     def from_file(cls, path) -> "WeightTable":
         # Keys are case-sensitive 'severity:prefix' pairs, so only '=' ends a key.
-        sections = read_config(path, case_sensitive=True, delimiters=("=",))
+        values, _ = read_section(path, "weights", case_sensitive=True, delimiters=("=",))
         entries = []
-        for key, value in {**sections["DEFAULT"], **sections.get("weights", {})}.items():
+        for key, value in values.items():
             severity, _, prefix = key.partition(":")
             severity = severity.strip()
             try:
@@ -134,24 +134,22 @@ class ScoredStudy:
     order.  Error counts are NaN where the underlying data is score-only.
     """
 
-    def __init__(self, systems, raters, docs, scores, n_errors, slots):
+    def __init__(self, systems, raters, scores, n_errors, slots):
         self.systems = tuple(systems)
         self.raters = tuple(raters)
-        self.docs = tuple(docs)
         self.scores = np.asarray(scores, dtype=np.float64)
         self.n_errors = np.asarray(n_errors, dtype=np.float64)
         self.slots = np.asarray(slots, dtype=np.intp)
         shape = self.scores.shape
-        axes = (len(self.systems), len(self.docs))
         if (
             len(shape) != 4
             or shape != self.n_errors.shape
             or self.slots.shape != shape[:2] + shape[3:]
-            or shape[:2] != axes
+            or shape[0] != len(self.systems)
         ):
             raise ValueError(
                 f"study arrays of shape {shape} and slots of shape {self.slots.shape} "
-                f"do not fit its axes {axes}"
+                f"do not fit its {len(self.systems)} systems"
             )
         self.rated = ~np.isnan(self.scores)
 

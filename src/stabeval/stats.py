@@ -34,7 +34,7 @@ class SignificanceMatrix:
     systems: tuple[str, ...]
     means: np.ndarray
     sig: np.ndarray
-    doc_set: Optional[tuple] = None  # the study's documents; ``same_documents`` groups by it
+    doc_set: Optional[tuple] = None  # a fixed document set; ``same_documents`` groups by it
 
     def __post_init__(self):
         n = len(self.systems)
@@ -43,18 +43,6 @@ class SignificanceMatrix:
     @property
     def better(self) -> np.ndarray:
         return self.means[:, None] < self.means[None, :]
-
-    def align_to(self, systems: Sequence[str]) -> "SignificanceMatrix":
-        if tuple(systems) == self.systems:
-            return self
-        if set(systems) != set(self.systems):
-            raise SystemSetMismatch(
-                f"system sets differ: {sorted(systems)} vs {sorted(self.systems)}"
-            )
-        perm = np.array([self.systems.index(s) for s in systems])
-        return SignificanceMatrix(
-            tuple(systems), self.means[perm], self.sig[np.ix_(perm, perm)], self.doc_set
-        )
 
 
 def _sign_flip_p(doc_diffs: np.ndarray, n_segments: int, n_perm: int, rng) -> float:
@@ -191,7 +179,7 @@ def significance_matrix(
     n_sys = len(study.systems)
     if n_sys < 2:
         raise NoAdmissiblePairs(f"need at least 2 systems to rank, the study has {n_sys}")
-    n_docs = len(study.docs)
+    n_docs = study.scores.shape[1]
     sums, counts = ordered_sums(study.effective_scores(), axis=2)
     # Every system must cover the first one's segments; the first that does
     # not is the first mismatched pair in (i, j) order.
@@ -221,9 +209,15 @@ def significance_matrix(
     sig = np.zeros((n_sys, n_sys), dtype=bool)
     sig[first, second] = reached & (means[first] < means[second])
     sig[second, first] = reached & (means[second] < means[first])
-    return SignificanceMatrix(
-        study.systems, means, sig, doc_set if doc_set is not None else tuple(study.docs)
-    )
+    return SignificanceMatrix(study.systems, means, sig, doc_set)
+
+
+def _check_systems(studies: Sequence[SignificanceMatrix]) -> None:
+    """Every study must rank the first one's systems in its order, as every
+    study of a sweep ranks the dataset's ``system_axis``."""
+    for i, m in enumerate(studies):
+        if m.systems != studies[0].systems:
+            raise SystemSetMismatch(f"study {i} ranks {m.systems}, study 0 {studies[0].systems}")
 
 
 def sr(e1: SignificanceMatrix, e2: SignificanceMatrix) -> int:
@@ -231,7 +225,7 @@ def sr(e1: SignificanceMatrix, e2: SignificanceMatrix) -> int:
 
     Vacuously 1 when e1 has no significant pairs.
     """
-    e2 = e2.align_to(e1.systems)
+    _check_systems((e1, e2))
     return 0 if np.any(e1.sig & ~e2.better) else 1
 
 
@@ -243,18 +237,18 @@ def srp(
 
     Every ordered pair of distinct studies is admissible; ``pair_filter`` may
     be ``same_documents``, which admits only pairs that share a document set.
-    All studies must rank the same systems.  One boolean product gives the
-    whole grid of sr values: sr(e1, e2) is 0 iff some significant pair of e1
-    is not ``better`` in e2.  ``srp_pairs`` is the pair-loop reference.
+    All studies must rank the same systems in the same order.  One boolean
+    product gives the whole grid of sr values: sr(e1, e2) is 0 iff some
+    significant pair of e1 is not ``better`` in e2.  ``srp_pairs`` is the
+    pair-loop reference.
     """
+    _check_systems(studies)
     if len(studies) < 2:
         raise NoAdmissiblePairs("need at least 2 studies")
     if pair_filter not in (None, same_documents):
         raise ValueError("srp filters pairs only by same_documents")
-    systems = studies[0].systems
-    aligned = [m.align_to(systems) for m in studies]
-    sig = np.stack([m.sig.ravel() for m in aligned])
-    broken = np.stack([~m.better.ravel() for m in aligned])
+    sig = np.stack([m.sig.ravel() for m in studies])
+    broken = np.stack([~m.better.ravel() for m in studies])
     admitted = ~np.eye(len(studies), dtype=bool)
     if pair_filter is same_documents:
         groups: dict[tuple, int] = {}
@@ -274,6 +268,7 @@ def srp_pairs(
     pair_filter: Optional[Callable[[SignificanceMatrix, SignificanceMatrix], bool]] = None,
 ) -> tuple[float, int]:
     """Reference for ``srp``: the mean of ``sr`` over a loop of ordered pairs."""
+    _check_systems(studies)
     if len(studies) < 2:
         raise NoAdmissiblePairs("need at least 2 studies")
     total = 0
@@ -295,15 +290,12 @@ def same_documents(e1: SignificanceMatrix, e2: SignificanceMatrix) -> bool:
     return e1.doc_set is not None and e1.doc_set == e2.doc_set
 
 
-def normalized_entropy(workload: Mapping[str, int] | Sequence[float], pool_size: int) -> float:
-    """Entropy of the workload distribution over the full rater pool,
-    normalized by log(pool_size); zero-count raters contribute 0."""
+def normalized_entropy(workload: Sequence[float], pool_size: int) -> float:
+    """Entropy of the workload counts over the full rater pool, normalized by
+    log(pool_size); zero-count raters contribute 0."""
     if pool_size < 2:
         raise ValueError("pool_size must be >= 2")
-    if isinstance(workload, Mapping):
-        counts = np.asarray(list(workload.values()), dtype=np.float64)
-    else:
-        counts = np.asarray(workload, dtype=np.float64)
+    counts = np.asarray(workload, dtype=np.float64)
     if (counts < 0).any():
         raise EmptyWorkload("negative workload count")
     total = counts.sum()

@@ -203,7 +203,7 @@ def study_from_entries(entries) -> ScoredStudy:
         scores[cell] = score
         n_errors[cell] = np.nan if errors is None else float(errors)
     slots = np.broadcast_to(np.arange(len(raters)), (len(systems), len(docs), len(raters)))
-    return ScoredStudy(systems, raters, docs, scores, n_errors, slots)
+    return ScoredStudy(systems, raters, scores, n_errors, slots)
 
 # Bucket layouts with 181 documents, mirroring the two released datasets:
 # a 7-bucket rotation over raters A..G and a 2-bucket disjoint split.

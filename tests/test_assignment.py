@@ -45,8 +45,16 @@ def pair_workload(plan, ds):
 
 
 def full_workload(plan, ds):
-    w = plan.workload()
-    return {r: w.get(r, 0) for r in sorted(ds.raters)}
+    """Item-rating counts over the whole rater pool, by ``rater_axis`` position."""
+    counts = plan.workload()
+    return np.pad(counts, (0, len(ds.rater_axis) - len(counts)))
+
+
+def test_workload_counts_item_ratings_by_rater_position(rng):
+    ds = make_layout_dataset(*DISJOINT_LAYOUT, n_systems=3)
+    plan = build_plan(ds, all_docs(ds), Grouping.NO_GROUPING, LoadBalancing(), 2, rng)
+    want = Counter(r for _doc, _sys, raters in plan_items(plan, ds) for r in raters)
+    assert plan.workload().tolist() == [want[r] for r in ds.rater_axis]
 
 
 class TestPsxsBalanced:
@@ -116,7 +124,8 @@ class TestNoGrouping:
     def test_item_pigeonhole(self, rng):
         ds = make_layout_dataset([1], [("r1", "r2", "r3")], n_systems=4)
         plan = build_plan(ds, all_docs(ds), Grouping.NO_GROUPING, LoadBalancing(), 1, rng)
-        assert sorted(plan.workload().values()) == [1, 1, 2]
+        workload = plan.workload()
+        assert sorted(workload[workload > 0].tolist()) == [1, 1, 2]
 
     def test_breaks_document_grouping(self):
         ds = make_layout_dataset([1], [("r1", "r2", "r3")], n_systems=4)
@@ -228,7 +237,8 @@ class TestPairAssignment:
     def test_pair_entropy_over_pair_workload(self, rng):
         ds = make_layout_dataset([6], [("r1", "r2", "r3")], n_systems=2)
         plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(), 2, rng)
-        assert normalized_entropy(pair_workload(plan, ds), 3) == pytest.approx(1.0)
+        counts = list(pair_workload(plan, ds).values())
+        assert normalized_entropy(counts, 3) == pytest.approx(1.0)
 
     def test_wrong_arity_rejected(self, rng):
         ds = make_layout_dataset([4], [("r1", "r2")], n_systems=2)

@@ -400,6 +400,33 @@ def test_config_file_syntax_error_exit_code(tiny_tsv, tmp_path, capsys, option, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "option, text, section",
+    [
+        ("--mapping", "[column]\ndoc_id = doc_id\n", "[column]: expected [columns]"),
+        ("--mapping", "[columns]\ndoc_id = doc_id\n[extra]\n", "[extra]: expected [columns]"),
+        ("--weights", "[weight]\nMajor = 5\nMinor = 1\n", "[weight]: expected [weights]"),
+    ],
+    ids=["mapping_section", "mapping_extra_section", "weights_section"],
+)
+def test_unknown_mapping_or_weights_section_exit_code(tiny_tsv, tmp_path, capsys, option, text,
+                                                      section):
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(text)
+    assert main(["validate", "--dataset", str(tiny_tsv), option, str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: unknown section {section}\n"
+
+
+def test_repeated_doc_count_exit_code(synth_tsv, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("doc_counts = 6 12", "doc_counts = 4 8 4"))
+    out = tmp_path / "out"
+    code = main(["sweep", "--dataset", str(synth_tsv), "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: doc_counts lists 4 twice\n"
+    assert not out.exists()
+
+
 def test_simulate_documents_above_pool_exit_code(synth_tsv, tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(STUDY_CFG.replace("num_documents = 8", "num_documents = 500"))

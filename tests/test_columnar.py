@@ -108,7 +108,7 @@ def study_ratings(study: ScoredStudy):
 
 def assert_same_study(got: ScoredStudy, want: ScoredStudy) -> None:
     """The same ratings, in the same order, whatever the two studies' slots."""
-    assert (got.systems, got.raters, got.docs) == (want.systems, want.raters, want.docs)
+    assert (got.systems, got.raters) == (want.systems, want.raters)
     for name, a, b in zip(("cells", "scores", "n_errors"), study_ratings(got), study_ratings(want)):
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b, equal_nan=True), name

@@ -178,6 +178,14 @@ def test_invalid_severity_rejected(tiny_tsv):
         ingest_lines(io.StringIO("\n".join(rows)))
 
 
+def test_lowercase_severity_message():
+    rows = tiny_tsv_rows()
+    rows[1] = rows[1].replace("Major", "major")
+    with pytest.raises(ParseError) as exc:
+        ingest_lines(io.StringIO("\n".join(rows)))
+    assert str(exc.value) == "line 2: invalid severity 'major' (expected Major or Minor)"
+
+
 def test_severity_error_carries_line_number():
     rows = tiny_tsv_rows()
     rows[4] = rows[4].replace("\t\t\t\t\t\t", "\tCritical\tFluency\t\t\t\t")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabeval.assignment import Grouping, LoadBalancing
+from stabeval.assignment import Grouping, LoadBalancing, subsample_documents
 from stabeval.corpus import export_tsv
 from stabeval.errors import ConfigError, InvalidSpec, QuotaExceedsBucket
 from stabeval.experiment import (
@@ -132,6 +132,32 @@ class TestRunSweep:
             run_sweep(ds, configs, doc_count_grid=[4], progress=lines.append)
         assert str(exc.value) == f"two configs share the sweep label {repeated!r}"
         assert lines == []
+
+    def test_repeated_doc_count_rejected_before_any_study(self):
+        ds = small_dataset()
+        config = StudyConfig(n_simulations=4, n_permutations=20)
+        lines = []
+        with pytest.raises(ConfigError, match=r"^doc_counts lists 4 twice$"):
+            run_sweep(ds, [config], doc_count_grid=[4, 6, 4], progress=lines.append)
+        assert lines == []
+
+    def test_kept_matrices_rank_the_system_axis(self):
+        """Every study ranks ``ds.system_axis``; a study's ``doc_set`` is its
+        block's shared ascending positions under per_50, None under per_study."""
+        ds = small_dataset()
+        configs = [
+            StudyConfig(n_simulations=120, n_permutations=20, label="shared"),
+            StudyConfig(n_simulations=6, n_permutations=20, label="own",
+                        doc_resampling=Resampling.PER_STUDY),
+        ]
+        shared, own = run_sweep(ds, configs, doc_count_grid=[5]).points
+        assert all(m.systems == ds.system_axis for m in shared.matrices + own.matrices)
+        for di, at in enumerate(range(0, 120, 50)):
+            rng = np.random.default_rng(np.random.SeedSequence((0, 0, 0, di)))
+            docs = subsample_documents(ds, 5, rng)
+            assert list(docs) == sorted(set(docs)) and len(docs) == 5
+            assert all(m.doc_set == docs for m in shared.matrices[at:at + 50])
+        assert all(m.doc_set is None for m in own.matrices)
 
     def test_thread_independence(self):
         ds = small_dataset()

@@ -50,7 +50,7 @@ from conftest import (
 
 def significance_oracle(study: ScoredStudy, alpha: float, n_perm: int, rng):
     """(means, sig, better) from one ``_sign_flip_p`` call per pair, in (i, j) order."""
-    n_sys, n_docs = len(study.systems), len(study.docs)
+    n_sys, n_docs = len(study.systems), study.scores.shape[1]
     eff = study.effective_scores()
     eff_sys, eff_doc, _ = np.nonzero(~np.isnan(eff))
     sums = np.zeros((n_sys, n_docs))
@@ -204,17 +204,19 @@ def test_significance_matrix_names_first_mismatched_pair():
 
 @st.composite
 def matrix_sets(draw):
-    """2-12 significance matrices over one system set, each in its own
-    (possibly permuted) system order, with doc sets drawn from a few shared
-    sets and None."""
+    """2-12 significance matrices over one system set, with doc sets drawn from
+    a few shared sets and None.  In half the sets each study may rank the
+    systems in its own (permuted) order, which both scorers must reject."""
     n_studies = draw(st.integers(2, 12))
     n_sys = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     systems = [f"s{i}" for i in range(n_sys)]
     doc_sets = [None, frozenset({"a"}), frozenset({"a", "b"}), frozenset({"c"})]
+    reorder = draw(st.booleans())
     out = []
     for _ in range(n_studies):
-        order = list(rng.permutation(n_sys)) if draw(st.booleans()) else list(range(n_sys))
+        permuted = reorder and draw(st.booleans())
+        order = list(rng.permutation(n_sys)) if permuted else list(range(n_sys))
         means = rng.integers(0, 3, size=n_sys).astype(float)
         better = means[:, None] < means[None, :]
         sig = better & (rng.random((n_sys, n_sys)) < draw(st.sampled_from([0.0, 0.3, 1.0])))
@@ -242,12 +244,12 @@ def test_srp_matches_pair_loop(studies, pair_filter):
 
 
 def test_srp_requires_one_system_set():
-    """Stricter than the pair loop, which checks only the pairs it admits."""
+    """Both scorers check every study, also one that no admitted pair holds."""
     one = SignificanceMatrix(("a", "b"), np.zeros(2), np.zeros((2, 2), bool), frozenset({"x"}))
     other = SignificanceMatrix(("a", "c"), np.zeros(2), np.zeros((2, 2), bool), frozenset({"y"}))
-    assert srp_pairs([one, one, other], same_documents) == (1.0, 2)
-    with pytest.raises(SystemSetMismatch):
-        srp([one, one, other], same_documents)
+    for score in (srp, srp_pairs):
+        with pytest.raises(SystemSetMismatch, match=r"study 2 ranks \('a', 'c'\)"):
+            score([one, one, other], same_documents)
 
 
 def test_srp_rejects_other_filters():

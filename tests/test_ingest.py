@@ -145,9 +145,11 @@ def ingest_lines_oracle(lines, mapping=None, weights=None):
             state["scores"].append(score)
         if severity_text != "":
             try:
-                severity = Severity.parse(severity_text)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+                severity = Severity(severity_text)
+            except ValueError:
+                raise ParseError(
+                    f"invalid severity {severity_text!r} (expected Major or Minor)", line=lineno
+                ) from None
             category = get(row, "category")
             start = _parse_optional_int(get(row, "span_start"), "span_start", lineno)
             end = _parse_optional_int(get(row, "span_end"), "span_end", lineno)
@@ -368,7 +370,7 @@ def rating_rows(draw, base):
             span_start=span[0], span_end=span[1], target_text=target,
         ))
     score = segment_score(
-        [ErrorAnnotation(e["category"], Severity.parse(e["severity"])) for e in errors],
+        [ErrorAnnotation(e["category"], Severity(e["severity"])) for e in errors],
         WeightTable.default(),
     )
     marked = draw(st.sampled_from(["none", "all", "first"]))

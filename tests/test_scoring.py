@@ -21,7 +21,7 @@ from conftest import study_from_entries
 
 
 def ann(severity, category):
-    return ErrorAnnotation(category, Severity.parse(severity))
+    return ErrorAnnotation(category, Severity(severity))
 
 
 class TestSegmentScore:
@@ -207,7 +207,7 @@ class TestNormalize:
         study = study_from(rows)
         for scheme in NormalizationScheme:
             out = normalize(study, scheme)
-            assert (out.systems, out.docs, out.raters) == (study.systems, study.docs, study.raters)
+            assert (out.systems, out.raters) == (study.systems, study.raters)
             np.testing.assert_array_equal(out.rated, study.rated)
 
     @given(st.lists(st.integers(1, 500), min_size=2, max_size=12, unique=True))

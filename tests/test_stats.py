@@ -24,6 +24,7 @@ from stabeval.stats import (
     significance_matrix,
     sr,
     srp,
+    srp_pairs,
 )
 from stabeval.scoring import ordered_sums
 
@@ -153,16 +154,20 @@ class TestSrAndSrp:
         e2 = make_matrix(["a", "b"], [], [2.0, 1.0])
         assert sr(e1, e2) == 1
 
-    def test_system_order_alignment(self):
+    def test_reordered_systems_rejected(self):
         e1 = make_matrix(["a", "b"], [(0, 1)], [1.0, 2.0])
         e2 = make_matrix(["b", "a"], [], [2.0, 1.0])  # same rankings, reordered
-        assert sr(e1, e2) == 1
+        message = r"study 1 ranks \('b', 'a'\), study 0 \('a', 'b'\)"
+        for score in (sr, lambda x, y: srp([x, y]), lambda x, y: srp_pairs([x, y])):
+            with pytest.raises(SystemSetMismatch, match=message):
+                score(e1, e2)
 
     def test_system_set_mismatch(self):
         e1 = make_matrix(["a", "b"], [], [1.0, 2.0])
         e2 = make_matrix(["a", "c"], [], [1.0, 2.0])
-        with pytest.raises(SystemSetMismatch):
-            sr(e1, e2)
+        for score in (sr, lambda x, y: srp([x, y]), lambda x, y: srp_pairs([x, y])):
+            with pytest.raises(SystemSetMismatch):
+                score(e1, e2)
 
     def test_identical_studies_srp_one(self):
         e = make_matrix(["a", "b"], [(0, 1)], [1.0, 2.0])
@@ -211,7 +216,7 @@ class TestNormalizedEntropy:
         assert normalized_entropy([5, 5, 5, 5], 4) == pytest.approx(1.0)
 
     def test_single_rater_is_zero(self):
-        assert normalized_entropy({"r1": 10, "r2": 0, "r3": 0}, 3) == 0.0
+        assert normalized_entropy([10, 0, 0], 3) == 0.0
 
     def test_enzh_split_value(self):
         # two raters carrying 90/91 docs out of a 6-rater pool
