@@ -27,6 +27,7 @@ from .experiment import (
     load_sweep_config,
     run_sweep,
     simulate_study,
+    warn_p_floor,
 )
 from .scoring import WeightTable
 from .stats import rater_agreement, rater_distribution
@@ -137,6 +138,7 @@ def cmd_simulate(args) -> int:
     config = load_study_config(args.config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
+    warn_p_floor(config, config.label, lambda line: print(line, file=sys.stderr))
     _, matrix = simulate_study(ds, config, config.master_seed)
     order = np.argsort(matrix.means, kind="stable")
     print(f"ranking ({config.label}, n_documents={config.n_documents}, lower is better):")

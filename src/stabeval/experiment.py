@@ -80,6 +80,22 @@ class StudyConfig:
             return max(1, self.n_documents // 2)
         return self.n_documents
 
+    @property
+    def p_floor(self) -> float:
+        """The smallest p-value of an exact sign-flip test over the study's documents:
+        the identity and the all-flipped signs always tie the observed statistic."""
+        return 2.0 ** (1 - self.effective_documents)
+
+
+def warn_p_floor(config: StudyConfig, label: str, report: Callable[[str], None]) -> None:
+    """Report one ``warning:`` line when the config's ``p_floor`` is above alpha."""
+    if config.p_floor > config.alpha:
+        report(
+            f"warning: {label} n_docs={config.n_documents} docs_per_study="
+            f"{config.effective_documents}: p-value floor {config.p_floor:g} is above alpha"
+            f" {config.alpha:g}, so every significant pair is Monte Carlo noise"
+        )
+
 
 @dataclass
 class SimulatedStudy:
@@ -295,6 +311,8 @@ def run_sweep(
         for ci, config in enumerate(configs):
             for gi, n_docs in enumerate(doc_count_grid):
                 config_point = replace(config, n_documents=n_docs)
+                if progress is not None:
+                    warn_p_floor(config_point, labels[ci], progress)
                 start = time.perf_counter()
                 tasks, pair_filter = _point_tasks(ds, config_point, ci, gi)
                 if pool is not None:

@@ -91,90 +91,19 @@ def permutation_test(
     return _sign_flip_p(diffs, n_segments, n_perm, rng)
 
 
-# Sign flips drawn per block of whole system pairs: 2**16 float64 signs are
-# 512 KiB, so a block's signs stay in cache between the draw and the product.
-_SIGN_BUDGET = 2**16
-_SIGN_BIT = np.int64(-(2**63))
-_ONE_BITS = np.int64(0x3FF0000000000000)  # the bit pattern of 1.0
-
-
-def _flipped_signs(rng, shapes):
-    """Yield, per shape, the float64 array ``1 - 2*b``, where ``b`` is what
-    ``rng.integers(0, 2, shape, dtype=np.int32)`` would draw, and leave ``rng``
-    in the state those draws would.
-
-    For a range of 2, numpy's ``integers`` returns the sign bit of each 32-bit
-    half of PCG64's 64-bit words, low half first.  It takes the half-word
-    buffered in the bit generator (``has_uint32``, ``uinteger``) first and
-    leaves an unused high half buffered.  So with PCG64 the draws are read as
-    raw words viewed as ``int32`` and built into floats on the buffer's
-    ``int64`` view: a sign-extending copy of each half-word, an AND with the
-    sign bit and an OR with the bits of 1.0 give ``-1.0`` where ``b`` is 1 and
-    ``1.0`` where it is 0.  The buffered half-word is carried between shapes
-    in locals; the bit generator's state is read once and written once, after
-    the last array (or when the caller closes the generator early).  Each
-    array is a view of one buffer sized for the largest shape, which the next
-    shape overwrites, so the transient memory is the largest shape's signs
-    plus its raw words.  Any other bit generator draws through
-    ``rng.integers``.
-    """
-    bit_generator = rng.bit_generator
-    if type(bit_generator) is not np.random.PCG64 or not np.little_endian:
-        for shape in shapes:
-            signs = rng.integers(0, 2, size=shape, dtype=np.int32).astype(np.float64)
-            signs *= -2
-            signs += 1
-            yield signs
-        return
-    state = bit_generator.state
-    has_half, half = state["has_uint32"], state["uinteger"]
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    buffer = np.empty(max(sizes, default=0))
-    try:
-        for shape, size in zip(shapes, sizes):
-            rest = buffer[:size]
-            signs = rest.reshape(shape)
-            if has_half and rest.size:
-                rest[0] = -1.0 if half >> 31 else 1.0
-                rest, has_half = rest[1:], 0
-            if rest.size:
-                words = bit_generator.random_raw((rest.size + 1) // 2)
-                bits = rest.view(np.int64)
-                np.copyto(bits, words.view(np.int32)[: rest.size])
-                np.bitwise_and(bits, _SIGN_BIT, out=bits)
-                np.bitwise_or(bits, _ONE_BITS, out=bits)
-                has_half, half = rest.size % 2, int(words[-1] >> 32)
-            yield signs
-    finally:  # also when the caller stops early
-        state = bit_generator.state
-        state["has_uint32"], state["uinteger"] = has_half, half
-        bit_generator.state = state
-
-
-def _pair_blocks(n_pairs: int, pair_size: int) -> list[slice]:
-    """Consecutive runs of whole pairs with at most ``_SIGN_BUDGET`` signs
-    each; a pair larger than the budget is a block of its own."""
-    per_block = max(1, _SIGN_BUDGET // max(pair_size, 1))
-    return [slice(b, min(b + per_block, n_pairs)) for b in range(0, n_pairs, per_block)]
-
-
 def significance_matrix(
     study: ScoredStudy, alpha: float, n_perm: int, rng, doc_set: Optional[tuple] = None
 ) -> SignificanceMatrix:
     """Run the grouped permutation test for every system pair of a study.
 
-    The pairs (i, j > i) are stacked in (i, j) order and cut into blocks of
-    whole pairs (``_pair_blocks``); each block takes its sign flips in one
-    draw and its statistics in one batched product.  The draws are the
-    32-bit words that ``_sign_flip_p`` would consume pair by pair, read by
-    ``_flipped_signs`` as the negated signs ``1 - 2*b``: from PCG64's raw
-    words, carrying the buffered half-word between blocks, or through
-    ``rng.integers`` for any other bit generator.  They multiply the negated
-    differences, so each pair's float64 product equals ``(2*b - 1) @ d`` in
-    ``_sign_flip_p``: every p-value and the RNG state after the call are the
-    same as a loop of ``_sign_flip_p`` calls in (i, j) order.  The sign
-    budget, not the study's size, bounds the transient memory, unless one
-    pair alone is larger.
+    All pairs test the same documents and |S (s_i - s_j)| = |S s_i - S s_j|,
+    so one sign matrix S (n_perm x n_docs) serves every pair: each pair's
+    test keeps its exact distribution, and only the Monte Carlo errors of
+    pairs within the study are correlated (Westfall and Young, 1993).  S is
+    one ``rng.integers(0, 2, (n_perm, n_docs), dtype=np.int32)`` draw, used
+    as ``1 - 2*b`` against the negated pair differences; for 2 systems that
+    is ``_sign_flip_p``'s draw and statistic.  One product gives every
+    pair's statistics, in n_perm x (n_docs + n_pairs) float64 of memory.
     """
     n_sys = len(study.systems)
     if n_sys < 2:
@@ -197,14 +126,9 @@ def significance_matrix(
     neg_diffs = sums[second] - sums[first]
     observed = np.abs(neg_diffs.sum(axis=1)) / total
     threshold = observed - _REL_TOL * (1.0 + observed)
-    hits = np.empty(len(first), dtype=np.intp)
-    blocks = _pair_blocks(len(first), n_perm * n_docs)
-    shapes = [(b.stop - b.start, n_perm, n_docs) for b in blocks]
-    for block, flipped in zip(blocks, _flipped_signs(rng, shapes)):
-        stats = np.matmul(flipped, neg_diffs[block, :, None])[:, :, 0]
-        np.abs(stats, out=stats)
-        stats /= total
-        hits[block] = np.count_nonzero(stats >= threshold[block, None], axis=1)
+    flipped = 1 - 2 * rng.integers(0, 2, size=(n_perm, n_docs), dtype=np.int32).astype(np.float64)
+    stats = np.abs(flipped @ neg_diffs.T) / total
+    hits = np.count_nonzero(stats >= threshold, axis=0)
     reached = (1 + hits) / (1 + n_perm) <= alpha
     sig = np.zeros((n_sys, n_sys), dtype=bool)
     sig[first, second] = reached & (means[first] < means[second])

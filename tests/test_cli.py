@@ -649,7 +649,12 @@ def test_runtime_error_exit_code(synth_tsv, tmp_path, capsys, rows, study, messa
     code = main(["simulate", "--dataset", str(tsv), "--config", str(cfg)])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("error: ") and message in err
+    # Studies this small cannot reach alpha, so the floor warning comes first.
+    per_study = n_docs // 2 if "ratings_per_item = 2" in study else n_docs
+    warning = (f"warning: study n_docs={n_docs} docs_per_study={per_study}: p-value floor "
+               f"{2.0 ** (1 - per_study):g} is above alpha 0.05, so every significant pair is "
+               "Monte Carlo noise\n")
+    assert err.startswith(warning + "error: ") and message in err
     assert "Traceback" not in err
 
 
@@ -683,7 +688,50 @@ def test_single_system_dataset_exit_code(tmp_path, capsys, command):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("error: need at least 2 systems")
+    assert err.startswith(
+        "warning: study n_docs=2 docs_per_study=2: p-value floor 0.5 is above alpha 0.05, "
+        "so every significant pair is Monte Carlo noise\nerror: need at least 2 systems"
+    )
+
+
+FLOOR_WARNING = (
+    "warning: double n_docs=10 docs_per_study=5: p-value floor 0.0625 is above alpha 0.05, "
+    "so every significant pair is Monte Carlo noise\n"
+)
+
+
+@pytest.fixture
+def rotation_tsv(tmp_path):
+    tsv = tmp_path / "rotation.tsv"
+    tsv.write_text(export_tsv(make_layout_dataset(*ROTATION_LAYOUT, n_systems=3)))
+    return tsv
+
+
+def test_sweep_warns_of_unreachable_alpha(rotation_tsv, tmp_path, capsys):
+    """Only the 10-document point, 5 documents per study when double-rated,
+    has a floor above alpha; the sweep still succeeds."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[sweep]\ndoc_counts = 10 12\nn_simulations = 2\nn_permutations = 50\n"
+                   "[study:double]\nratings_per_item = 2\n")
+    out = tmp_path / "out"
+    code = main(["sweep", "--dataset", str(rotation_tsv), "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err.startswith(FLOOR_WARNING + "double n_docs=10 srp=")
+    assert err.count("warning:") == 1
+    assert (out / "sweep.csv").is_file()
+
+
+@pytest.mark.parametrize("n_docs, warning", [(10, FLOOR_WARNING), (12, "")], ids=["10", "12"])
+def test_simulate_warns_of_unreachable_alpha(rotation_tsv, tmp_path, capsys, n_docs, warning):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"[study:double]\nnum_documents = {n_docs}\nratings_per_item = 2\n"
+                   "n_permutations = 50\n")
+    code = main(["simulate", "--dataset", str(rotation_tsv), "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == warning
+    assert captured.out.startswith(f"ranking (double, n_documents={n_docs},")
 
 
 def _tiny_rows_with(case):

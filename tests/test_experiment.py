@@ -5,6 +5,7 @@ import multiprocessing
 import re
 import tempfile
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,14 @@ from stabeval.experiment import (
 from stabeval.scoring import NormalizationScheme
 from stabeval.stats import same_documents, srp
 
-from conftest import all_docs, bucket_raters_of, make_layout_dataset, plan_items, rating_dict
+from conftest import (
+    ROTATION_LAYOUT,
+    all_docs,
+    bucket_raters_of,
+    make_layout_dataset,
+    plan_items,
+    rating_dict,
+)
 
 
 def small_dataset(seed=5, **kwargs):
@@ -140,6 +148,25 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match=r"^doc_counts lists 4 twice$"):
             run_sweep(ds, [config], doc_count_grid=[4, 6, 4], progress=lines.append)
         assert lines == []
+
+    def test_unreachable_alpha_warned_before_its_point(self):
+        """Double rating runs 10 documents as 5 per study, whose floor 2/2**5
+        is above alpha; 12 documents run 6, whose floor 0.031 is not."""
+        ds = make_layout_dataset(*ROTATION_LAYOUT, n_systems=3)
+        config = StudyConfig(ratings_per_item=2, n_simulations=2, n_permutations=50,
+                             label="double")
+        assert replace(config, n_documents=10).p_floor == 0.0625
+        assert replace(config, n_documents=12).p_floor == 0.03125
+        lines = []
+        result = run_sweep(ds, [config], doc_count_grid=[10, 12], progress=lines.append)
+        assert len(result.points) == 2
+        assert len(lines) == 3
+        assert lines[0] == (
+            "warning: double n_docs=10 docs_per_study=5: p-value floor 0.0625 is above alpha "
+            "0.05, so every significant pair is Monte Carlo noise"
+        )
+        assert lines[1].startswith("double n_docs=10 srp=")
+        assert lines[2].startswith("double n_docs=12 srp=")
 
     def test_kept_matrices_rank_the_system_axis(self):
         """Every study ranks ``ds.system_axis``; a study's ``doc_set`` is its

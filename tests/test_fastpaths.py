@@ -1,9 +1,8 @@
 """Differential tests: each vectorized path against the loop it replaced.
 
-- ``significance_matrix`` (one sign draw and one batched product per block
-  of pairs) against a loop of ``_sign_flip_p`` calls, one per pair, and the
-  signs it reads from raw PCG64 words (``_flipped_signs``) against
-  ``rng.integers``.
+- ``significance_matrix`` (one sign matrix S per study and one product for
+  every pair) against a loop over the pairs, each testing ``S @ d`` over the
+  same S, and, for a 2-system study, against ``permutation_test``.
 - ``srp`` (one boolean product over all study pairs) against ``srp_pairs``.
 - ``build_plan``'s entropy-targeted loop (candidates scored from a running sum of c log c
   read from a table) against ``entropy_target_oracle`` below, which recomputes the full entropy
@@ -29,10 +28,9 @@ from stabeval.assignment import (
 from stabeval.errors import MismatchedDocuments, StabevalError, SystemSetMismatch, TargetUnreachable
 from stabeval.scoring import ScoredStudy
 from stabeval.stats import (
+    _REL_TOL,
     SignificanceMatrix,
-    _flipped_signs,
-    _pair_blocks,
-    _sign_flip_p,
+    permutation_test,
     same_documents,
     significance_matrix,
     srp,
@@ -49,7 +47,9 @@ from conftest import (
 
 
 def significance_oracle(study: ScoredStudy, alpha: float, n_perm: int, rng):
-    """(means, sig, better) from one ``_sign_flip_p`` call per pair, in (i, j) order."""
+    """(means, sig, better) from one sign matrix S, drawn as ``significance_matrix``
+    draws it, and a loop over the pairs (i, j > i), each with the statistic
+    ``|S @ d| / segments`` of its score-sum differences d."""
     n_sys, n_docs = len(study.systems), study.scores.shape[1]
     eff = study.effective_scores()
     eff_sys, eff_doc, _ = np.nonzero(~np.isnan(eff))
@@ -59,11 +59,16 @@ def significance_oracle(study: ScoredStudy, alpha: float, n_perm: int, rng):
     np.add.at(counts, (eff_sys, eff_doc), 1)
     totals = counts.sum(axis=1)
     means = sums.sum(axis=1) / totals
+    signs = rng.integers(0, 2, size=(n_perm, n_docs), dtype=np.int32) * 2 - 1
     sig = np.zeros((n_sys, n_sys), dtype=bool)
     better = np.zeros((n_sys, n_sys), dtype=bool)
     for i in range(n_sys):
         for j in range(i + 1, n_sys):
-            p = _sign_flip_p(sums[i] - sums[j], int(totals[i]), n_perm, rng)
+            d = sums[i] - sums[j]
+            observed = abs(d.sum()) / totals[i]
+            stats = np.abs(signs @ d) / totals[i]
+            hits = np.sum(stats >= observed - _REL_TOL * (1.0 + observed))
+            p = (1 + hits) / (1 + n_perm)
             if means[i] < means[j]:
                 better[i, j], sig[i, j] = True, p <= alpha
             elif means[j] < means[i]:
@@ -110,43 +115,7 @@ def same_state(a, b) -> bool:
     return np.array_equal(a, b)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    first=st.lists(st.integers(1, 2 * 10**5), min_size=1, max_size=2),
-    second=st.lists(st.integers(1, 2 * 10**5), min_size=1, max_size=2),
-    seed=st.integers(0, 2**32 - 1),
-    predraw=st.integers(0, 3),
-    bit_generator=st.sampled_from(BIT_GENERATORS),
-)
-def test_flipped_signs_are_the_integers_draws(first, second, seed, predraw, bit_generator):
-    fast, slow = (np.random.Generator(bit_generator(seed)) for _ in range(2))
-    # An odd number of earlier 32-bit draws leaves half a 64-bit word buffered.
-    for rng in (fast, slow):
-        rng.integers(0, 2, size=predraw, dtype=np.int32)
-    # Two calls in a row: the second starts from the state the first wrote.
-    for sizes in (first, second):
-        # With PCG64 the next array overwrites this one's buffer, so keep copies.
-        got = [signs.copy() for signs in _flipped_signs(fast, [(n,) for n in sizes])]
-        for n, signs in zip(sizes, got):
-            bits = slow.integers(0, 2, size=n, dtype=np.int32)
-            assert signs.dtype == np.float64
-            assert np.array_equal(signs, 1 - 2 * bits)
-        assert same_state(fast.bit_generator.state, slow.bit_generator.state)
-    assert fast.random() == slow.random()
-
-
-@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-def test_flipped_signs_closed_early_leave_the_drawn_state(bit_generator):
-    fast, slow = (np.random.Generator(bit_generator(5)) for _ in range(2))
-    signs = _flipped_signs(fast, [(3, 7), (4,)])
-    assert np.array_equal(next(signs), 1 - 2 * slow.integers(0, 2, (3, 7), dtype=np.int32))
-    signs.close()
-    assert same_state(fast.bit_generator.state, slow.bit_generator.state)
-    assert fast.random() == slow.random()
-
-
-# Three times the examples, so PCG64, the generator of every sweep, still gets about 60.
-@settings(max_examples=180, deadline=None)
+@settings(deadline=None)
 @given(
     study=scored_studies(),
     n_perm=st.integers(1, 500),
@@ -171,18 +140,16 @@ def test_significance_matrix_matches_pair_loop(study, n_perm, alpha, seed, predr
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
 @pytest.mark.parametrize(
-    "n_sys, n_docs, n_perm, predraw, n_blocks, pairs_per_block",
+    "n_sys, n_docs, n_perm, predraw",
     [
-        (3, 181, 500, 0, 3, 1),  # each pair is larger than the sign budget
-        (15, 10, 500, 0, 9, 13),  # many pairs per block, and a last block of one
-        (15, 33, 499, 1, 35, 3),  # odd block sizes carry the buffered half-word
+        (3, 181, 500, 0),  # a paper-size pool
+        (15, 10, 500, 0),  # many pairs over few documents
+        (15, 33, 499, 1),  # an odd permutation count after an odd predraw
     ],
+    # Named after the edges of the 2**16-sign pair blocks that the kernel drew before.
     ids=["pair_above_budget", "many_pairs_per_block", "odd_blocks_after_odd_predraw"],
 )
-def test_significance_matrix_block_edges(n_sys, n_docs, n_perm, predraw, n_blocks,
-                                         pairs_per_block, bit_generator):
-    blocks = _pair_blocks(n_sys * (n_sys - 1) // 2, n_perm * n_docs)
-    assert (len(blocks), blocks[0].stop - blocks[0].start) == (n_blocks, pairs_per_block)
+def test_significance_matrix_block_edges(n_sys, n_docs, n_perm, predraw, bit_generator):
     study = make_study(n_sys, n_docs, seed=n_docs, noisy=True)
     fast, slow = (np.random.Generator(bit_generator(n_perm)) for _ in range(2))
     for rng in (fast, slow):
@@ -193,6 +160,34 @@ def test_significance_matrix_block_edges(n_sys, n_docs, n_perm, predraw, n_block
     assert np.array_equal(matrix.sig, sig)
     assert np.array_equal(matrix.better, better)
     assert same_state(fast.bit_generator.state, slow.bit_generator.state)
+
+
+def test_two_system_matrix_is_the_permutation_test():
+    """With 2 systems the kernel draws what ``permutation_test`` draws, so the
+    exhaustive oracle of acceptance 2, which checks the mapping reference,
+    also covers the kernel."""
+    outcomes = set()
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        scores = {"a": {}, "b": {}}
+        for d in range(int(rng.integers(4, 31))):
+            n_segs = int(rng.integers(1, 4))
+            scores["a"][f"d{d:02d}"] = rng.normal(1.0, 1.0, n_segs).tolist()
+            scores["b"][f"d{d:02d}"] = rng.normal(1.3, 1.0, n_segs).tolist()
+        study = study_from_entries([
+            (doc, g, system, "r", x, None)
+            for system, docs in scores.items() for doc, segs in docs.items()
+            for g, x in enumerate(segs)
+        ])
+        fast, slow = np.random.default_rng(seed + 10_000), np.random.default_rng(seed + 10_000)
+        matrix = significance_matrix(study, 0.05, 200, fast)
+        reached = permutation_test(scores["a"], scores["b"], 200, slow) <= 0.05
+        a_total, b_total = (sum(map(sum, scores[s].values())) for s in "ab")
+        assert matrix.sig[0, 1] == (reached and a_total < b_total), seed
+        assert matrix.sig[1, 0] == (reached and b_total < a_total), seed
+        assert fast.bit_generator.state == slow.bit_generator.state
+        outcomes.add(bool(reached))
+    assert outcomes == {True, False}
 
 
 def test_significance_matrix_names_first_mismatched_pair():
