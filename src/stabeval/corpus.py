@@ -15,8 +15,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import repeat
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -49,8 +49,8 @@ CANONICAL_COLUMNS = (
 REQUIRED_COLUMNS = ("doc_id", "seg_index", "system_id", "rater_id")
 
 SCORE_TOLERANCE = 1e-9
-_BLOCK_ROWS = 8192  # rows that ingest splits into cells, and ratings export writes, at a time
-_READ_CHARS = 1 << 19  # characters that ingest reads from a file at a time
+_BLOCK_ROWS = 8192  # ratings that export writes at a time
+_READ_CHARS = 1 << 19  # characters that ingest reads, then finishes their last line
 # Columns whose cells are parsed, not ranked: their codes number the distinct
 # cells in the order the blocks first show them, the empty cell always 0.
 _PARSED_COLUMNS = ("seg_index", "span_start", "span_end", "score", "target_text")
@@ -90,15 +90,13 @@ def _factorize(values: Sequence) -> tuple[tuple, np.ndarray]:
 class Annotations:
     """A dataset's error annotations as columns, one row per annotation.
 
-    ``owner`` numbers the annotation's rating in the (doc, seg, system, rater)
-    order of the rated cells; rows are grouped by owner, each group in file
-    order.  ``severity`` indexes ``SEVERITIES``, ``category`` indexes
-    ``categories``, and ``start`` and ``end`` are -1 for an annotation without
-    a span.
+    Rows follow the (doc, seg, system, rater) order of the rated cells, each
+    rating's ``n_errors`` annotations in file order.  ``severity`` indexes
+    ``SEVERITIES``, ``category`` indexes ``categories``, and ``start`` and
+    ``end`` are -1 for an annotation without a span.
     """
 
     categories: tuple[str, ...]
-    owner: np.ndarray
     severity: np.ndarray
     category: np.ndarray
     start: np.ndarray
@@ -295,38 +293,27 @@ def ingest(path, mapping: Optional[ColumnMapping] = None, weights=None) -> Ratin
     ``weights`` (a scoring.WeightTable) is used to materialize scores from
     annotations where absent and to cross-check precomputed scores.  A
     leading UTF-8 byte order mark is dropped, and CRLF or CR line ends read
-    as LF.  The file is read in bounded chunks, so the whole text never
-    exists at once.
+    as LF.
     """
     with open(path, encoding="utf-8-sig") as handle:
-        return _ingest_chunks(_read_chunks(handle, path), mapping, weights)
+        try:
+            return ingest_lines(handle, mapping, weights)
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+            ) from None
 
 
-def ingest_lines(lines: Iterable[str], mapping=None, weights=None) -> RatingDataset:
-    """``ingest`` for lines as a text file yields them, each ending in a newline
-    except perhaps the last."""
-    return _ingest_chunks(lines, mapping, weights)
-
-
-def _read_chunks(handle, path) -> Iterator[str]:
-    """The text of an open file, ``_READ_CHARS`` characters at a time."""
-    try:
-        while chunk := handle.read(_READ_CHARS):
-            yield chunk
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
-        ) from None
-
-
-def _ingest_chunks(chunks: Iterable[str], mapping, weights) -> RatingDataset:
+def ingest_lines(stream: TextIO, mapping=None, weights=None) -> RatingDataset:
+    """``ingest`` for an open text stream.  It is read in blocks of whole
+    lines, so the whole text never exists at once."""
     from .scoring import WeightTable
 
     if weights is None:
         weights = WeightTable.default()
     if mapping is None:
         mapping = ColumnMapping.identity()
-    lineno, axes, codes = _split_columns(chunks, mapping)
+    lineno, axes, codes = _split_columns(stream, mapping)
     n_rows = len(lineno)
     langs = [lang for lang in axes["lang_pair"] if lang]
     target_len = np.array([len(t) for t in axes["target_text"]], dtype=np.int64)[
@@ -469,7 +456,6 @@ def _ingest_chunks(chunks: Iterable[str], mapping, weights) -> RatingDataset:
     error_counts[cells] = np.where(has_errors | no_errors_found, n_errors, np.nan)
     annotations = Annotations(
         categories,
-        owner=error_owner,
         severity=severity[errors],
         category=category[errors].astype(np.intp),
         start=np.where(has_span[errors], start[errors], -1),
@@ -515,32 +501,29 @@ def _ingest_chunks(chunks: Iterable[str], mapping, weights) -> RatingDataset:
     return ds
 
 
-def _split_columns(chunks: Iterable[str], mapping: ColumnMapping) -> tuple[np.ndarray, dict, dict]:
+def _split_columns(stream: TextIO, mapping: ColumnMapping) -> tuple[np.ndarray, dict, dict]:
     """Line numbers of the non-blank data lines, and per canonical column its
-    distinct cells and each row's int32 code into them.  ``chunks`` concatenate
-    to the text.  Parsed columns list their cells as ``_PARSED_COLUMNS``
-    says, the others sorted.  A row shorter than the header reads as padded
-    with empty cells, an absent column as empty."""
-    chunks = iter(chunks)
-    blocks = _line_blocks(chunks)
-    lines = next(blocks, None)
-    if lines is None:
+    distinct cells and each row's int32 code into them.  Parsed columns list
+    their cells as ``_PARSED_COLUMNS`` says, the others sorted.  A row shorter
+    than the header reads as padded with empty cells, an absent column as
+    empty."""
+    header_line = stream.readline()
+    if not header_line:
         raise ParseError("empty file", line=1)
-    header = lines[0].split("\t")
+    header = header_line.removesuffix("\n").split("\t")
     try:
         index = mapping.resolve(header)
     except MissingColumn:
-        deque(chunks, maxlen=0)  # a later undecodable byte is the error to report
+        deque(_line_blocks(stream), maxlen=0)  # a later undecodable byte is the error to report
         raise
-    del lines[0]
     width = len(header)
     # Split a block of rows at a time, so that only one block's cells exist
     # as strings.  Each column's distinct cells get provisional codes in the
     # order blocks first show them; ranked columns rank them at the end.
     seen = {name: {"": 0} if name in _PARSED_COLUMNS else {} for name in index}
     block_codes = {name: [] for name in index}
-    block_lineno, first_line = [], 2
-    for lines in chain([lines], blocks):
+    block_lineno, first_line = [np.zeros(0, dtype=np.intp)], 2
+    for lines in _line_blocks(stream):
         lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
         block_lineno.append(np.flatnonzero(lengths) + first_line)
         first_line += len(lines)
@@ -576,24 +559,12 @@ def _split_columns(chunks: Iterable[str], mapping: ColumnMapping) -> tuple[np.nd
     return lineno, axes, codes
 
 
-def _line_blocks(chunks: Iterable[str]) -> Iterator[list[str]]:
-    """The lines of the text that ``chunks`` concatenate to, split at "\\n",
-    in lists of at most ``_BLOCK_ROWS`` lines.  An empty text gives none, and
-    an empty last line that would start a list of its own is left out."""
-    pending, head = [], []  # head: the pieces of the unfinished line, joined once
-    for chunk in chunks:
-        *lines, tail = chunk.split("\n")
-        if lines:
-            lines[0] = "".join(head) + lines[0]
-            head = []
-        head.append(tail)
-        pending += lines
-        full = len(pending) - len(pending) % _BLOCK_ROWS
-        yield from (pending[at:at + _BLOCK_ROWS] for at in range(0, full, _BLOCK_ROWS))
-        del pending[:full]
-    last = "".join(head)
-    if pending or last:
-        yield pending + [last]
+def _line_blocks(stream: TextIO) -> Iterator[list[str]]:
+    """The lines of the rest of ``stream``, split at "\\n", in lists of the
+    lines that ``_READ_CHARS`` characters and the rest of their last line
+    hold; a final newline starts no line of its own."""
+    while block := stream.read(_READ_CHARS) + stream.readline():
+        yield block.removesuffix("\n").split("\n")
 
 
 def _parse_each(texts: Sequence[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]:

@@ -448,7 +448,7 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
         doc_bucket=doc_bucket,
         scores=scores,
         n_errors=np.full(scores.shape, np.nan),
-        annotations=Annotations((), *[np.zeros(0, dtype=np.intp)] * 5),
+        annotations=Annotations((), *[np.zeros(0, dtype=np.intp)] * 4),
     )
     ds.validate()
     return ds

@@ -20,6 +20,9 @@ from .errors import (
 from .scoring import ScoredStudy, ordered_sums
 
 _REL_TOL = 1e-12
+# float64 cells of one block of sign rows and their statistics, so that a
+# study's memory does not grow with its permutation count.
+_SIGN_CELLS = 1 << 18
 
 
 @dataclass
@@ -99,11 +102,13 @@ def significance_matrix(
     All pairs test the same documents and |S (s_i - s_j)| = |S s_i - S s_j|,
     so one sign matrix S (n_perm x n_docs) serves every pair: each pair's
     test keeps its exact distribution, and only the Monte Carlo errors of
-    pairs within the study are correlated (Westfall and Young, 1993).  S is
-    one ``rng.integers(0, 2, (n_perm, n_docs), dtype=np.int32)`` draw, used
-    as ``1 - 2*b`` against the negated pair differences; for 2 systems that
-    is ``_sign_flip_p``'s draw and statistic.  One product gives every
-    pair's statistics, in n_perm x (n_docs + n_pairs) float64 of memory.
+    pairs within the study are correlated (Westfall and Young, 1993).  S holds
+    the bits b of one ``rng.integers(0, 2, (n_perm, n_docs), dtype=np.int32)``
+    draw, used as ``1 - 2*b`` against the negated pair differences; for 2
+    systems that is ``_sign_flip_p``'s draw and statistic.  S is drawn in
+    blocks of rows, which continue one draw's stream, and one product per
+    block gives every pair's statistics: n_docs + n_pairs float64 cells per
+    row, at most ``_SIGN_CELLS`` per block unless one row exceeds them.
     """
     n_sys = len(study.systems)
     if n_sys < 2:
@@ -126,9 +131,13 @@ def significance_matrix(
     neg_diffs = sums[second] - sums[first]
     observed = np.abs(neg_diffs.sum(axis=1)) / total
     threshold = observed - _REL_TOL * (1.0 + observed)
-    flipped = 1 - 2 * rng.integers(0, 2, size=(n_perm, n_docs), dtype=np.int32).astype(np.float64)
-    stats = np.abs(flipped @ neg_diffs.T) / total
-    hits = np.count_nonzero(stats >= threshold, axis=0)
+    hits = np.zeros(len(first), dtype=np.intp)
+    rows = max(1, _SIGN_CELLS // (n_docs + len(first)))
+    for at in range(0, n_perm, rows):
+        size = (min(rows, n_perm - at), n_docs)
+        flipped = 1 - 2 * rng.integers(0, 2, size=size, dtype=np.int32).astype(np.float64)
+        stats = np.abs(flipped @ neg_diffs.T) / total
+        hits += np.count_nonzero(stats >= threshold, axis=0)
     reached = (1 + hits) / (1 + n_perm) <= alpha
     sig = np.zeros((n_sys, n_sys), dtype=bool)
     sig[first, second] = reached & (means[first] < means[second])

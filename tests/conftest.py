@@ -25,7 +25,7 @@ from stabeval.corpus import (
     RatingDataset,
     _factorize,
 )
-from stabeval.errors import InconsistentBuckets
+from stabeval.errors import InconsistentBuckets, MissingColumn, ParseError
 from stabeval.scoring import ScoredStudy
 
 
@@ -64,13 +64,12 @@ def rating_fields(ratings, systems, documents, raters) -> dict:
         cell = (system_pos[system], doc_pos[doc], seg, rater_pos[rater])
         scores[cell] = rating.score
         n_errors[cell] = np.nan if rating.annotations is None else len(rating.annotations)
-    owned = [(row, a) for row, key in enumerate(keys) for a in ratings[key].annotations or ()]
-    categories, category = _factorize([a.category for _, a in owned])
-    spans = np.array([a.span or (-1, -1) for _, a in owned], dtype=np.int64).reshape(-1, 2)
+    owned = [a for key in keys for a in ratings[key].annotations or ()]
+    categories, category = _factorize([a.category for a in owned])
+    spans = np.array([a.span or (-1, -1) for a in owned], dtype=np.int64).reshape(-1, 2)
     annotations = Annotations(
         categories,
-        np.array([row for row, _ in owned], dtype=np.intp),
-        np.array([SEVERITIES.index(a.severity) for _, a in owned], dtype=np.intp),
+        np.array([SEVERITIES.index(a.severity) for a in owned], dtype=np.intp),
         category, spans[:, 0], spans[:, 1],
     )
     return {"scores": scores, "n_errors": n_errors, "annotations": annotations}
@@ -174,7 +173,9 @@ def rating_dict(ds: RatingDataset) -> dict:
             table.start.tolist(), table.end.tolist(),
         )
     ]
-    bounds = np.searchsorted(table.owner, np.arange(np.count_nonzero(rated) + 1)).tolist()
+    # Each rating's annotations are the next n_errors rows.
+    counts = np.nan_to_num(ds.n_errors.transpose(by_key)[rated]).astype(np.intp)
+    bounds = [0, *np.cumsum(counts).tolist()]
     ratings = {}
     for row, (d, seg, s, r, score, n_errors) in enumerate(zip(
         *(cells.tolist() for cells in np.nonzero(rated)),
@@ -323,6 +324,20 @@ def tiny_tsv_rows():
                 else:
                     rows.append(f"xx-yy\tb1\t{doc}\t0\t{system}\t{rater}\t\t\t\t\t\t")
     return rows
+
+
+_HEADER = TINY_HEADER.encode("utf-8")
+_NO_ROWS = (ParseError, "line 2: no data rows")
+# Files that hold no data row, as bytes, and the error type and message of each.
+NO_DATA_FILES = {
+    "empty": (b"", ParseError, "line 1: empty file"),
+    "bom_only": (b"\xef\xbb\xbf", ParseError, "line 1: empty file"),
+    "header_only": (_HEADER, *_NO_ROWS),
+    "header_and_newline": (_HEADER + b"\n", *_NO_ROWS),
+    "blank_lines_lf": (_HEADER + b"\n\n\n", *_NO_ROWS),
+    "blank_lines_crlf": (_HEADER + b"\r\n\r\n\r\n", *_NO_ROWS),
+    "lone_newline": (b"\n", MissingColumn, "required column 'doc_id' not found in header"),
+}
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import stabeval
 from stabeval.cli import main
 from stabeval.corpus import export_tsv
 
-from conftest import ROTATION_LAYOUT, make_layout_dataset, tiny_tsv_rows
+from conftest import NO_DATA_FILES, ROTATION_LAYOUT, make_layout_dataset, tiny_tsv_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import layouts  # noqa: E402
@@ -87,6 +87,15 @@ def test_validate_malformed_severity_reports_line(tmp_path, capsys):
     path.write_text("\n".join(rows) + "\n")
     assert main(["validate", "--dataset", str(path)]) == 1
     assert "line 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", NO_DATA_FILES)
+def test_validate_file_without_data_rows(tmp_path, capsys, name):
+    data, _, message = NO_DATA_FILES[name]
+    path = tmp_path / "ratings.tsv"
+    path.write_bytes(data)
+    assert main(["validate", "--dataset", str(path)]) == 1
+    assert capsys.readouterr().err == f"INVALID: {message}\n"
 
 
 def test_gen_validate_roundtrip(synth_tsv, capsys):

@@ -135,7 +135,7 @@ def empty_dataset(buckets, **fields) -> RatingDataset:
         "xx-yy", documents, frozenset({"s0", "s1"}), raters,
         **{**bucket_fields(buckets, documents, raters), **fields},
         scores=np.full(shape, np.nan), n_errors=np.full(shape, np.nan),
-        annotations=Annotations((), *[np.zeros(0, dtype=np.intp)] * 5),
+        annotations=Annotations((), *[np.zeros(0, dtype=np.intp)] * 4),
     )
 
 

@@ -11,6 +11,8 @@
 Each pair must agree exactly, including the RNG state afterwards.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -160,6 +162,38 @@ def test_significance_matrix_block_edges(n_sys, n_docs, n_perm, predraw, bit_gen
     assert np.array_equal(matrix.sig, sig)
     assert np.array_equal(matrix.better, better)
     assert same_state(fast.bit_generator.state, slow.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("rows", [1, 7])
+def test_significance_matrix_row_blocks(monkeypatch, rows, bit_generator):
+    """Blocks of 1 and 7 sign rows, the last one short, continue one draw's
+    stream after an odd predraw."""
+    n_sys, n_docs, n_perm = 6, 23, 101
+    monkeypatch.setattr("stabeval.stats._SIGN_CELLS", rows * (n_docs + n_sys * (n_sys - 1) // 2))
+    study = make_study(n_sys, n_docs, seed=rows, noisy=True)
+    fast, slow = (np.random.Generator(bit_generator(rows)) for _ in range(2))
+    for rng in (fast, slow):
+        rng.integers(0, 2, size=3, dtype=np.int32)
+    matrix = significance_matrix(study, 0.2, n_perm, fast)
+    means, sig, better = significance_oracle(study, 0.2, n_perm, slow)
+    assert np.array_equal(matrix.means, means)
+    assert np.array_equal(matrix.sig, sig)
+    assert np.array_equal(matrix.better, better)
+    assert same_state(fast.bit_generator.state, slow.bit_generator.state)
+
+
+def test_significance_matrix_memory_is_bounded():
+    """20,000 permutations of a 181-document, 15-system study fit in 8 MB."""
+    study = make_study(15, 181, seed=0, noisy=True)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        significance_matrix(study, 0.05, 20_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000
 
 
 def test_two_system_matrix_is_the_permutation_test():

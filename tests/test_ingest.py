@@ -5,8 +5,8 @@ kept as the reference: it builds one ``SegmentRating`` per rating and hands
 the dict, as arrays, to ``RatingDataset``.  ``export_tsv_oracle`` is the
 matching per-rating export.  Generated files, valid or with injected faults,
 must give the same dataset or the same error from both, whether ingest
-splits them into cells one row, three rows or its default block at a time,
-and whether it reads a file a few characters or its default chunk at a time.
+reads a file in blocks of its default size or of a few characters and the
+rest of their last line.
 """
 
 import hashlib
@@ -35,6 +35,7 @@ from stabeval.errors import InconsistentBuckets, ParseError, ScoreMismatch, Stab
 from stabeval.scoring import WeightTable, segment_score
 
 from conftest import (
+    NO_DATA_FILES,
     SegmentRating,
     assert_same_buckets,
     assert_same_ratings,
@@ -424,33 +425,29 @@ def inject(draw, rows, fault):
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=tsv_files(), block_rows=st.sampled_from([1, 3, corpus._BLOCK_ROWS]))
-def test_columnar_ingest_matches_row_loop(case, block_rows):
+@given(case=tsv_files())
+def test_columnar_ingest_matches_row_loop(case):
     text, mapping = case
-    default, corpus._BLOCK_ROWS = corpus._BLOCK_ROWS, block_rows
-    try:
-        got, got_error = outcome(ingest_lines, text, mapping)
-    finally:
-        corpus._BLOCK_ROWS = default
+    got, got_error = outcome(ingest_lines, text, mapping)
     want, want_error = outcome(ingest_lines_oracle, text, mapping)
     assert got_error == want_error
     if want is not None:
         assert_same_dataset(got, *want)
 
 
-def ingest_in_chunks(data: bytes, mapping, read_chars: int, block_rows: int):
-    """``ingest`` of a file holding ``data``, read ``read_chars`` characters
-    and split ``block_rows`` rows at a time: (path, dataset, error)."""
-    defaults = corpus._READ_CHARS, corpus._BLOCK_ROWS
+def ingest_in_chunks(data: bytes, mapping, read_chars: int):
+    """``ingest`` of a file holding ``data``, read in blocks of ``read_chars``
+    characters and the rest of their last line: (path, dataset, error)."""
+    default = corpus._READ_CHARS
     with tempfile.TemporaryDirectory() as work:
         path = f"{work}/ratings.tsv"
         with open(path, "wb") as handle:
             handle.write(data)
-        corpus._READ_CHARS, corpus._BLOCK_ROWS = read_chars, block_rows
+        corpus._READ_CHARS = read_chars
         try:
             return (path, *call_outcome(lambda: ingest(path, mapping=mapping)))
         finally:
-            corpus._READ_CHARS, corpus._BLOCK_ROWS = defaults
+            corpus._READ_CHARS = default
 
 
 # 2-, 3- and 4-byte UTF-8 characters in the system ids.
@@ -461,21 +458,20 @@ WIDE_IDS = {"sA": "s\u00c5", "sB": "s\u4e2d\U0001f600"}
 @given(
     case=tsv_files(),
     read_chars=st.integers(1, 7),
-    block_rows=st.sampled_from([1, 3, corpus._BLOCK_ROWS]),
     line_end=st.sampled_from(["\n", "\r\n", "\r"]),
     bom=st.booleans(),
     wide=st.booleans(),
 )
-def test_chunked_file_ingest_matches_row_loop(case, read_chars, block_rows, line_end, bom, wide):
-    """A file read a few characters at a time, so that CRLF and CR line ends,
-    multi-byte characters and every row straddle chunks, with or without a
-    byte order mark, blank lines and a final newline."""
+def test_chunked_file_ingest_matches_row_loop(case, read_chars, line_end, bom, wide):
+    """A file read a few characters and the rest of a line at a time, so that
+    CRLF and CR line ends, multi-byte characters and rows straddle reads, with
+    or without a byte order mark, blank lines and a final newline."""
     text, mapping = case
     if wide:
         for narrow, wide_id in WIDE_IDS.items():
             text = text.replace(narrow, wide_id)
     data = (b"\xef\xbb\xbf" if bom else b"") + text.replace("\n", line_end).encode("utf-8")
-    _, got, got_error = ingest_in_chunks(data, mapping, read_chars, block_rows)
+    _, got, got_error = ingest_in_chunks(data, mapping, read_chars)
     want, want_error = outcome(ingest_lines_oracle, text, mapping)
     assert got_error == want_error
     if want is not None:
@@ -495,17 +491,28 @@ def test_chunked_file_ingest_matches_row_loop(case, read_chars, block_rows, line
 )
 def test_undecodable_byte_in_a_later_chunk(case, read_chars, bad, header_ok):
     """A byte that is not UTF-8, 10 KB into the file, is the error reported,
-    as when ingest read the whole file first, even past a header that names
-    no required column."""
+    even past a header that names no required column."""
     text, mapping = case
     if not header_ok:
         text = "junk" + text[text.index("\n"):]
     tail, byte, reason = bad
     data = text.encode("utf-8") + b"\n" * 10_000 + tail
-    path, got, got_error = ingest_in_chunks(data, mapping, read_chars, corpus._BLOCK_ROWS)
+    path, got, got_error = ingest_in_chunks(data, mapping, read_chars)
     assert got is None
     message = f"{path} is not UTF-8 text: byte 0x{byte:02x} ({reason})"
     assert got_error == (ParseError, message, None)
+
+
+@pytest.mark.parametrize("name", NO_DATA_FILES)
+def test_file_without_data_rows_rejected(tmp_path, name):
+    """The header and the blocks after it are read from the stream, also
+    where either is missing."""
+    data, error, message = NO_DATA_FILES[name]
+    path = tmp_path / "ratings.tsv"
+    path.write_bytes(data)
+    with pytest.raises(error) as exc:
+        ingest(path)
+    assert str(exc.value) == message
 
 
 @settings(max_examples=100, deadline=None)
@@ -643,7 +650,7 @@ def test_ingest_buckets_match_id_set_oracle(sizes, n_raters, explicit, data):
         except StabevalError as exc:
             return None, (type(exc), str(exc))
 
-    got, got_error = errors(lambda: ingest_lines([header, *lines]))
+    got, got_error = errors(lambda: ingest_lines(io.StringIO("".join([header, *lines]))))
     want, want_error = errors(oracle)
     assert got_error == want_error
     if want is not None:
@@ -661,7 +668,7 @@ def test_inferred_bucket_names_past_b999_sort_as_ids():
     lines = ["doc_id\tseg_index\tsystem_id\trater_id\tscore\n"] + [
         f"{doc}\t0\tsA\t{r}\t1\n" for doc, doc_set in doc_raters.items() for r in sorted(doc_set)
     ]
-    ds = ingest_lines(lines)
+    ds = ingest_lines(io.StringIO("".join(lines)))
     buckets = build_buckets_oracle(dict.fromkeys(doc_raters, 1), doc_raters, {})
     assert ds.bucket_axis[100:103] == ("b100", "b1000", "b101")
     assert list(ds.bucket_axis) == sorted(buckets)
@@ -685,7 +692,7 @@ def test_lowest_bucket_id_with_differing_rater_sets_named():
         for (bucket, doc), raters in rater_sets.items() for rater in raters.split()
     ]
     with pytest.raises(InconsistentBuckets) as exc:
-        ingest_lines(lines)
+        ingest_lines(io.StringIO("".join(lines)))
     assert str(exc.value) == "bucket b1 contains documents with differing rater sets"
 
 
