@@ -49,6 +49,10 @@ class RunManifest:
     dataset_fingerprint: str
     started_at: str
     finished_at: str
+    python: str
+    numpy: str
+    threads: int
+    argv: list[str]
 
     def write(self, path: Path) -> None:
         path.write_text(json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n")
@@ -184,6 +188,7 @@ def cmd_sweep(args) -> int:
         dataset_fingerprint=fingerprint(ds),
         started_at=started,
         finished_at=datetime.now(timezone.utc).isoformat(),
+        python=sys.version.split()[0], numpy=np.__version__, threads=args.threads, argv=args.argv,
     )
     manifest.write(out_dir / "manifest.json")
     print(f"wrote {out_dir / 'sweep.csv'}")
@@ -265,6 +270,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
     except (CorpusError, ConfigError) as exc:

@@ -20,8 +20,8 @@ from .errors import (
 from .scoring import ScoredStudy, ordered_sums
 
 _REL_TOL = 1e-12
-# float64 cells of one block of sign rows and their statistics, so that a
-# study's memory does not grow with its permutation count.
+# float64 cells of a block of sign rows and their statistics, and multiply-adds
+# of one product: OpenBLAS runs a GEMM of at most 65,536 x 4 on one thread.
 _SIGN_CELLS = 1 << 18
 
 
@@ -106,9 +106,9 @@ def significance_matrix(
     the bits b of one ``rng.integers(0, 2, (n_perm, n_docs), dtype=np.int32)``
     draw, used as ``1 - 2*b`` against the negated pair differences; for 2
     systems that is ``_sign_flip_p``'s draw and statistic.  S is drawn in
-    blocks of rows, which continue one draw's stream, and one product per
-    block gives every pair's statistics: n_docs + n_pairs float64 cells per
-    row, at most ``_SIGN_CELLS`` per block unless one row exceeds them.
+    blocks of at most ``_SIGN_CELLS`` float64 cells (n_docs + n_pairs per row),
+    which continue one draw's stream; row slices of at most ``_SIGN_CELLS``
+    multiply-adds keep each product on the calling thread (or one row each).
     """
     n_sys = len(study.systems)
     if n_sys < 2:
@@ -133,11 +133,17 @@ def significance_matrix(
     threshold = observed - _REL_TOL * (1.0 + observed)
     hits = np.zeros(len(first), dtype=np.intp)
     rows = max(1, _SIGN_CELLS // (n_docs + len(first)))
+    step = max(1, _SIGN_CELLS // (n_docs * len(first)))
+    diffs_t = np.ascontiguousarray(neg_diffs.T)  # sliced products run slower on a transposed view
     for at in range(0, n_perm, rows):
         size = (min(rows, n_perm - at), n_docs)
         flipped = 1 - 2 * rng.integers(0, 2, size=size, dtype=np.int32).astype(np.float64)
-        stats = np.abs(flipped @ neg_diffs.T) / total
+        stats = np.empty((size[0], len(first)))
+        for a in range(0, size[0], step):
+            np.matmul(flipped[a:a + step], diffs_t, out=stats[a:a + step])
+        np.divide(np.abs(stats, out=stats), total, out=stats)
         hits += np.count_nonzero(stats >= threshold, axis=0)
+        del flipped, stats  # free this block before the next one is drawn
     reached = (1 + hits) / (1 + n_perm) <= alpha
     sig = np.zeros((n_sys, n_sys), dtype=bool)
     sig[first, second] = reached & (means[first] < means[second])

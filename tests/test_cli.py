@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
 import pytest
 
 import stabeval
@@ -140,8 +142,13 @@ def test_sweep_outputs(synth_tsv, tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert set(manifest) >= {
         "version", "config_hash", "master_seed", "dataset_fingerprint",
-        "started_at", "finished_at",
+        "started_at", "finished_at", "python", "numpy", "threads", "argv",
     }
+    assert manifest["threads"] == 1
+    assert manifest["argv"] == ["sweep", "--dataset", str(synth_tsv), "--config", str(cfg),
+                                "--out", str(out_dir)]
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
 
 
 def test_sweep_thread_count_does_not_change_csv(synth_tsv, tmp_path):

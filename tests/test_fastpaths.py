@@ -31,6 +31,7 @@ from stabeval.errors import MismatchedDocuments, StabevalError, SystemSetMismatc
 from stabeval.scoring import ScoredStudy
 from stabeval.stats import (
     _REL_TOL,
+    _SIGN_CELLS,
     SignificanceMatrix,
     permutation_test,
     same_documents,
@@ -165,12 +166,16 @@ def test_significance_matrix_block_edges(n_sys, n_docs, n_perm, predraw, bit_gen
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("rows", [1, 7, 28])
 def test_significance_matrix_row_blocks(monkeypatch, rows, bit_generator):
-    """Blocks of 1 and 7 sign rows, the last one short, continue one draw's
-    stream after an odd predraw."""
+    """Blocks of 1, 7 and 28 sign rows, the last one short, continue one
+    draw's stream after an odd predraw.  A block of 28 rows is cut into
+    products of 3 rows, the last one short too."""
     n_sys, n_docs, n_perm = 6, 23, 101
-    monkeypatch.setattr("stabeval.stats._SIGN_CELLS", rows * (n_docs + n_sys * (n_sys - 1) // 2))
+    pairs = n_sys * (n_sys - 1) // 2
+    cells = rows * (n_docs + pairs)
+    monkeypatch.setattr("stabeval.stats._SIGN_CELLS", cells)
+    assert max(1, cells // (n_docs * pairs)) == (3 if rows == 28 else 1)  # rows per product
     study = make_study(n_sys, n_docs, seed=rows, noisy=True)
     fast, slow = (np.random.Generator(bit_generator(rows)) for _ in range(2))
     for rng in (fast, slow):
@@ -183,8 +188,28 @@ def test_significance_matrix_row_blocks(monkeypatch, rows, bit_generator):
     assert same_state(fast.bit_generator.state, slow.bit_generator.state)
 
 
+@pytest.mark.parametrize("n_sys, n_docs", [(15, 90), (13, 20)], ids=["rotation", "disjoint"])
+def test_significance_matrix_products_stay_on_one_thread(monkeypatch, n_sys, n_docs):
+    """Every sign-flip product of a benchmark-shaped study has at most
+    ``_SIGN_CELLS`` multiply-adds, or one row, so OpenBLAS runs it on the
+    calling thread."""
+    shapes = []
+    real_matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        shapes.append((a.shape[0], a.shape[1], b.shape[1]))
+        return real_matmul(a, b, **kwargs)
+
+    study = make_study(n_sys, n_docs, seed=n_docs, noisy=True)
+    monkeypatch.setattr(np, "matmul", spy)
+    significance_matrix(study, 0.05, 500, np.random.default_rng(0))
+    assert sum(rows for rows, _, _ in shapes) == 500
+    assert all(rows * docs * pairs <= _SIGN_CELLS or rows == 1
+               for rows, docs, pairs in shapes), shapes
+
+
 def test_significance_matrix_memory_is_bounded():
-    """20,000 permutations of a 181-document, 15-system study fit in 8 MB."""
+    """20,000 permutations of a 181-document, 15-system study fit in 4 MB."""
     study = make_study(15, 181, seed=0, noisy=True)
     rng = np.random.default_rng(0)
     tracemalloc.start()
@@ -193,7 +218,7 @@ def test_significance_matrix_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8_000_000
+    assert peak <= 4_000_000
 
 
 def test_two_system_matrix_is_the_permutation_test():

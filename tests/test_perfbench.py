@@ -1,8 +1,9 @@
 """The benchmark under ``perfbench/`` drives the library's public functions.
 
 These tests run its traced replica and its full-pool probe on small inputs,
-so a library change that breaks them fails here rather than in a benchmark
-run.  Nothing under ``perfbench/`` is modified.
+and pin the sweep.csv digest of one untraced sweep of each workload, so a
+library change that breaks them or moves the benchmark's output fails here
+rather than in a benchmark run.  Nothing under ``perfbench/`` is modified.
 """
 
 import sys
@@ -66,3 +67,22 @@ def test_full_pool_probe_succeeds(workload, seed, tmp_path):
     for config in configs:
         small = replace(config, n_simulations=2, n_permutations=19)
         assert suite.full_pool_probe(spec, ds, small) == "ok", config.label
+
+
+BENCHMARK_DIGESTS = {
+    "rotation_psxs_entropy": "38fa544329f8a9dfac668ae775acb608e97ba016e3f907bb6d00e5788372b9bb",
+    "double_disjoint_cli": "7e1ab9b7c7e16ebba5f8abce0aeb9bbd41b589c62ef629c5674818ec496faefc",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_sweep_digest_pinned(workload, tmp_path):
+    """One untraced sweep of each workload at seed 1 keeps the sweep.csv
+    digest that perfbench prints: rotation through ``run_sweep(threads=1)``,
+    the disjoint layout through ``cli.main`` with 2 workers."""
+    spec = suite.WORKLOADS[workload]
+    files = suite.Files(tmp_path, spec, 1)
+    ds = ingest(files.tsv)
+    configs, _ = load_sweep_config(files.config)
+    text = suite.untraced_sweep(spec, ds, configs, files)
+    assert suite.sha256(text) == BENCHMARK_DIGESTS[workload]
