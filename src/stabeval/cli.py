@@ -11,14 +11,14 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .corpus import ColumnMapping, bucket_layout, fingerprint, ingest, stats
+from .corpus import ColumnMapping, bucket_layout, fingerprint, ingest
 from .errors import ConfigError, CorpusError, StabevalError
 from .experiment import (
     generate_synthetic,
@@ -39,25 +39,6 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility metadata emitted alongside every sweep output."""
-
-    version: str
-    config_hash: str
-    master_seed: int
-    dataset_fingerprint: str
-    started_at: str
-    finished_at: str
-    python: str
-    numpy: str
-    threads: int
-    argv: list[str]
-
-    def write(self, path: Path) -> None:
-        path.write_text(json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n")
-
-
 def _load_dataset(args):
     mapping = ColumnMapping.from_file(args.mapping) if args.mapping else None
     weights = WeightTable.from_file(args.weights) if args.weights else WeightTable.default()
@@ -65,13 +46,12 @@ def _load_dataset(args):
 
 
 def _print_stats(ds) -> None:
-    s = stats(ds)
     print(f"language pair:     {ds.language_pair}")
-    print(f"documents:         {s.n_documents}")
-    print(f"segments:          {s.n_segments}")
-    print(f"segments per doc:  {s.min_segments_per_doc}-{s.max_segments_per_doc}")
-    print(f"raters:            {s.n_raters}")
-    print(f"systems:           {s.n_systems}")
+    print(f"documents:         {len(ds.doc_axis)}")
+    print(f"segments:          {ds.seg_counts.sum()}")
+    print(f"segments per doc:  {ds.seg_counts.min()}-{ds.seg_counts.max()}")
+    print(f"raters:            {len(ds.rater_axis)}")
+    print(f"systems:           {len(ds.system_axis)}")
     for bucket_id, raters, n_docs in bucket_layout(ds):
         print(f"bucket {bucket_id}: {n_docs} docs, raters {','.join(raters)}")
 
@@ -113,7 +93,7 @@ def cmd_agreement(args) -> int:
     with open(out_dir / "rater_histograms.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["rater", "bin_left", "bin_right", "count", "mean", "median"])
-        for rater in sorted(ds.raters):
+        for rater in ds.rater_axis:
             hist = rater_distribution(ds, rater, edges)
             for left, right, count in zip(hist.bin_edges, hist.bin_edges[1:], hist.counts):
                 writer.writerow(
@@ -181,16 +161,20 @@ def cmd_sweep(args) -> int:
     with open(out_dir / "sweep.json", "w", encoding="utf-8") as handle:
         json.dump(result.to_json_obj(), handle, indent=2)
         handle.write("\n")
-    manifest = RunManifest(
-        version=__version__,
-        config_hash=hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
-        master_seed=configs[0].master_seed,
-        dataset_fingerprint=fingerprint(ds),
-        started_at=started,
-        finished_at=datetime.now(timezone.utc).isoformat(),
-        python=sys.version.split()[0], numpy=np.__version__, threads=args.threads, argv=args.argv,
-    )
-    manifest.write(out_dir / "manifest.json")
+    # Reproducibility metadata; ``threads`` is the requested count.
+    manifest = {
+        "version": __version__,
+        "config_hash": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
+        "master_seed": configs[0].master_seed,
+        "dataset_fingerprint": fingerprint(ds),
+        "started_at": started,
+        "finished_at": datetime.now(timezone.utc).isoformat(),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "threads": args.threads,
+        "argv": args.argv,
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_dir / 'sweep.csv'}")
     return EXIT_OK
 
@@ -279,7 +263,7 @@ def main(argv=None) -> int:
     except StabevalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

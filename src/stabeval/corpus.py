@@ -103,37 +103,28 @@ class Annotations:
     end: np.ndarray
 
 
-@dataclass
-class DatasetStats:
-    n_documents: int
-    n_segments: int
-    min_segments_per_doc: int
-    max_segments_per_doc: int
-    n_raters: int
-    n_systems: int
-    bucket_doc_counts: dict[str, int]
-
-
 @dataclass(eq=False)
 class RatingDataset:
     """All annotations for one language pair, validated and immutable in use.
 
+    ``system_axis``, ``doc_axis`` and ``rater_axis`` are the sorted, distinct
+    ids, and ``seg_counts[d]`` is the number of segments of document d.
     ``scores`` and ``n_errors`` hold the ratings as dense arrays indexed
-    (system, doc, seg, rater) over the sorted ids in ``system_axis``,
-    ``doc_axis`` and ``rater_axis``.  Unrated cells are NaN, and so are the
-    error counts of score-only ratings.  Ratings are numbered in the
+    (system, doc, seg, rater) over those axes.  Unrated cells are NaN, and so
+    are the error counts of score-only ratings.  Ratings are numbered in the
     (doc, seg, system, rater) order of the rated cells, which is how
     ``annotations`` refers to them.  The bucket layout is in positions: bucket
     b is ``bucket_axis[b]`` (the ids sorted), rated by the ascending
     ``rater_axis`` positions ``bucket_raters[b]``, and ``doc_bucket[d]`` is
     document d's bucket.  ``eligible`` is the (doc, rater) bucket membership
-    matrix.
+    matrix.  Construction runs ``validate``, so every dataset is checked.
     """
 
     language_pair: str
-    documents: dict[str, int]  # doc_id -> number of segments
-    systems: frozenset[str]
-    raters: frozenset[str]
+    system_axis: tuple[str, ...]
+    doc_axis: tuple[str, ...]
+    rater_axis: tuple[str, ...]
+    seg_counts: np.ndarray
     bucket_axis: tuple[str, ...]
     bucket_raters: tuple[np.ndarray, ...]
     doc_bucket: np.ndarray
@@ -142,21 +133,22 @@ class RatingDataset:
     annotations: Annotations
 
     def __post_init__(self):
-        self.system_axis = tuple(sorted(self.systems))
-        self.doc_axis = tuple(sorted(self.documents))
-        self.rater_axis = tuple(sorted(self.raters))
+        for kind, ids in (("system", self.system_axis), ("document", self.doc_axis),
+                          ("rater", self.rater_axis), ("bucket", self.bucket_axis)):
+            if list(ids) != sorted(set(ids)):
+                raise ValueError(f"{kind} ids {ids} are not sorted and distinct")
         self.system_pos = {s: i for i, s in enumerate(self.system_axis)}
         self.doc_pos = {d: i for i, d in enumerate(self.doc_axis)}
         self.rater_pos = {r: i for i, r in enumerate(self.rater_axis)}
-        n_buckets, n_raters = len(self.bucket_axis), len(self.rater_axis)
-        if list(self.bucket_axis) != sorted(set(self.bucket_axis)):
-            raise ValueError(f"bucket ids {self.bucket_axis} are not sorted and distinct")
+        n_docs, n_raters, n_buckets = map(len, (self.doc_axis, self.rater_axis, self.bucket_axis))
+        if self.seg_counts.shape != (n_docs,):
+            raise ValueError(f"{len(self.seg_counts)} segment counts for {n_docs} documents")
         if len(self.bucket_raters) != n_buckets:
             raise ValueError(f"{len(self.bucket_raters)} rater arrays for {n_buckets} buckets")
         for raters in self.bucket_raters:
             if np.any(np.diff(raters) <= 0) or np.any((raters < 0) | (raters >= n_raters)):
                 raise ValueError(f"bucket raters {raters} are not ascending positions < {n_raters}")
-        if self.doc_bucket.shape != (len(self.doc_axis),) or np.any(
+        if self.doc_bucket.shape != (n_docs,) or np.any(
             (self.doc_bucket < 0) | (self.doc_bucket >= n_buckets)
         ):
             raise ValueError(f"doc_bucket {self.doc_bucket} does not give each document a bucket")
@@ -165,9 +157,7 @@ class RatingDataset:
         for b, raters in enumerate(self.bucket_raters):
             member[b, raters] = True
         self.eligible = member[self.doc_bucket]
-        self.seg_counts = np.array([self.documents[d] for d in self.doc_axis], dtype=np.intp)
-        n_segs = self.seg_counts.max(initial=0)
-        shape = (len(self.system_axis), len(self.doc_axis), n_segs, n_raters)
+        shape = (len(self.system_axis), n_docs, self.seg_counts.max(initial=0), n_raters)
         if not self.scores.shape == self.n_errors.shape == shape:
             raise ValueError(f"rating arrays of shape {self.scores.shape} do not fit axes {shape}")
         # Each squared deviation from a rater mean is at most (2 * max|score|)**2,
@@ -184,9 +174,21 @@ class RatingDataset:
                 f"system={self.system_axis[s]} rater={self.rater_axis[r]} exceeds "
                 f"{bound:.4g} = sqrt(float max / (4 x {n_rated} rated cells))"
             )
+        self.validate()
+
+    @property
+    def systems(self) -> tuple[str, ...]:
+        """``system_axis``, the name perfbench's traced replica reads."""
+        return self.system_axis
+
+    @property
+    def raters(self) -> tuple[str, ...]:
+        """``rater_axis``, the name perfbench's traced replica reads."""
+        return self.rater_axis
 
     def validate(self) -> None:
-        """Enforce the structural invariants; raise a CorpusError on violation."""
+        """Enforce the structural invariants; raise a CorpusError on violation.
+        Construction runs it; a later call re-checks arrays changed in place."""
         seen_rater_sets: set[tuple[int, ...]] = set()
         for raters in self.bucket_raters:
             key = tuple(raters.tolist())
@@ -198,18 +200,19 @@ class RatingDataset:
         in_doc = np.arange(self.scores.shape[2]) < self.seg_counts[:, None]
         required = in_doc[None, :, :, None] & self.eligible[None, :, None, :]
         rated = ~np.isnan(self.scores)
-        holes = ~rated & required
-        for doc_id, n_segs in self.documents.items():
-            if n_segs < 1:
-                raise InconsistentBuckets(f"document {doc_id} has no segments")
-            # The document's holes in (system, rater, seg) order.
-            doc_holes = holes[:, self.doc_pos[doc_id]].transpose(0, 2, 1)
-            if doc_holes.any():
-                s, r, seg = np.unravel_index(np.argmax(doc_holes), doc_holes.shape)
-                raise IncompleteRatings(
-                    f"missing rating for doc={doc_id} seg={seg} "
-                    f"system={self.system_axis[s]} rater={self.rater_axis[r]}"
-                )
+        # Each document's holes in (system, rater, seg) order.
+        holes = (~rated & required).transpose(1, 0, 3, 2)
+        empty = self.seg_counts < 1
+        bad = np.flatnonzero(empty | holes.any(axis=(1, 2, 3)))
+        if bad.size:
+            d = bad[0]
+            if empty[d]:
+                raise InconsistentBuckets(f"document {self.doc_axis[d]} has no segments")
+            s, r, seg = np.unravel_index(np.argmax(holes[d]), holes[d].shape)
+            raise IncompleteRatings(
+                f"missing rating for doc={self.doc_axis[d]} seg={seg} "
+                f"system={self.system_axis[s]} rater={self.rater_axis[r]}"
+            )
         stray = rated & ~required
         if stray.any():
             s, d, seg, r = np.unravel_index(np.argmax(stray), stray.shape)
@@ -485,11 +488,12 @@ def ingest_lines(stream: TextIO, mapping=None, weights=None) -> RatingDataset:
             f"bucket {bucket_axis[doc_bucket[differs].min()]} contains documents "
             "with differing rater sets"
         )
-    ds = RatingDataset(
+    return RatingDataset(
         language_pair=",".join(langs) or "unknown",
-        documents=dict(zip(docs, n_segs.tolist())),
-        systems=frozenset(systems),
-        raters=frozenset(raters),
+        system_axis=systems,
+        doc_axis=docs,
+        rater_axis=raters,
+        seg_counts=n_segs,
         bucket_axis=bucket_axis,
         bucket_raters=tuple(map(np.flatnonzero, member)),
         doc_bucket=doc_bucket,
@@ -497,8 +501,6 @@ def ingest_lines(stream: TextIO, mapping=None, weights=None) -> RatingDataset:
         n_errors=error_counts,
         annotations=annotations,
     )
-    ds.validate()
-    return ds
 
 
 def _split_columns(stream: TextIO, mapping: ColumnMapping) -> tuple[np.ndarray, dict, dict]:
@@ -593,19 +595,6 @@ def _raise_first(checks) -> None:
     if failing:
         row = min(failing)
         raise next(error(row) for mask, error in checks if mask[row])
-
-
-def stats(ds: RatingDataset) -> DatasetStats:
-    seg_counts = list(ds.documents.values())
-    return DatasetStats(
-        n_documents=len(ds.documents),
-        n_segments=sum(seg_counts),
-        min_segments_per_doc=min(seg_counts),
-        max_segments_per_doc=max(seg_counts),
-        n_raters=len(ds.raters),
-        n_systems=len(ds.systems),
-        bucket_doc_counts={bucket_id: n for bucket_id, _, n in bucket_layout(ds)},
-    )
 
 
 def bucket_layout(ds: RatingDataset) -> list[tuple[str, tuple[str, ...], int]]:

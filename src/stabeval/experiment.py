@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -130,10 +131,10 @@ def select_ratings(ds: RatingDataset, plan: AssignmentPlan) -> ScoredStudy:
 
 
 def _check_pool_size(ds: RatingDataset, config: StudyConfig) -> None:
-    if config.effective_documents > len(ds.documents):
+    if config.effective_documents > len(ds.doc_axis):
         raise ConfigError(
             f"{config.n_documents} documents per study need {config.effective_documents} "
-            f"from the pool; the dataset has {len(ds.documents)}"
+            f"from the pool; the dataset has {len(ds.doc_axis)}"
         )
 
 
@@ -240,12 +241,8 @@ def _init_worker(ds: RatingDataset) -> None:
     _WORKER_DS = ds
 
 
-def _rank(ds: RatingDataset, config: StudyConfig, seed_key, docs) -> SignificanceMatrix:
-    return simulate_study(ds, config, np.random.SeedSequence(seed_key), docs)[1]
-
-
 def _run_one(task) -> SignificanceMatrix:
-    return _rank(_WORKER_DS, *task)
+    return simulate_study(_WORKER_DS, *task)[1]
 
 
 def _point_tasks(ds: RatingDataset, config: StudyConfig, ci: int, gi: int):
@@ -283,10 +280,10 @@ def run_sweep(
     ``_point_tasks``), so output is identical for any worker count.
     """
     if doc_count_grid is None:
-        doc_count_grid = [n for n in DEFAULT_DOC_GRID if n <= len(ds.documents)]
+        doc_count_grid = [n for n in DEFAULT_DOC_GRID if n <= len(ds.doc_axis)]
         if not doc_count_grid:
             raise ConfigError(
-                f"the dataset has {len(ds.documents)} documents, fewer than the default "
+                f"the dataset has {len(ds.doc_axis)} documents, fewer than the default "
                 f"grid's smallest count {min(DEFAULT_DOC_GRID)}: set doc_counts"
             )
     labels = [config.label or f"config{ci}" for ci, config in enumerate(configs)]
@@ -301,9 +298,11 @@ def run_sweep(
             _check_pool_size(ds, replace(config, n_documents=n_docs))
     # One pool serves every point; the with block shuts it down on any error.
     # Only workers set _WORKER_DS, so a serial sweep pins nothing after it returns.
+    # The pool starts all its workers at once, so it gets at most one per CPU.
+    workers = min(threads, os.cpu_count() or 1)
     pool = (
-        ProcessPoolExecutor(max_workers=threads, initializer=_init_worker, initargs=(ds,))
-        if threads > 1
+        ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ds,))
+        if workers > 1
         else None
     )
     points: list[SweepPoint] = []
@@ -318,7 +317,7 @@ def run_sweep(
                 if pool is not None:
                     matrices = list(pool.map(_run_one, tasks, chunksize=8))
                 else:
-                    matrices = [_rank(ds, *task) for task in tasks]
+                    matrices = [simulate_study(ds, *task)[1] for task in tasks]
                 value, n_pairs = srp(matrices, pair_filter)
                 points.append(
                     SweepPoint(
@@ -438,11 +437,12 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
         )
     # The dataset's (system, doc, seg, rater) arrays, each id axis in sorted order.
     scores = values[np.ix_(by_id[0], by_id[1], range(n_segs), by_id[2])]
-    ds = RatingDataset(
+    return RatingDataset(
         language_pair=spec.language_pair,
-        documents={d: spec.segments_per_doc for d in docs},
-        systems=frozenset(systems),
-        raters=frozenset(raters),
+        system_axis=tuple(sorted(systems)),
+        doc_axis=tuple(sorted(docs)),
+        rater_axis=tuple(sorted(raters)),
+        seg_counts=np.full(spec.n_documents, n_segs, dtype=np.intp),
         bucket_axis=bucket_axis,
         bucket_raters=tuple(bucket_raters[np.argsort(bucket_pos)]),
         doc_bucket=doc_bucket,
@@ -450,8 +450,6 @@ def generate_synthetic(spec: GeneratorSpec, rng) -> RatingDataset:
         n_errors=np.full(scores.shape, np.nan),
         annotations=Annotations((), *[np.zeros(0, dtype=np.intp)] * 4),
     )
-    ds.validate()
-    return ds
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,7 @@ def rater_distribution(
     ds: RatingDataset, rater_id: str, bin_edges: Sequence[float]
 ) -> ScoreHistogram:
     """Histogram of one rater's segment-level scores."""
-    if rater_id not in ds.raters:
+    if rater_id not in ds.rater_pos:
         raise UnknownRater(f"unknown rater {rater_id!r}")
     # (doc, seg, system) order is rating order, so the mean sums the rater's
     # scores in the order ``export_tsv`` lists them.

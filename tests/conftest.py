@@ -8,11 +8,13 @@ and ``rating_dict`` reads a dataset's arrays back into that dict.
 Likewise ``bucket_fields`` turns {bucket_id: (doc ids, rater ids)} into the
 bucket layout fields, ``bucket_sets`` reads them back, and
 ``build_buckets_oracle`` is the id-set bucket builder ingest replaced.
+``build_dataset`` makes a dataset from such dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -49,14 +51,16 @@ class SegmentRating:
         return None if self.annotations is None else len(self.annotations)
 
 
-def rating_fields(ratings, systems, documents, raters) -> dict:
+def rating_fields(ratings, axes) -> dict:
     """The ``scores``, ``n_errors`` and ``annotations`` fields of a dataset with
-    the given system ids, {doc_id: segment count} and rater ids, holding a
-    {(doc_id, seg_index, system_id, rater_id): SegmentRating} dict."""
+    the axes and ``seg_counts`` of ``axes`` (a dataset, or any object with
+    those attributes), holding a {(doc_id, seg_index, system_id, rater_id):
+    SegmentRating} dict."""
     system_pos, doc_pos, rater_pos = (
-        {x: i for i, x in enumerate(sorted(ids))} for ids in (systems, documents, raters)
+        {x: i for i, x in enumerate(axis)}
+        for axis in (axes.system_axis, axes.doc_axis, axes.rater_axis)
     )
-    shape = (len(system_pos), len(doc_pos), max(documents.values(), default=0), len(rater_pos))
+    shape = (len(system_pos), len(doc_pos), axes.seg_counts.max(initial=0), len(rater_pos))
     scores, n_errors = np.full(shape, np.nan), np.full(shape, np.nan)
     keys = sorted(ratings)  # sorted ids, so this is rating order
     for doc, seg, system, rater in keys:
@@ -75,12 +79,12 @@ def rating_fields(ratings, systems, documents, raters) -> dict:
     return {"scores": scores, "n_errors": n_errors, "annotations": annotations}
 
 
-def bucket_fields(buckets, documents, raters) -> dict:
+def bucket_fields(buckets, doc_axis, rater_axis) -> dict:
     """The ``bucket_axis``, ``bucket_raters`` and ``doc_bucket`` fields of a
-    dataset with the given doc and rater ids, holding the buckets of a
+    dataset with the given doc and rater axes, holding the buckets of a
     {bucket_id: (doc ids, rater ids)} dict."""
     bucket_axis = tuple(sorted(buckets))
-    doc_pos, rater_pos = ({x: i for i, x in enumerate(sorted(ids))} for ids in (documents, raters))
+    doc_pos, rater_pos = ({x: i for i, x in enumerate(axis)} for axis in (doc_axis, rater_axis))
     doc_bucket = np.full(len(doc_pos), -1, dtype=np.intp)
     for b, bucket_id in enumerate(bucket_axis):
         doc_bucket[[doc_pos[d] for d in buckets[bucket_id][0]]] = b
@@ -89,6 +93,26 @@ def bucket_fields(buckets, documents, raters) -> dict:
         for bucket_id in bucket_axis
     )
     return {"bucket_axis": bucket_axis, "bucket_raters": bucket_raters, "doc_bucket": doc_bucket}
+
+
+def build_dataset(language_pair, systems, documents, buckets, ratings, **fields) -> RatingDataset:
+    """The dataset of the given system ids and {doc_id: segment count}, rated
+    by the raters of a {bucket_id: (doc ids, rater ids)} dict, holding a
+    {key: SegmentRating} dict; ``fields`` replace any of the fields this
+    builds.  Construction validates it."""
+    doc_axis = tuple(sorted(documents))
+    axes = SimpleNamespace(
+        system_axis=tuple(sorted(systems)),
+        doc_axis=doc_axis,
+        rater_axis=tuple(sorted(set().union(*(raters for _, raters in buckets.values())))),
+        seg_counts=np.array([documents[d] for d in doc_axis], dtype=np.intp),
+    )
+    return RatingDataset(language_pair, **{
+        **vars(axes),
+        **bucket_fields(buckets, axes.doc_axis, axes.rater_axis),
+        **rating_fields(ratings, axes),
+        **fields,
+    })
 
 
 def bucket_sets(ds: RatingDataset) -> dict:
@@ -258,17 +282,7 @@ def make_layout_dataset(
                             doc_id, seg, system_id, rater_id, None, score
                         )
         buckets[f"b{b:03d}"] = (doc_ids, raters)
-    all_raters = frozenset(r for raters in bucket_raters for r in raters)
-    ds = RatingDataset(
-        language_pair=language_pair,
-        documents=documents,
-        systems=frozenset(systems),
-        raters=all_raters,
-        **bucket_fields(buckets, documents, all_raters),
-        **rating_fields(ratings, systems, documents, all_raters),
-    )
-    ds.validate()
-    return ds
+    return build_dataset(language_pair, systems, documents, buckets, ratings)
 
 
 def all_docs(ds):

@@ -338,10 +338,10 @@ def test_7_released_dataset_reference_values():
     for var, expected in EXPECTED_RELEASED.items():
         ds = ingest(paths[var])
         got = dict(
-            n_documents=len(ds.documents),
-            n_segments=sum(ds.documents.values()),
-            n_raters=len(ds.raters),
-            n_systems=len(ds.systems),
+            n_documents=len(ds.doc_axis),
+            n_segments=int(ds.seg_counts.sum()),
+            n_raters=len(ds.rater_axis),
+            n_systems=len(ds.system_axis),
         )
         if got != expected["counts"]:
             problems.append(f"{var} counts {got} != {expected['counts']}")

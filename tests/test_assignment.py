@@ -79,7 +79,7 @@ class TestPsxsBalanced:
     def test_rotation_layout_near_uniform_entropy(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
         plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(), 1, rng)
-        entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
+        entropy = normalized_entropy(full_workload(plan, ds), len(ds.rater_axis))
         assert entropy >= 0.99
 
 
@@ -96,7 +96,7 @@ class TestSystemBalanced:
         ds = make_layout_dataset([7, 4], [("r1", "r2", "r3"), ("r4", "r5", "r6")], n_systems=5)
         plan = build_plan(ds, all_docs(ds), Grouping.SYSTEM_BALANCED, LoadBalancing(), 1, rng)
         for bucket_docs, bucket_raters in bucket_sets(ds).values():
-            for system in ds.systems:
+            for system in ds.system_axis:
                 counts = Counter()
                 for doc, sys, raters in plan_items(plan, ds):
                     if sys == system and doc in bucket_docs:
@@ -113,8 +113,8 @@ class TestSystemBalanced:
             plan = build_plan(ds, all_docs(ds), Grouping.SYSTEM_BALANCED, LoadBalancing(), 1,
                               np.random.default_rng(seed))
             assignments = {(doc, sys): raters for doc, sys, raters in plan_items(plan, ds)}
-            for doc in ds.documents:
-                raters = {assignments[(doc, s)] for s in sorted(ds.systems)}
+            for doc in ds.doc_axis:
+                raters = {assignments[(doc, s)] for s in ds.system_axis}
                 if len(raters) > 1:
                     split_seen = True
         assert split_seen
@@ -149,19 +149,19 @@ class TestEntropyTarget:
     def test_target_one_drives_uniform(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
         plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(1.0), 1, rng)
-        entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
+        entropy = normalized_entropy(full_workload(plan, ds), len(ds.rater_axis))
         assert entropy >= 0.97
 
     def test_ende_minimum_achievable(self, rng):
         ds = make_layout_dataset(*ROTATION_LAYOUT)
         plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(0.51), 1, rng)
-        entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
+        entropy = normalized_entropy(full_workload(plan, ds), len(ds.rater_axis))
         assert abs(entropy - 0.51) <= 0.03
 
     def test_enzh_minimum_achievable(self, rng):
         ds = make_layout_dataset(*DISJOINT_LAYOUT)
         plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(0.38), 1, rng)
-        entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
+        entropy = normalized_entropy(full_workload(plan, ds), len(ds.rater_axis))
         assert abs(entropy - 0.38) <= 0.03
 
     def test_below_minimum_unreachable(self, rng):
@@ -190,7 +190,7 @@ class TestEntropyTarget:
         ds = make_layout_dataset(*ROTATION_LAYOUT)
         for target in (0.6, 0.8):
             plan = build_plan(ds, all_docs(ds), Grouping.PSXS, LoadBalancing(target), 1, rng)
-            entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
+            entropy = normalized_entropy(full_workload(plan, ds), len(ds.rater_axis))
             assert abs(entropy - target) <= 0.03
 
 
@@ -366,7 +366,7 @@ class TestBuildPlan:
         plan = build_plan(
             ds, all_docs(ds), Grouping.PSXS, LoadBalancing(), 1, rng
         )
-        entropy = normalized_entropy(full_workload(plan, ds), len(ds.raters))
+        entropy = normalized_entropy(full_workload(plan, ds), len(ds.rater_axis))
         assert entropy >= 1.0 - 0.01
 
 

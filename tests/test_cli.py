@@ -113,6 +113,38 @@ def test_stats_command(synth_tsv, capsys):
     assert "raters:            6" in out
 
 
+STATS_OUT = {
+    "tiny": """\
+language pair:     xx-yy
+documents:         2
+segments:          2
+segments per doc:  1-1
+raters:            3
+systems:           2
+bucket b1: 2 docs, raters r1,r2,r3
+""",
+    "synth": """\
+language pair:     synthetic
+documents:         12
+segments:          24
+segments per doc:  2-2
+raters:            6
+systems:           4
+bucket b000: 6 docs, raters rater00,rater01,rater02
+bucket b001: 6 docs, raters rater03,rater04,rater05
+""",
+}
+
+
+@pytest.mark.parametrize("dataset", STATS_OUT)
+@pytest.mark.parametrize("command, head", [("stats", ""), ("validate", "OK\n")])
+def test_stats_and_validate_stdout_pinned(request, capsys, dataset, command, head):
+    path = request.getfixturevalue(f"{dataset}_tsv")
+    capsys.readouterr()  # the fixture's own gen line
+    assert main([command, "--dataset", str(path)]) == 0
+    assert capsys.readouterr() == (head + STATS_OUT[dataset], "")
+
+
 def test_simulate_prints_ranking(synth_tsv, tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(STUDY_CFG)
@@ -632,6 +664,17 @@ def test_gen_non_finite_scores_exit_code(tmp_path, extra):
     assert result.stderr.startswith("error: generated scores are not finite")
     assert "rater_noise_sigma=400" in result.stderr
     assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
+    assert not out.exists()
+
+
+def test_gen_out_of_memory_exit_code(tmp_path, capsys):
+    """NumPy refuses the 10.2 PiB score array before it allocates any of it."""
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("[generator]\nsegments_per_doc = 1000000000000\n")
+    out = tmp_path / "synth.tsv"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 10.2 PiB") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -35,12 +35,11 @@ from conftest import (
     SegmentRating,
     assert_same_buckets,
     assert_same_ratings,
-    bucket_fields,
     bucket_raters_of,
+    build_dataset,
     make_layout_dataset,
     plan_mask,
     rating_dict,
-    rating_fields,
     study_from_entries,
 )
 
@@ -53,7 +52,7 @@ def select_ratings_oracle(ds, plan) -> ScoredStudy:
     entries, ratings = [], rating_dict(ds)
     for s, d, r in np.argwhere(plan_mask(plan, ds)):
         doc_id, system_id, rater_id = ds.doc_axis[d], ds.system_axis[s], ds.rater_axis[r]
-        for seg in range(ds.documents[doc_id]):
+        for seg in range(ds.seg_counts[d]):
             rating = ratings[(doc_id, seg, system_id, rater_id)]
             entries.append((doc_id, seg, system_id, rater_id, rating.score, rating.n_errors))
     return study_from_entries(entries)
@@ -84,14 +83,7 @@ def annotated_dataset(seed: int, score_only: bool) -> RatingDataset:
                         ratings[(doc, seg, system, rater)] = SegmentRating(
                             doc, seg, system, rater, annotations, n + float(rng.random())
                         )
-    all_raters = frozenset(r for raters in BUCKET_RATERS for r in raters)
-    ds = RatingDataset(
-        "xx-yy", documents, frozenset(systems), all_raters,
-        **bucket_fields(buckets, documents, all_raters),
-        **rating_fields(ratings, systems, documents, all_raters),
-    )
-    ds.validate()
-    return ds
+    return build_dataset("xx-yy", systems, documents, buckets, ratings)
 
 
 def study_ratings(study: ScoredStudy):
@@ -248,7 +240,7 @@ def test_slot_study_matches_dense_study(
     subset = subsample_documents(ds, n_docs, rng)
     plan = build_plan(ds, subset, grouping, balancing, ratings_per_item, rng)
     slot, dense = select_ratings(ds, plan), select_ratings_oracle(ds, plan)
-    assert slot.slots.shape == (len(ds.systems), n_docs, ratings_per_item)
+    assert slot.slots.shape == (len(ds.system_axis), n_docs, ratings_per_item)
     # NaN marks only the segments past a document's end.
     in_doc = np.arange(slot.scores.shape[2]) < ds.seg_counts[plan.docs][:, None]
     assert np.array_equal(slot.rated, np.broadcast_to(in_doc[:, :, None], slot.rated.shape))
@@ -275,8 +267,8 @@ def test_dataset_arrays_hold_every_rating():
     ds = annotated_dataset(3, score_only=False)
     ratings = rating_dict(ds)
     assert np.count_nonzero(~np.isnan(ds.scores)) == len(ratings) == sum(
-        n_segs * len(bucket_raters_of(ds, doc)) * len(ds.systems)
-        for doc, n_segs in ds.documents.items()
+        n_segs * len(bucket_raters_of(ds, doc)) * len(ds.system_axis)
+        for doc, n_segs in zip(ds.doc_axis, ds.seg_counts.tolist())
     )
     for (doc, seg, system, rater), rating in ratings.items():
         cell = (ds.system_pos[system], ds.doc_pos[doc], seg, ds.rater_pos[rater])
@@ -321,13 +313,7 @@ def generate_synthetic_oracle(spec: GeneratorSpec, rng) -> RatingDataset:
                             doc_id, seg, system_id, rater_id, None, float(scores[seg])
                         )
     documents = {d: spec.segments_per_doc for d in docs}
-    ds = RatingDataset(
-        spec.language_pair, documents, frozenset(systems), frozenset(raters),
-        **bucket_fields(buckets, documents, raters),
-        **rating_fields(ratings, systems, documents, raters),
-    )
-    ds.validate()
-    return ds
+    return build_dataset(spec.language_pair, systems, documents, buckets, ratings)
 
 
 sigmas = st.sampled_from([0.0, 0.5])

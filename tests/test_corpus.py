@@ -8,14 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from stabeval import corpus
 from stabeval.corpus import (
-    Annotations,
     ColumnMapping,
     RatingDataset,
     Severity,
     bucket_layout,
     ingest,
     ingest_lines,
-    stats,
 )
 from stabeval.errors import (
     IncompleteRatings,
@@ -31,8 +29,9 @@ from stabeval.scoring import NormalizationScheme
 from conftest import (
     DISJOINT_LAYOUT,
     ROTATION_LAYOUT,
-    bucket_fields,
+    SegmentRating,
     bucket_sets,
+    build_dataset,
     make_layout_dataset,
     rating_dict,
     rating_fields,
@@ -54,12 +53,11 @@ def test_ingest_tiny_fixture(tiny_tsv):
 
 
 def test_stats_tiny_fixture(tiny_tsv):
-    s = stats(ingest(tiny_tsv))
-    assert s.n_documents == 2
-    assert s.n_systems == 2
-    assert s.n_raters == 3
-    assert s.n_segments == 2
-    assert s.bucket_doc_counts == {"b1": 2}
+    ds = ingest(tiny_tsv)
+    assert ds.doc_axis == ("doc1", "doc2")
+    assert ds.system_axis == ds.systems == ("sysA", "sysB")
+    assert ds.rater_axis == ds.raters == ("r1", "r2", "r3")
+    assert ds.seg_counts.dtype == np.intp and ds.seg_counts.tolist() == [1, 1]
 
 
 def test_bucket_layout_single_bucket(tiny_tsv):
@@ -125,18 +123,16 @@ def shuffled_buckets(data, sizes, n_raters) -> dict:
     return buckets
 
 
-def empty_dataset(buckets, **fields) -> RatingDataset:
-    """A dataset of two systems and one segment per document, without
-    ratings, over ``buckets``; ``fields`` replace its bucket fields."""
+def bucket_dataset(buckets, **fields) -> RatingDataset:
+    """A dataset of two systems and one segment per document over
+    ``buckets``, every rating 0; ``fields`` replace any of its fields."""
     documents = dict.fromkeys((d for docs, _ in buckets.values() for d in docs), 1)
-    raters = frozenset().union(*(raters for _, raters in buckets.values()))
-    shape = (2, len(documents), 1, len(raters))
-    return RatingDataset(
-        "xx-yy", documents, frozenset({"s0", "s1"}), raters,
-        **{**bucket_fields(buckets, documents, raters), **fields},
-        scores=np.full(shape, np.nan), n_errors=np.full(shape, np.nan),
-        annotations=Annotations((), *[np.zeros(0, dtype=np.intp)] * 4),
-    )
+    ratings = {
+        (doc, 0, system, rater): SegmentRating(doc, 0, system, rater, None, 0.0)
+        for docs, raters in buckets.values() for doc in docs
+        for system in ("s0", "s1") for rater in raters
+    }
+    return build_dataset("xx-yy", ("s0", "s1"), documents, buckets, ratings, **fields)
 
 
 @settings(max_examples=50, deadline=None)
@@ -147,7 +143,11 @@ def empty_dataset(buckets, **fields) -> RatingDataset:
 )
 def test_bucket_layout_arrays_on_shuffled_ids(sizes, n_raters, data):
     buckets = shuffled_buckets(data, sizes, n_raters)
-    assert_layout_follows_buckets(empty_dataset(buckets), buckets)
+    if len({frozenset(raters) for _, raters in buckets.values()}) < len(buckets):
+        with pytest.raises(InconsistentBuckets, match="identical rater set"):
+            bucket_dataset(buckets)
+    else:
+        assert_layout_follows_buckets(bucket_dataset(buckets), buckets)
 
 
 TWO_BUCKETS = {"b0": (["d0", "d1"], {"r0", "r1"}), "b1": (["d2"], {"r1", "r2"})}
@@ -166,9 +166,37 @@ TWO_BUCKETS = {"b0": (["d0", "d1"], {"r0", "r1"}), "b1": (["d2"], {"r1", "r2"})}
     ({"doc_bucket": np.array([0, 0, 2])}, "does not give each document a bucket"),
 ])
 def test_bucket_arrays_that_do_not_fit_the_axes(fields, message):
-    assert empty_dataset(TWO_BUCKETS).eligible.tolist() == [[1, 1, 0], [1, 1, 0], [0, 1, 1]]
+    assert bucket_dataset(TWO_BUCKETS).eligible.tolist() == [[1, 1, 0], [1, 1, 0], [0, 1, 1]]
     with pytest.raises(ValueError, match=message):
-        empty_dataset(TWO_BUCKETS, **fields)
+        bucket_dataset(TWO_BUCKETS, **fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"system_axis": ("s1", "s0")}, r"system ids \('s1', 's0'\) are not sorted and distinct"),
+    ({"system_axis": ("s0", "s0")}, r"system ids \('s0', 's0'\) are not sorted and distinct"),
+    ({"doc_axis": ("d0", "d2", "d1")}, "document ids .* are not sorted and distinct"),
+    ({"doc_axis": ("d0", "d0", "d2")}, "document ids .* are not sorted and distinct"),
+    ({"rater_axis": ("r0", "r2", "r1")}, "rater ids .* are not sorted and distinct"),
+    ({"rater_axis": ("r0", "r1", "r1")}, "rater ids .* are not sorted and distinct"),
+    ({"seg_counts": np.array([1, 1], dtype=np.intp)}, "2 segment counts for 3 documents"),
+    ({"seg_counts": np.ones(4, dtype=np.intp)}, "4 segment counts for 3 documents"),
+])
+def test_axes_that_are_not_sorted_and_distinct(fields, message):
+    with pytest.raises(ValueError, match=message):
+        bucket_dataset(TWO_BUCKETS, **fields)
+
+
+def test_buckets_sharing_a_rater_set_rejected_on_construction():
+    buckets = {"b0": (["d0"], {"r0", "r1"}), "b1": (["d1"], {"r1", "r0"})}
+    with pytest.raises(InconsistentBuckets) as exc:
+        bucket_dataset(buckets)
+    assert str(exc.value) == "buckets share the identical rater set ['r0', 'r1']"
+
+
+def test_document_without_segments_rejected_on_construction():
+    with pytest.raises(InconsistentBuckets) as exc:
+        bucket_dataset(TWO_BUCKETS, seg_counts=np.array([1, 0, 1], dtype=np.intp))
+    assert str(exc.value) == "document d1 has no segments"
 
 
 def test_invalid_severity_rejected(tiny_tsv):
@@ -205,17 +233,14 @@ def test_incomplete_ratings_names_first_hole_in_document_order():
     )
     holes = {("d001", 0, "s01", "r2"), ("d001", 1, "s01", "r1"), ("d001", 0, "s02", "r1"),
              ("d003", 0, "s00", "r4"), ("d003", 1, "s00", "r4")}
-    ratings = rating_fields(
-        {k: v for k, v in rating_dict(ds).items() if k not in holes},
-        ds.systems, ds.documents, ds.raters,
-    )
+    ratings = rating_dict(ds)
     with pytest.raises(IncompleteRatings) as exc:
-        replace(ds, **ratings).validate()
-    # documents in insertion order, then system, rater, segment
+        replace(ds, **rating_fields({k: v for k, v in ratings.items() if k not in holes}, ds))
+    # documents in axis order, then system, rater, segment
     assert str(exc.value) == "missing rating for doc=d001 seg=1 system=s01 rater=r1"
-    reordered = dict(reversed(list(ds.documents.items())))
+    later = {k: v for k, v in ratings.items() if k not in holes or k[0] != "d003"}
     with pytest.raises(IncompleteRatings) as exc:
-        replace(ds, documents=reordered, **ratings).validate()
+        replace(ds, **rating_fields(later, ds))
     assert str(exc.value) == "missing rating for doc=d003 seg=0 system=s00 rater=r4"
 
 
@@ -223,13 +248,13 @@ def test_rating_outside_document_segments_rejected():
     ds = make_layout_dataset([2], [("r1", "r2", "r3")], segs_per_doc=2)
     # d000 keeps the scores of a second segment it no longer has.
     with pytest.raises(InconsistentBuckets) as exc:
-        replace(ds, documents={"d000": 1, "d001": 2}).validate()
+        replace(ds, seg_counts=np.array([1, 2], dtype=np.intp))
     assert str(exc.value) == (
         "rating outside its document's segments or bucket: doc=d000 seg=1 system=s00 rater=r1"
     )
     # A segment beyond the arrays' segment axis would have no cell at all.
     with pytest.raises(ValueError, match="do not fit axes"):
-        replace(ds, documents={"d000": 3, "d001": 2})
+        replace(ds, seg_counts=np.array([3, 2], dtype=np.intp))
 
 
 def test_rating_by_rater_outside_bucket_rejected():
@@ -237,7 +262,7 @@ def test_rating_by_rater_outside_bucket_rejected():
     scores = ds.scores.copy()
     scores[ds.system_pos["s02"], ds.doc_pos["d001"], 1, ds.rater_pos["r2"]] = 0.5
     with pytest.raises(InconsistentBuckets) as exc:
-        replace(ds, scores=scores).validate()
+        replace(ds, scores=scores)
     assert str(exc.value) == (
         "rating outside its document's segments or bucket: doc=d001 seg=1 system=s02 rater=r2"
     )

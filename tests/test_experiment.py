@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stabeval import experiment
 from stabeval.assignment import Grouping, LoadBalancing, subsample_documents
 from stabeval.corpus import export_tsv
 from stabeval.errors import ConfigError, InvalidSpec, QuotaExceedsBucket
@@ -193,6 +194,39 @@ class TestRunSweep:
         b = run_sweep(ds, [config], doc_count_grid=[6, 8], threads=2)
         assert a.to_csv() == b.to_csv()
 
+    @pytest.mark.parametrize("cpus, threads, pools", [
+        (2, 5000, [2]), (8, 3, [3]), (1, 4, []), (None, 4, []),
+    ])
+    def test_worker_pool_capped_at_cpu_count(self, monkeypatch, cpus, threads, pools):
+        """The pool starts all its workers at once, so ``threads`` above the
+        CPU count gets one worker per CPU, and one CPU runs serially.  The
+        stub pool records its size and maps in this process."""
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiment, "_WORKER_DS", None)  # restored after the test
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        ds = small_dataset()
+        config = StudyConfig(n_documents=8, n_simulations=4, n_permutations=50)
+        got = run_sweep(ds, [config], doc_count_grid=[6, 8], threads=threads)
+        assert started == pools
+        monkeypatch.undo()
+        assert got.to_csv() == run_sweep(ds, [config], doc_count_grid=[6, 8]).to_csv()
+
     def test_serial_sweep_does_not_pin_dataset(self):
         ds = small_dataset()
         config = StudyConfig(n_documents=6, n_simulations=4, n_permutations=50)
@@ -238,8 +272,8 @@ class TestGenerateSynthetic:
     def test_zero_noise_identical_ratings(self):
         ds = generate_synthetic(GeneratorSpec(n_documents=6), np.random.default_rng(0))
         ratings = rating_dict(ds)
-        for doc in ds.documents:
-            for system in ds.systems:
+        for doc in ds.doc_axis:
+            for system in ds.system_axis:
                 scores = {ratings[(doc, 0, system, r)].score for r in bucket_raters_of(ds, doc)}
                 assert len(scores) == 1
 
@@ -249,7 +283,7 @@ class TestGenerateSynthetic:
             np.random.default_rng(0),
         )
         means = {}
-        for rater in ds.raters:
+        for rater in ds.rater_axis:
             scores = [r.score for r in rating_dict(ds).values() if r.rater_id == rater]
             means[rater] = np.mean(scores)
         assert means["rater00"] < means["rater01"] < means["rater02"]
